@@ -327,9 +327,6 @@ def minimax_policy_lightweight(
         raise ValueError("gamma must be n x K for this dataset/ensemble")
 
     compiled = CompiledRecords.from_dataset(dataset, catalog)
-    record_rows = np.empty(compiled.n_records, dtype=int)
-    for _prompt, rec_idx, rows, _sets in compiled.groups:
-        record_rows[rec_idx] = rows
 
     k = ensemble.k
     w = np.full(k, 1.0 / k)
@@ -340,7 +337,7 @@ def minimax_policy_lightweight(
         annotator_w = gamma @ w
         table, _ = fit_preference_table(
             compiled,
-            annotator_w[record_rows],
+            annotator_w[compiled.record_rows],
             kappa,
             init_table=table,
             grad_tol=1e-10,

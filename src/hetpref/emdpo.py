@@ -3,10 +3,12 @@
 The E-step computes per-annotator posteriors over types in log space; the
 mixture-weight M-step is the closed-form column mean of the posteriors;
 the policy M-step maximizes a weighted multi-item preference
-log-likelihood independently per type and per prompt. The problem is
-concave in the tabular scores, so the inner solver (deterministic
-quasi-Newton with an exact Hessian-vector polish) reaches tight gradient
-tolerances whenever the maximizer is finite.
+log-likelihood independently per type and per prompt. Both likelihoods
+run over unique (prompt, choice set, winner) patterns with multiplicities
+rather than over records: they depend on the records only through those
+counts. The problem is concave in the tabular scores, so the inner solver
+(deterministic quasi-Newton with an exact Hessian-vector polish) reaches
+tight gradient tolerances whenever the maximizer is finite.
 """
 
 from __future__ import annotations
@@ -38,11 +40,17 @@ __all__ = [
     "mean_winner_features",
 ]
 
-def _lse(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Row-wise log-sum-exp; avoids scipy's per-call overhead in hot loops."""
-    mx = a.max(axis=axis, keepdims=True)
-    out = np.log(np.exp(a - mx).sum(axis=axis)) + np.squeeze(mx, axis=axis)
-    return out
+def _pattern_logp(x: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log P(winner) and choice probabilities of each column of an (L, P) block.
+
+    ``idx`` holds one pattern per column, winner in row 0; rows are
+    contiguous, so the reductions over a pattern run along axis 0.
+    """
+    s = x[idx]
+    mx = s.max(axis=0)
+    e = np.exp(s - mx)
+    tot = e.sum(axis=0)
+    return s[0] - mx - np.log(tot), e / tot
 
 
 INIT_STRATEGIES = ("kmeans_winner_features", "random_dirichlet", "from_true_labels")
@@ -54,11 +62,15 @@ class EmptyClusterWarning(UserWarning):
 
 
 class CompiledRecords:
-    """Vectorized view of preference records, grouped by (prompt, set size).
+    """Preference records compressed to unique (prompt, choice set, winner) patterns.
 
-    Each group stores an integer matrix of response indices into the
-    catalog's per-prompt order, winner in column 0, plus the row (per
-    annotator) and global record index of every record.
+    A pattern lists global indices into the flat score vector of
+    :func:`_flatten_layout`: the winner first, then the rejected responses
+    sorted, since the likelihood is symmetric in them. Patterns are
+    numbered by set size; each entry ``(span, idx)`` of ``blocks`` holds
+    the C-contiguous (L, P) index matrix of the patterns in slice ``span``.
+    ``inverse`` maps each record to its pattern and ``record_rows`` to its
+    annotator's row.
     """
 
     def __init__(self, catalog: Catalog, records: Sequence[PreferenceRecord],
@@ -66,18 +78,34 @@ class CompiledRecords:
         self.catalog = catalog
         self.n_rows = len(row_of_annotator)
         self.n_records = len(records)
-        grouped: dict[tuple[str, int], list[tuple[int, int, list[int]]]] = {}
+        self.layout, self.size = _flatten_layout(catalog)
+        self.record_rows = np.array([row_of_annotator[r.annotator] for r in records], np.intp)
+        # Most records repeat an earlier one; ``seen`` skips their catalog lookups.
+        seen: dict[tuple, int] = {}
+        patterns: dict[tuple[int, ...], int] = {}
+        inverse = np.empty(self.n_records, dtype=np.intp)
         for g, rec in enumerate(records):
-            idx = [catalog.response_index(rec.prompt, rec.winner)]
-            idx += [catalog.response_index(rec.prompt, y) for y in rec.rejected]
-            key = (rec.prompt, len(idx))
-            grouped.setdefault(key, []).append((g, row_of_annotator[rec.annotator], idx))
-        self.groups: list[tuple[str, np.ndarray, np.ndarray, np.ndarray]] = []
-        for (prompt, _L), items in grouped.items():
-            rec_idx = np.array([g for g, _, _ in items], dtype=int)
-            rows = np.array([r for _, r, _ in items], dtype=int)
-            sets = np.array([idx for _, _, idx in items], dtype=int)
-            self.groups.append((prompt, rec_idx, rows, sets))
+            raw = (rec.prompt, rec.winner, rec.rejected)
+            pid = seen.get(raw)
+            if pid is None:
+                win = catalog.response_index(rec.prompt, rec.winner)
+                rej = sorted(catalog.response_index(rec.prompt, y) for y in rec.rejected)
+                off = self.layout[rec.prompt].start
+                key = (off + win, *[off + j for j in rej])
+                pid = seen[raw] = patterns.setdefault(key, len(patterns))
+            inverse[g] = pid
+        keys = list(patterns)
+        lengths = np.array([len(k) for k in keys], dtype=np.intp)
+        order = np.argsort(lengths, kind="stable")
+        renumber = np.empty_like(order)
+        renumber[order] = np.arange(len(order))
+        self.inverse = renumber[inverse]
+        self.n_patterns = len(keys)
+        self.blocks: list[tuple[slice, np.ndarray]] = []
+        for L in np.unique(lengths):
+            idx = np.array([keys[i] for i in order[lengths[order] == L]], dtype=np.intp).T.copy()
+            start = self.blocks[-1][0].stop if self.blocks else 0
+            self.blocks.append((slice(start, start + idx.shape[1]), idx))
 
     @classmethod
     def from_dataset(cls, dataset: Dataset, catalog: Catalog) -> "CompiledRecords":
@@ -92,21 +120,35 @@ class CompiledRecords:
             rows.setdefault(rec.annotator, len(rows))
         return cls(catalog, records, rows)
 
-    def record_logprobs(self, table: ScoreTable) -> np.ndarray:
-        """log P(winner beats rejected) per record, indexed by record."""
-        out = np.empty(self.n_records)
-        for prompt, rec_idx, _rows, sets in self.groups:
-            ss = table.scores[prompt][sets]
-            out[rec_idx] = ss[:, 0] - _lse(ss, axis=1)
-        return out
+    def flatten(self, table: ScoreTable) -> np.ndarray:
+        """The table's scores as one vector in :func:`_flatten_layout` order."""
+        return np.concatenate([table.scores[p] for p in self.layout])
+
+    def loglik_grad(self, x: np.ndarray, weights: np.ndarray) -> tuple[float, np.ndarray]:
+        """Weighted log-likelihood of the flat scores ``x`` and its gradient.
+
+        ``weights`` holds one multiplicity per pattern (see ``inverse``).
+        """
+        val = 0.0
+        grad = np.zeros(self.size)
+        for span, idx in self.blocks:
+            c = weights[span]
+            logp, p = _pattern_logp(x, idx)
+            val += float(c @ logp)
+            grad += np.bincount(idx[0], c, minlength=self.size)
+            grad -= np.bincount(idx.ravel(), (p * c).ravel(), minlength=self.size)
+        return val, grad
 
     def annotator_logliks(self, tables: Sequence[ScoreTable]) -> np.ndarray:
         """(n_rows, K) sums of record log-probabilities per annotator and type."""
-        out = np.zeros((self.n_rows, len(tables)))
+        out = np.empty((self.n_rows, len(tables)))
+        logp = np.empty(self.n_patterns)
         for k, table in enumerate(tables):
-            for prompt, _rec_idx, rows, sets in self.groups:
-                ss = table.scores[prompt][sets]
-                np.add.at(out[:, k], rows, ss[:, 0] - _lse(ss, axis=1))
+            x = self.flatten(table)
+            for span, idx in self.blocks:
+                logp[span] = _pattern_logp(x, idx)[0]
+            out[:, k] = np.bincount(self.record_rows, logp[self.inverse],
+                                    minlength=self.n_rows)
         return out
 
 
@@ -130,67 +172,58 @@ def fit_preference_table(
 ) -> tuple[ScoreTable, float]:
     """Maximize the weighted multi-item preference log-likelihood over a table.
 
-    Returns the gauge-fixed argmax and the final gradient infinity norm.
-    The objective is concave; warm starts never lose objective value, so a
-    capped run still constitutes a valid generalized M-step.
+    Record weights are summed onto patterns first, so each evaluation
+    costs one pass over the unique patterns. Returns the gauge-fixed
+    argmax and the final gradient infinity norm. The objective is concave;
+    warm starts never lose objective value, so a capped run still
+    constitutes a valid generalized M-step.
     """
-    catalog = compiled.catalog
     record_weights = np.asarray(record_weights, dtype=float)
     if record_weights.shape != (compiled.n_records,):
         raise ValueError("one weight per record required")
-    layout, size = _flatten_layout(catalog)
-
-    groups = [
-        (layout[prompt], rec_idx, sets, record_weights[rec_idx])
-        for prompt, rec_idx, _rows, sets in compiled.groups
-    ]
+    counts = np.bincount(compiled.inverse, record_weights, minlength=compiled.n_patterns)
 
     def neg_ll_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
-        val = 0.0
-        grad = np.zeros(size)
-        for sl, _rec_idx, sets, w in groups:
-            s = x[sl]
-            ss = s[sets]
-            lse = _lse(ss, axis=1)
-            val += float(w @ (ss[:, 0] - lse))
-            p = np.exp(ss - lse[:, None])
-            gl = np.zeros(sl.stop - sl.start)
-            np.add.at(gl, sets[:, 0], w)
-            np.add.at(gl, sets.ravel(), (-w[:, None] * p).ravel())
-            grad[sl] += gl
+        val, grad = compiled.loglik_grad(x, counts)
         return -val, -grad
-
-    by_prompt: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for prompt, rec_idx, _rows, sets in compiled.groups:
-        by_prompt.setdefault(prompt, []).append((sets, record_weights[rec_idx]))
 
     def newton_polish(x: np.ndarray, rounds: int) -> np.ndarray:
         # Quasi-Newton stalls once curvature collapses along near-separable
         # directions; damped Newton per prompt (step capped, backtracked so
         # the objective never worsens) finishes the job. Prompts too large
         # for a dense Hessian are left to the quasi-Newton result.
-        for prompt, parts in by_prompt.items():
-            sl = layout[prompt]
+        slices = list(compiled.layout.values())
+        starts = np.array([sl.start for sl in slices])
+        by_prompt: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+        for span, idx in compiled.blocks:
+            owner = np.searchsorted(starts, idx[0], side="right") - 1
+            for j in np.unique(owner):
+                cols = owner == j
+                by_prompt.setdefault(int(j), []).append((idx[:, cols] - starts[j],
+                                                         counts[span][cols]))
+        for j, prompt_parts in by_prompt.items():
+            sl = slices[j]
             r = sl.stop - sl.start
             if r > 256:
                 continue
             s = x[sl].copy()
-
+            # The negated Hessian is sum c (diag(p) - p p^T) over patterns,
+            # scattered into a flat r*r buffer.
             def fg(sv):
                 val = 0.0
                 g = np.zeros(r)
-                h = np.zeros((r, r))
-                for sets, w in parts:
-                    ss = sv[sets]
-                    lse = _lse(ss, axis=1)
-                    val += float(w @ (ss[:, 0] - lse))
-                    p = np.exp(ss - lse[:, None])
-                    np.add.at(g, sets[:, 0], w)
-                    np.add.at(g, sets.ravel(), (-w[:, None] * p).ravel())
-                    np.add.at(h, (sets, sets), w[:, None] * p)
-                    outer = w[:, None, None] * p[:, :, None] * p[:, None, :]
-                    np.add.at(h, (sets[:, :, None], sets[:, None, :]), -outer)
-                return val, g, h
+                h = np.zeros(r * r)
+                for sets, c in prompt_parts:
+                    logp, p = _pattern_logp(sv, sets)
+                    cp = c * p
+                    mass = np.bincount(sets.ravel(), cp.ravel(), minlength=r)
+                    val += float(c @ logp)
+                    g += np.bincount(sets[0], c, minlength=r) - mass
+                    h[::r + 1] += mass
+                    pairs = sets[:, None, :] * r + sets[None, :, :]
+                    h -= np.bincount(pairs.ravel(), (cp[:, None, :] * p[None, :, :]).ravel(),
+                                     minlength=r * r)
+                return val, g, h.reshape(r, r)
 
             val, g, h = fg(s)
             for _ in range(rounds):
@@ -216,10 +249,7 @@ def fit_preference_table(
             x[sl] = s
         return x
 
-    x = np.zeros(size)
-    if init_table is not None:
-        for p, sl in layout.items():
-            x[sl] = init_table.scores[p]
+    x = np.zeros(compiled.size) if init_table is None else compiled.flatten(init_table)
 
     res = minimize(
         neg_ll_grad, x, jac=True, method="L-BFGS-B",
@@ -232,7 +262,7 @@ def fit_preference_table(
         x = newton_polish(x, rounds=max(10, min(max_iter, 50)))
         grad_norm = float(np.abs(neg_ll_grad(x)[1]).max())
 
-    scores = {p: x[sl].copy() for p, sl in layout.items()}
+    scores = {p: x[sl].copy() for p, sl in compiled.layout.items()}
     return gauge_fix(ScoreTable(kappa=kappa, scores=scores)), grad_norm
 
 
@@ -257,7 +287,8 @@ def _e_step_compiled(
     logl = compiled.annotator_logliks(ensemble.tables)
     with np.errstate(divide="ignore"):
         joint = logl + np.log(ensemble.eta)[None, :]
-    norm = _lse(joint, axis=1)
+    mx = joint.max(axis=1)
+    norm = np.log(np.exp(joint - mx[:, None]).sum(axis=1)) + mx
     if not np.all(np.isfinite(norm)):
         raise ArithmeticError("zero mixture likelihood for some annotator")
     gamma = np.exp(joint - norm[:, None])
@@ -308,15 +339,11 @@ def _m_step_policy_impl(
         raise ValueError("gamma must have one row per annotator")
     if on_nonconvergence not in ("raise", "warn"):
         raise ValueError("on_nonconvergence must be 'raise' or 'warn'")
-    record_rows = np.empty(compiled.n_records, dtype=int)
-    for _prompt, rec_idx, rows, _sets in compiled.groups:
-        record_rows[rec_idx] = rows
-
     tables: list[ScoreTable] = []
     norms: list[float] = []
     for k in range(gamma.shape[1]):
         init = init_tables[k] if init_tables is not None else None
-        weights = gamma[record_rows, k]
+        weights = gamma[compiled.record_rows, k]
         if weights.sum() <= 0.0:
             warnings.warn(
                 f"type {k} received zero posterior mass; keeping its table",

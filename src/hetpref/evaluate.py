@@ -7,15 +7,12 @@ hidden type labels, which exist for exactly this purpose.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .aggregate import regret_of_policy
 from .emdpo import (
     CompiledRecords,
-    EmptyClusterWarning,
-    fit_preference_table,
+    _m_step_policy_impl,
     lloyd_kmeans,
     mean_winner_features,
     run_em,
@@ -114,33 +111,12 @@ def run_cluster_dpo(
 ) -> ScoreEnsemble:
     """Hard k-means on mean winner features, then one independent fit per cluster."""
     labels, _ = lloyd_kmeans(mean_winner_features(dataset, catalog), k, seed)
-    compiled = CompiledRecords.from_dataset(dataset, catalog)
-    record_rows = np.empty(compiled.n_records, dtype=int)
-    for _prompt, rec_idx, rows, _sets in compiled.groups:
-        record_rows[rec_idx] = rows
-
-    tables = []
-    fractions = np.zeros(k)
-    for j in range(k):
-        member = (labels == j).astype(float)
-        fractions[j] = member.mean()
-        weights = member[record_rows]
-        if weights.sum() == 0.0:
-            warnings.warn(f"cluster {j} is empty after k-means", EmptyClusterWarning)
-            tables.append(ScoreTable.zeros(catalog, kappa))
-            continue
-        table, grad_norm = fit_preference_table(
-            compiled, weights, kappa, grad_tol=grad_tol, max_iter=max_iter
-        )
-        if grad_norm > grad_tol:
-            msg = f"cluster {j} fit stopped at gradient norm {grad_norm:.3e}"
-            if on_nonconvergence == "raise":
-                from .errors import ConvergenceError
-
-                raise ConvergenceError(msg, grad_norm=grad_norm)
-            warnings.warn(msg, RuntimeWarning)
-        tables.append(table)
-    return ScoreEnsemble(tables=tuple(tables), eta=fractions)
+    members = np.eye(k)[labels]
+    tables, _ = _m_step_policy_impl(
+        CompiledRecords.from_dataset(dataset, catalog), members, kappa, None,
+        grad_tol, max_iter, on_nonconvergence,
+    )
+    return ScoreEnsemble(tables=tuple(tables), eta=members.mean(axis=0))
 
 
 def binarize_records(dataset: Dataset) -> Dataset:
