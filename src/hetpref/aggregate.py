@@ -2,9 +2,13 @@
 
 Regret of a candidate policy for type k is the gap in expected implicit
 reward (type-k scores) between type k's own optimal policy and the
-candidate, enumerated exactly over the catalog. Three aggregators are
-provided: an optimistic-Hedge solver for the affine-mixture matrix game,
-a lightweight loop that alternates weighted preference fits with
+candidate, enumerated exactly over the catalog. The ensemble is built
+once as (K, responses) score, log-policy and policy matrices in the
+catalog's flat (prompt, response) order; regrets of all K types, the
+discrepancy matrix and the direct objective and gradient are weighted
+sums or matrix products along that axis. Three aggregators are provided:
+an optimistic-Hedge solver for the affine-mixture matrix game, a
+lightweight loop that alternates weighted preference fits with
 multiplicative weight updates, and direct descent on the worst-case
 objective.
 
@@ -21,7 +25,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .emdpo import CompiledRecords, fit_preference_table
 from .errors import StepSizeError
@@ -29,11 +32,11 @@ from .policy import (
     ReferencePolicy,
     ScoreEnsemble,
     ScoreTable,
-    _check_prompt_weights,
+    _check_mixture_weights,
+    _flat_prompt_weights,
+    _segment_log_softmax,
     gauge_fix,
-    log_policy_probs,
-    mixture_policy_probs,
-    policy_probs,
+    uniform_prompt_weights,
 )
 from .rewards import Catalog
 from .simulate import Dataset
@@ -41,6 +44,7 @@ from .simulate import Dataset
 __all__ = [
     "GameSolution",
     "regret_of_policy",
+    "regrets_of_policy",
     "discrepancy_matrix",
     "regret_matrix",
     "solve_regret_game",
@@ -50,6 +54,49 @@ __all__ = [
     "uniform_mixture",
     "policy_distributions",
 ]
+
+# Averaged iterates per duality-gap matrix product; keeps the temporaries small.
+GAP_BLOCK = 4096
+
+
+class _FlatEnsemble:
+    """The ensemble and reference laid out over the catalog's flat order.
+
+    Row k of ``scores``, ``log_pi`` and ``pi`` belongs to member k.
+    ``weight`` repeats each prompt's weight over its responses, so an
+    expectation over prompts and responses is a weighted sum along the
+    last axis; ``own[k]`` is type k's expected score under its own policy.
+    """
+
+    def __init__(self, ensemble: ScoreEnsemble, ref: ReferencePolicy, catalog: Catalog,
+                 prompt_weights: np.ndarray):
+        self.ensemble = ensemble
+        self.catalog = catalog
+        self.weight = _flat_prompt_weights(catalog, prompt_weights)
+        self.log_ref = np.log(catalog.flatten(ref.probs))
+        self.scores = np.stack([catalog.flatten(t.scores) for t in ensemble.tables])
+        self.log_pi = self.log_policy(self.scores, ensemble.kappa)
+        self.pi = np.exp(self.log_pi)
+        self.weighted_scores = self.weight * self.scores
+        self.own = (self.weighted_scores * self.pi).sum(axis=1)
+
+    def log_policy(self, scores: np.ndarray, kappa: float) -> np.ndarray:
+        """log pi for flat scores: pi proportional to pi_ref * exp(s / kappa) per prompt."""
+        return _segment_log_softmax(self.log_ref + scores / kappa, self.catalog.offsets)
+
+    def distribution(self, policy) -> np.ndarray:
+        """Flat response distribution of any policy flavor (see policy_distributions)."""
+        if isinstance(policy, ScoreTable):
+            return np.exp(self.log_policy(self.catalog.flatten(policy.scores), policy.kappa))
+        if isinstance(policy, ReferencePolicy):
+            return self.catalog.flatten(policy.probs)
+        if isinstance(policy, Mapping):
+            return self.catalog.flatten(policy)
+        return _check_mixture_weights(self.ensemble, policy) @ self.pi
+
+    def regrets(self, policy) -> np.ndarray:
+        """Every type's regret of ``policy``: own expected score minus the policy's."""
+        return self.own - self.weighted_scores @ self.distribution(policy)
 
 
 def policy_distributions(
@@ -63,14 +110,19 @@ def policy_distributions(
     Accepts a free score table, mixture weights over the ensemble, an
     explicit map of distributions, or a reference policy.
     """
-    if isinstance(policy, ScoreTable):
-        return {p: policy_probs(policy, ref, p) for p in catalog.prompts}
-    if isinstance(policy, ReferencePolicy):
-        return dict(policy.probs)
-    if isinstance(policy, Mapping):
-        return {p: np.asarray(policy[p], dtype=float) for p in catalog.prompts}
-    weights = np.asarray(policy, dtype=float)
-    return {p: mixture_policy_probs(ensemble, weights, ref, p) for p in catalog.prompts}
+    flat = _FlatEnsemble(ensemble, ref, catalog, uniform_prompt_weights(catalog))
+    return catalog.split(flat.distribution(policy))
+
+
+def regrets_of_policy(
+    policy,
+    ensemble: ScoreEnsemble,
+    ref: ReferencePolicy,
+    catalog: Catalog,
+    prompt_weights: np.ndarray,
+) -> np.ndarray:
+    """Every type's regret of one policy, in ensemble order."""
+    return _FlatEnsemble(ensemble, ref, catalog, prompt_weights).regrets(policy)
 
 
 def regret_of_policy(
@@ -82,17 +134,7 @@ def regret_of_policy(
     k: int,
 ) -> float:
     """Type-k regret: expected type-k score under its optimum minus under policy."""
-    w = _check_prompt_weights(catalog, prompt_weights)
-    dists = policy_distributions(policy, ensemble, ref, catalog)
-    table_k = ensemble.tables[k]
-    total = 0.0
-    for wx, prompt in zip(w, catalog.prompts):
-        if wx == 0.0:
-            continue
-        s_k = table_k.scores[prompt]
-        own = policy_probs(table_k, ref, prompt)
-        total += wx * float(own @ s_k - dists[prompt] @ s_k)
-    return total
+    return float(regrets_of_policy(policy, ensemble, ref, catalog, prompt_weights)[k])
 
 
 def discrepancy_matrix(
@@ -106,42 +148,20 @@ def discrepancy_matrix(
     Entry [z, z'] (z >= 1) is the expectation, over prompts and responses
     drawn from member z''s policy, of log(pi_z / pi_ref).
     """
-    w = _check_prompt_weights(catalog, prompt_weights)
-    k = ensemble.k
-    out = np.zeros((k + 1, k))
-    dists = [
-        {p: policy_probs(t, ref, p) for p in catalog.prompts} for t in ensemble.tables
-    ]
-    log_dists = [
-        {p: log_policy_probs(t, ref, p) for p in catalog.prompts}
-        for t in ensemble.tables
-    ]
-    for z in range(k):
-        for zp in range(k):
-            acc = 0.0
-            for wx, prompt in zip(w, catalog.prompts):
-                if wx == 0.0:
-                    continue
-                log_ratio = log_dists[z][prompt] - np.log(ref.probs[prompt])
-                acc += wx * float(dists[zp][prompt] @ log_ratio)
-            out[z + 1, zp] = acc
+    flat = _FlatEnsemble(ensemble, ref, catalog, prompt_weights)
+    out = np.zeros((ensemble.k + 1, ensemble.k))
+    out[1:] = (flat.log_pi - flat.log_ref) @ (flat.weight * flat.pi).T
     return out
 
 
 def regret_matrix(discrepancies: np.ndarray) -> np.ndarray:
-    """R[k, k'] = L[k, k] - L[k, k']; the adversary's payoff matrix."""
+    """R[k, k'] = L[k, k] - L[k, k']; the adversary's payoff matrix (row 0: null type)."""
     L = np.asarray(discrepancies, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1] + 1:
         raise ValueError("discrepancy matrix must be (K+1) x K")
     if not np.allclose(L[0], 0.0):
         raise ValueError("row 0 of the discrepancy matrix must be zero")
-    k = L.shape[1]
-    R = np.empty_like(L)
-    for row in range(k + 1):
-        # row 0 corresponds to the null type whose discrepancies are zero
-        diag = 0.0 if row == 0 else L[row, row - 1]
-        R[row] = diag - L[row]
-    return R
+    return np.concatenate([[0.0], np.diagonal(L[1:])])[:, None] - L
 
 
 @dataclass(frozen=True)
@@ -166,7 +186,9 @@ def solve_regret_game(
     Both players use one-step gradient prediction; the returned solution is
     the average of the iterates, and ``value`` is the adversary's best
     response to the averaged mixture weights (an upper bound on the
-    achieved minimax value).
+    achieved minimax value). The loop only stores the iterates; running
+    averages come from cumulative sums afterwards, and the duality gaps
+    from one matrix product per block of ``GAP_BLOCK`` averaged iterates.
     """
     R = np.asarray(R, dtype=float)
     if not np.all(np.isfinite(R)):
@@ -184,13 +206,9 @@ def solve_regret_game(
     p = np.exp(log_p)
     w_prev, p_prev = w.copy(), p.copy()
 
-    w_sum = np.zeros(k)
-    p_sum = np.zeros(n_rows)
-    gap_trace = np.empty(iters)
     w_avg_trace = np.empty((iters, k))
     p_avg_trace = np.empty((iters, n_rows))
-
-    for t in range(1, iters + 1):
+    for t in range(iters):
         gw = R.T @ (2.0 * p - p_prev)
         gp = R @ (2.0 * w - w_prev)
         w_prev, p_prev = w, p
@@ -202,20 +220,25 @@ def solve_regret_game(
         w /= w.sum()
         p = np.exp(log_p)
         p /= p.sum()
+        w_avg_trace[t] = w
+        p_avg_trace[t] = p
 
-        w_sum += w
-        p_sum += p
-        w_avg = w_sum / t
-        p_avg = p_sum / t
-        w_avg_trace[t - 1] = w_avg
-        p_avg_trace[t - 1] = p_avg
-        gap_trace[t - 1] = (R @ w_avg).max() - (p_avg @ R).min()
+    # in place: the iterate buffers become the running averages
+    counts = np.arange(1, iters + 1)[:, None]
+    np.cumsum(w_avg_trace, axis=0, out=w_avg_trace)
+    w_avg_trace /= counts
+    np.cumsum(p_avg_trace, axis=0, out=p_avg_trace)
+    p_avg_trace /= counts
+    gap_trace = np.empty(iters)
+    for lo in range(0, iters, GAP_BLOCK):
+        block = slice(lo, lo + GAP_BLOCK)
+        gap_trace[block] = ((w_avg_trace[block] @ R.T).max(axis=1)
+                            - (p_avg_trace[block] @ R).min(axis=1))
 
-    w_star = w_sum / iters
-    p_star = p_sum / iters
+    w_star = w_avg_trace[-1].copy()
     return GameSolution(
         w=w_star,
-        p=p_star,
+        p=p_avg_trace[-1].copy(),
         value=float((R @ w_star).max()),
         gap_trace=gap_trace,
         w_avg_trace=w_avg_trace,
@@ -302,8 +325,6 @@ def minimax_policy_lightweight(
     kappa: float | None = None,
     prompt_weights: np.ndarray | None = None,
     inner_steps: int = 40,
-    clamp_regret: bool = False,
-    include_kl_in_weights: bool = False,
 ) -> tuple[ScoreTable, list[dict]]:
     """Alternate weighted preference fits with multiplicative weight updates.
 
@@ -311,22 +332,17 @@ def minimax_policy_lightweight(
     adversary weights into one weight per annotator, run a bounded number
     of ascent steps of the weighted preference fit (warm-started), evaluate
     every type's exact regret of the current table, then update the
-    adversary weights multiplicatively. ``clamp_regret`` switches the
-    update to use only positive parts; ``include_kl_in_weights`` adds the
-    (type-independent) KL penalty into the update exponent.
+    adversary weights multiplicatively by those regrets.
     """
     if kappa is None:
         kappa = ensemble.kappa
-    pw = (
-        np.full(len(catalog.prompts), 1.0 / len(catalog.prompts))
-        if prompt_weights is None
-        else prompt_weights
-    )
+    pw = uniform_prompt_weights(catalog) if prompt_weights is None else prompt_weights
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (dataset.n, ensemble.k):
         raise ValueError("gamma must be n x K for this dataset/ensemble")
 
     compiled = CompiledRecords.from_dataset(dataset, catalog)
+    flat = _FlatEnsemble(ensemble, ref, catalog, pw)
 
     k = ensemble.k
     w = np.full(k, 1.0 / k)
@@ -343,16 +359,9 @@ def minimax_policy_lightweight(
             grad_tol=1e-10,
             max_iter=inner_steps,
         )
-        regrets = np.array(
-            [regret_of_policy(table, ensemble, ref, catalog, pw, j) for j in range(k)]
-        )
-        update = np.maximum(regrets, 0.0) if clamp_regret else regrets.copy()
-        if include_kl_in_weights:
-            from .policy import kl_to_ref
-
-            update = update + kl_to_ref(table, ref, catalog, pw)
-        log_w = log_w + step * update
-        log_w -= logsumexp(log_w)
+        regrets = flat.regrets(table)
+        log_w = log_w + step * regrets
+        log_w -= log_w.max()
         w = np.exp(log_w)
         w /= w.sum()
         trace.append(
@@ -384,64 +393,43 @@ def minimax_policy_direct(
     multiplicative weights on the per-type losses. Simultaneous play does
     not converge pointwise, so the returned table is the iterate with the
     lowest exactly-evaluated worst-case loss max_k [R_k]^+ + kappa*KL (the
-    trace keeps the full path). Raises :class:`StepSizeError` when the
-    loss exceeds ten times its initial value, which indicates a diverging
-    policy step.
+    trace keeps the full path). Prompts of weight zero keep zero scores.
+    Raises :class:`StepSizeError` when the loss exceeds ten times its
+    initial value, which indicates a diverging policy step.
     """
     if kappa is None:
         kappa = ensemble.kappa
-    pw = _check_prompt_weights(catalog, prompt_weights)
+    flat = _FlatEnsemble(ensemble, ref, catalog, prompt_weights)
+    starts, sizes = catalog.offsets[:-1], np.diff(catalog.offsets)
+    used = flat.weight > 0.0
     k = ensemble.k
-    prompts = [p for wx, p in zip(pw, catalog.prompts) if wx > 0.0]
-    pw_used = np.array([wx for wx in pw if wx > 0.0])
 
-    s_tables = [
-        np.stack([t.scores[p] for t in ensemble.tables]) for p in prompts
-    ]  # per prompt: (K, R)
-    own_means = np.zeros(k)  # E under each type's own optimum of its score
-    for wx, p, s_k in zip(pw_used, prompts, s_tables):
-        for j in range(k):
-            own = policy_probs(ensemble.tables[j], ref, p)
-            own_means[j] += wx * float(own @ s_k[j])
-    log_ref = [np.log(ref.probs[p]) for p in prompts]
-
-    s = [np.zeros(len(catalog.responses(p))) for p in prompts]
-    if init_table is not None:
-        s = [init_table.scores[p].copy() for p in prompts]
+    s = np.where(used, 0.0 if init_table is None else catalog.flatten(init_table.scores), 0.0)
     w = np.full(k, 1.0 / k)
     log_w = np.log(w)
     trace: list[dict] = []
     initial_loss = None
     best_objective = np.inf
-    best_s = [sp.copy() for sp in s]
+    best_s = s
     # beyond this range the candidate softmax is saturated past floating
     # point resolution; growth out there is pure step-size divergence
-    ens_scale = max(float(np.abs(st).max()) for st in s_tables)
-    blowup_bound = ens_scale + 10.0 + 60.0 * kappa
+    blowup_bound = float(np.abs(flat.scores[:, used]).max()) + 10.0 + 60.0 * kappa
     for t in range(1, iters + 1):
-        pis = []
-        kl = 0.0
-        cand_means = np.zeros(k)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for sp, lr, wx, s_k in zip(s, log_ref, pw_used, s_tables):
-                logits = lr + sp / kappa
-                logits = logits - logits.max()
-                pi = np.exp(logits)
-                pi /= pi.sum()
-                pis.append(pi)
-                g = kappa * (np.log(pi) - lr)
-                kl += wx * float(pi @ np.where(pi > 0, g, 0.0))
-                cand_means += wx * (s_k @ pi)
-        regrets = own_means - cand_means
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_pi = flat.log_policy(s, kappa)
+            pi = np.exp(log_pi)
+            g = kappa * (log_pi - flat.log_ref)
+            kl = float(flat.weight @ (pi * g))
+            regrets = flat.own - flat.weighted_scores @ pi
         pos = np.maximum(regrets, 0.0)
         loss = float(w @ pos) + kl
         objective = float(pos.max()) + kl
         if objective < best_objective:
             best_objective = objective
-            best_s = [sp.copy() for sp in s]
+            best_s = s
         if initial_loss is None:
             initial_loss = max(abs(loss), 1e-12)
-        score_span = max(float(np.abs(sp).max()) for sp in s)
+        score_span = float(np.abs(s).max())
         if not np.isfinite(loss) or loss > 10.0 * initial_loss + 1e-9 or (
             score_span > blowup_bound
         ):
@@ -449,17 +437,13 @@ def minimax_policy_direct(
                 f"objective {loss:.3e} (initial {initial_loss:.3e}), score span "
                 f"{score_span:.3e}; reduce policy_step"
             )
-        active = (regrets > 0.0).astype(float) * w
-        for i, (sp, lr, wx, s_k, pi) in enumerate(
-            zip(s, log_ref, pw_used, s_tables, pis)
-        ):
-            g = kappa * (np.log(pi) - lr)
-            grad = (wx / kappa) * pi * (g - float(pi @ g))
-            centered = s_k - (s_k @ pi)[:, None]
-            grad -= (wx / kappa) * pi * (active @ centered)
-            s[i] = sp - policy_step * grad
+        # d loss / d s = (weight / kappa) * pi * (h - E_pi[h]) per prompt,
+        # with h the KL term minus the active types' weighted scores
+        h = g - ((regrets > 0.0) * w) @ flat.scores
+        h -= np.repeat(np.add.reduceat(pi * h, starts), sizes)
+        s = s - policy_step * (flat.weight / kappa) * pi * h
         log_w = log_w + mwu_step * (pos + kl)
-        log_w -= logsumexp(log_w)
+        log_w -= log_w.max()
         w = np.exp(log_w)
         w /= w.sum()
         trace.append(
@@ -470,8 +454,4 @@ def minimax_policy_direct(
                 "w": [float(x) for x in w],
             }
         )
-    scores = {p: sp for p, sp in zip(prompts, best_s)}
-    for p in catalog.prompts:
-        if p not in scores:
-            scores[p] = np.zeros(len(catalog.responses(p)))
-    return gauge_fix(ScoreTable(kappa=kappa, scores=scores)), trace
+    return gauge_fix(ScoreTable(kappa=kappa, scores=catalog.split(best_s))), trace

@@ -6,8 +6,8 @@ experiments, and evaluate metrics. Every command is a pure function of
 its config file and input files; manifests chain content hashes so any
 output can be traced back to the exact inputs that produced it.
 
-Exit codes: 0 success, 2 config error, 3 input-hash mismatch,
-4 convergence failure.
+Exit codes: 0 success, 2 config error or malformed input file, 3
+input-hash mismatch, 4 convergence failure.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import argparse
 import copy
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -26,7 +25,7 @@ import yaml
 
 from . import aggregate as agg
 from . import emdpo, evaluate, identify, policy, rewards, simulate
-from .errors import ConfigError, ConvergenceError, HashMismatchError
+from .errors import CatalogKeyError, ConfigError, ConvergenceError, HashMismatchError, InputError
 
 # Pipeline-wide tuned defaults (KL coefficient, EM iterations, MWU
 # iterations and learning rate).
@@ -39,20 +38,6 @@ PIPELINE_DEFAULTS = {
 
 AGGREGATE_METHODS = ("affine", "lightweight", "direct", "uniform")
 METHOD_ALIASES = {"ae": "affine", "lw": "lightweight", "original": "direct"}
-
-
-def max_threads() -> int:
-    """Worker cap from HETPREF_THREADS; computation is serial either way."""
-    raw = os.environ.get("HETPREF_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"HETPREF_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise ConfigError(f"HETPREF_THREADS must be >= 1, got {value}")
-    return value
 
 
 def default_config() -> dict:
@@ -94,8 +79,6 @@ def default_config() -> dict:
             "inner_steps": 40,
             "policy_step": 0.5,
             "mwu_step": 0.05,
-            "clamp_regret": False,
-            "include_kl_in_weights": False,
         },
         "identify": {
             "theta": [2.0, 0.0],
@@ -238,7 +221,9 @@ def _load_catalog(path: Path) -> rewards.Catalog:
     return rewards.Catalog.from_json_dict(json.loads(path.read_text(encoding="utf-8")))
 
 
-def _check_catalog_hash(dataset: simulate.Dataset, catalog: rewards.Catalog) -> None:
+def _read_dataset(path: Path, catalog: rewards.Catalog) -> simulate.Dataset:
+    """Read a dataset and check it against the catalog: its hash, then every id."""
+    dataset = simulate.read_dataset(path)
     actual = catalog.content_hash()
     if dataset.catalog_hash != actual:
         raise HashMismatchError(
@@ -246,6 +231,19 @@ def _check_catalog_hash(dataset: simulate.Dataset, catalog: rewards.Catalog) -> 
             f"  dataset catalog_hash: {dataset.catalog_hash}\n"
             f"  provided catalog:     {actual}"
         )
+    seen = set()
+    for line, a in enumerate(dataset.annotators, start=2):
+        for rec in a.records:
+            key = (rec.prompt, rec.winner, rec.rejected)
+            if key in seen:
+                continue
+            seen.add(key)
+            try:
+                for y in rec.choice_set:
+                    catalog.response_index(rec.prompt, y)
+            except CatalogKeyError as exc:
+                raise InputError(f"{path}, line {line}: {exc.args[0]}") from None
+    return dataset
 
 
 def cmd_simulate(cfg: Mapping, out: Path) -> None:
@@ -328,8 +326,7 @@ def _write_em_outputs(out: Path, state: emdpo.EmState, catalog: rewards.Catalog,
 
 def cmd_emdpo(cfg: Mapping, dataset_path: Path, catalog_path: Path, out: Path) -> None:
     catalog = _load_catalog(catalog_path)
-    dataset = simulate.read_dataset(dataset_path)
-    _check_catalog_hash(dataset, catalog)
+    dataset = _read_dataset(dataset_path, catalog)
     k = _require_positive_int(cfg, "emdpo.k")
     state = emdpo.run_em(dataset, catalog, k, **_em_kwargs(cfg))
     out.mkdir(parents=True, exist_ok=True)
@@ -348,8 +345,7 @@ def cmd_emdpo(cfg: Mapping, dataset_path: Path, catalog_path: Path, out: Path) -
 
 def cmd_sweep_k(cfg: Mapping, dataset_path: Path, catalog_path: Path, out: Path) -> None:
     catalog = _load_catalog(catalog_path)
-    dataset = simulate.read_dataset(dataset_path)
-    _check_catalog_hash(dataset, catalog)
+    dataset = _read_dataset(dataset_path, catalog)
     k_values = cfg["sweep"]["k_values"]
     if not isinstance(k_values, Sequence) or not k_values:
         raise ConfigError("config field 'sweep.k_values' must be a non-empty list")
@@ -407,14 +403,28 @@ def _flatten_trace(trace: Sequence[Mapping]) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def _read_gamma(path: Path, n: int, k: int) -> np.ndarray:
-    lines = path.read_text(encoding="utf-8").strip().splitlines()
-    rows = [line.split(",") for line in lines[1:]]
-    if len(rows) != n:
-        raise ConfigError(f"gamma file has {len(rows)} rows, dataset has {n} annotators")
-    gamma = np.array([[float(v) for v in row[1:]] for row in rows])
-    if gamma.shape[1] != k:
-        raise ConfigError(f"gamma file has {gamma.shape[1]} columns, ensemble has {k}")
+def _read_gamma(path: Path, annotators: Sequence[int], k: int) -> np.ndarray:
+    """Posteriors from a gamma CSV: one row per annotator in dataset order, on the simplex."""
+    rows = path.read_text(encoding="utf-8").strip().splitlines()[1:]
+    if len(rows) != len(annotators):
+        raise InputError(f"gamma file {path} has {len(rows)} rows, dataset has "
+                         f"{len(annotators)} annotators")
+    gamma = np.empty((len(annotators), k))
+    for i, (line, annotator) in enumerate(zip(rows, annotators)):
+        where = f"gamma file {path}, line {i + 2}"
+        cells = line.split(",")
+        if len(cells) != k + 1:
+            raise InputError(f"{where}: {len(cells) - 1} columns, ensemble has {k}")
+        if cells[0].strip() != str(annotator):
+            raise InputError(f"{where}: annotator {cells[0]!r}, but the dataset's "
+                             f"annotator {i + 1} is {annotator}")
+        try:
+            row = [float(v) for v in cells[1:]]
+        except ValueError as exc:
+            raise InputError(f"{where}: {exc}") from None
+        if not (min(row) >= 0.0 and abs(sum(row) - 1.0) <= emdpo.ROW_SUM_ATOL):
+            raise InputError(f"{where}: {row} does not lie on the simplex")
+        gamma[i] = row
     return gamma
 
 
@@ -478,19 +488,16 @@ def cmd_aggregate(cfg: Mapping, ensemble_path: Path, catalog_path: Path, out: Pa
         if dataset_path is None and method == "lightweight":
             raise ConfigError("aggregate method 'lightweight' requires --dataset")
         if method == "lightweight":
-            dataset = simulate.read_dataset(dataset_path)
-            _check_catalog_hash(dataset, catalog)
+            dataset = _read_dataset(dataset_path, catalog)
             inputs["dataset.jsonl"] = _file_sha256(dataset_path)
             if gamma_path is None:
                 raise ConfigError("aggregate method 'lightweight' requires --gamma")
-            gamma = _read_gamma(gamma_path, dataset.n, ensemble.k)
+            gamma = _read_gamma(gamma_path, [a.annotator for a in dataset.annotators], ensemble.k)
             inputs["gamma.csv"] = _file_sha256(gamma_path)
             table, trace = agg.minimax_policy_lightweight(
                 dataset, catalog, ensemble, gamma, ref,
                 iters=acfg["iters"], step=acfg["step"],
                 inner_steps=acfg["inner_steps"],
-                clamp_regret=acfg["clamp_regret"],
-                include_kl_in_weights=acfg["include_kl_in_weights"],
                 prompt_weights=pw,
             )
         else:
@@ -510,14 +517,11 @@ def cmd_aggregate(cfg: Mapping, ensemble_path: Path, catalog_path: Path, out: Pa
         candidate = table
         solution = {"method": method}
 
-    regrets = [
-        agg.regret_of_policy(candidate, ensemble, ref, catalog, pw, k)
-        for k in range(ensemble.k)
-    ]
+    regrets = agg.regrets_of_policy(candidate, ensemble, ref, catalog, pw)
     report = {
         "method": method,
         "per_group_regrets": [float(r) for r in regrets],
-        "max_regret": float(max(regrets)),
+        "max_regret": float(regrets.max()),
         "solution": solution,
     }
     report_path = out / "aggregate_report.json"
@@ -728,7 +732,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        max_threads()
         cfg = load_config(args.config)
         _apply_seed_override(cfg, args.command, args.seed)
         out = Path(args.out)
@@ -758,6 +761,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             cmd_evaluate(cfg, Path(args.catalog), ensembles, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except InputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
     except HashMismatchError as exc:
         print(f"hash mismatch: {exc}", file=sys.stderr)

@@ -64,8 +64,8 @@ class EmptyClusterWarning(UserWarning):
 class CompiledRecords:
     """Preference records compressed to unique (prompt, choice set, winner) patterns.
 
-    A pattern lists global indices into the flat score vector of
-    :func:`_flatten_layout`: the winner first, then the rejected responses
+    A pattern lists global indices into the flat score vector laid out by
+    :attr:`Catalog.offsets`: the winner first, then the rejected responses
     sorted, since the likelihood is symmetric in them. Patterns are
     numbered by set size; each entry ``(span, idx)`` of ``blocks`` holds
     the C-contiguous (L, P) index matrix of the patterns in slice ``span``.
@@ -78,7 +78,8 @@ class CompiledRecords:
         self.catalog = catalog
         self.n_rows = len(row_of_annotator)
         self.n_records = len(records)
-        self.layout, self.size = _flatten_layout(catalog)
+        self.size = int(catalog.offsets[-1])
+        start = dict(zip(catalog.prompts, catalog.offsets.tolist()))
         self.record_rows = np.array([row_of_annotator[r.annotator] for r in records], np.intp)
         # Most records repeat an earlier one; ``seen`` skips their catalog lookups.
         seen: dict[tuple, int] = {}
@@ -90,7 +91,7 @@ class CompiledRecords:
             if pid is None:
                 win = catalog.response_index(rec.prompt, rec.winner)
                 rej = sorted(catalog.response_index(rec.prompt, y) for y in rec.rejected)
-                off = self.layout[rec.prompt].start
+                off = start[rec.prompt]
                 key = (off + win, *[off + j for j in rej])
                 pid = seen[raw] = patterns.setdefault(key, len(patterns))
             inverse[g] = pid
@@ -120,10 +121,6 @@ class CompiledRecords:
             rows.setdefault(rec.annotator, len(rows))
         return cls(catalog, records, rows)
 
-    def flatten(self, table: ScoreTable) -> np.ndarray:
-        """The table's scores as one vector in :func:`_flatten_layout` order."""
-        return np.concatenate([table.scores[p] for p in self.layout])
-
     def loglik_grad(self, x: np.ndarray, weights: np.ndarray) -> tuple[float, np.ndarray]:
         """Weighted log-likelihood of the flat scores ``x`` and its gradient.
 
@@ -144,22 +141,12 @@ class CompiledRecords:
         out = np.empty((self.n_rows, len(tables)))
         logp = np.empty(self.n_patterns)
         for k, table in enumerate(tables):
-            x = self.flatten(table)
+            x = self.catalog.flatten(table.scores)
             for span, idx in self.blocks:
                 logp[span] = _pattern_logp(x, idx)[0]
             out[:, k] = np.bincount(self.record_rows, logp[self.inverse],
                                     minlength=self.n_rows)
         return out
-
-
-def _flatten_layout(catalog: Catalog) -> tuple[dict[str, slice], int]:
-    layout = {}
-    off = 0
-    for p in catalog.prompts:
-        n = len(catalog.responses(p))
-        layout[p] = slice(off, off + n)
-        off += n
-    return layout, off
 
 
 def fit_preference_table(
@@ -192,8 +179,8 @@ def fit_preference_table(
         # directions; damped Newton per prompt (step capped, backtracked so
         # the objective never worsens) finishes the job. Prompts too large
         # for a dense Hessian are left to the quasi-Newton result.
-        slices = list(compiled.layout.values())
-        starts = np.array([sl.start for sl in slices])
+        offsets = compiled.catalog.offsets
+        starts = offsets[:-1]
         by_prompt: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
         for span, idx in compiled.blocks:
             owner = np.searchsorted(starts, idx[0], side="right") - 1
@@ -202,7 +189,7 @@ def fit_preference_table(
                 by_prompt.setdefault(int(j), []).append((idx[:, cols] - starts[j],
                                                          counts[span][cols]))
         for j, prompt_parts in by_prompt.items():
-            sl = slices[j]
+            sl = slice(offsets[j], offsets[j + 1])
             r = sl.stop - sl.start
             if r > 256:
                 continue
@@ -249,7 +236,8 @@ def fit_preference_table(
             x[sl] = s
         return x
 
-    x = np.zeros(compiled.size) if init_table is None else compiled.flatten(init_table)
+    x = (np.zeros(compiled.size) if init_table is None
+         else compiled.catalog.flatten(init_table.scores))
 
     res = minimize(
         neg_ll_grad, x, jac=True, method="L-BFGS-B",
@@ -262,8 +250,7 @@ def fit_preference_table(
         x = newton_polish(x, rounds=max(10, min(max_iter, 50)))
         grad_norm = float(np.abs(neg_ll_grad(x)[1]).max())
 
-    scores = {p: x[sl].copy() for p, sl in compiled.layout.items()}
-    return gauge_fix(ScoreTable(kappa=kappa, scores=scores)), grad_norm
+    return gauge_fix(ScoreTable(kappa=kappa, scores=compiled.catalog.split(x))), grad_norm
 
 
 def validate_responsibilities(gamma: np.ndarray) -> np.ndarray:

@@ -21,6 +21,10 @@ class ConfigError(HetprefError, ValueError):
     """Bad configuration value; message names the offending field."""
 
 
+class InputError(HetprefError, ValueError):
+    """A malformed input file; message names the file, the line and the cause."""
+
+
 class HashMismatchError(HetprefError):
     """An input file does not match the hash recorded in a manifest."""
 

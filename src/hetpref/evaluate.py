@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .aggregate import regret_of_policy
+from .aggregate import regrets_of_policy
 from .emdpo import (
     CompiledRecords,
     _m_step_policy_impl,
@@ -71,10 +71,7 @@ def max_regret(
     prompt_weights: np.ndarray,
 ) -> float:
     """Worst-case subgroup regret of a candidate policy."""
-    return max(
-        regret_of_policy(policy, ensemble, ref, catalog, prompt_weights, k)
-        for k in range(ensemble.k)
-    )
+    return float(regrets_of_policy(policy, ensemble, ref, catalog, prompt_weights).max())
 
 
 def run_vanilla_dpo(

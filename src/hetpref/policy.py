@@ -145,12 +145,16 @@ def policy_probs(table: ScoreTable, ref: ReferencePolicy, prompt: str) -> np.nda
     return softmax(logits)
 
 
-def log_policy_probs(table: ScoreTable, ref: ReferencePolicy, prompt: str) -> np.ndarray:
-    """log pi(y|x); finite even where the probability itself underflows."""
-    from scipy.special import logsumexp
+def _segment_log_softmax(logits: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Log-softmax of each prompt's block of the last axis of flat logits.
 
-    logits = np.log(ref.probs[prompt]) + table.scores[prompt] / table.kappa
-    return logits - logsumexp(logits)
+    ``offsets`` is :attr:`Catalog.offsets`. The result is finite wherever
+    the logits are, even where the probability itself underflows.
+    """
+    starts, sizes = offsets[:-1], np.diff(offsets)
+    shifted = logits - np.repeat(np.maximum.reduceat(logits, starts, axis=-1), sizes, axis=-1)
+    lse = np.log(np.add.reduceat(np.exp(shifted), starts, axis=-1))
+    return shifted - np.repeat(lse, sizes, axis=-1)
 
 
 def optimal_table_for_type(catalog: Catalog, theta: np.ndarray, kappa: float) -> ScoreTable:
@@ -201,13 +205,14 @@ def uniform_prompt_weights(catalog: Catalog) -> np.ndarray:
     return np.full(len(catalog.prompts), 1.0 / len(catalog.prompts))
 
 
-def _check_prompt_weights(catalog: Catalog, prompt_weights: np.ndarray) -> np.ndarray:
+def _flat_prompt_weights(catalog: Catalog, prompt_weights: np.ndarray) -> np.ndarray:
+    """Checked prompt weights, each repeated over its prompt's responses."""
     w = np.asarray(prompt_weights, dtype=float)
     if w.shape != (len(catalog.prompts),):
         raise ValueError("prompt_weights must align with catalog.prompts")
     if np.any(w < 0) or abs(w.sum() - 1.0) > SIMPLEX_ATOL:
         raise ValueError("prompt_weights must be a distribution")
-    return w
+    return np.repeat(w, np.diff(catalog.offsets))
 
 
 def kl_to_ref(
@@ -217,16 +222,21 @@ def kl_to_ref(
     prompt_weights: np.ndarray,
 ) -> float:
     """kappa-scaled KL of the table's policy from the reference, exact enumeration."""
-    w = _check_prompt_weights(catalog, prompt_weights)
-    total = 0.0
-    for weight, prompt in zip(w, catalog.prompts):
-        if weight == 0.0:
-            continue
-        pi = policy_probs(table, ref, prompt)
-        total += weight * float(
-            np.sum(pi * table.kappa * (np.log(pi) - np.log(ref.probs[prompt])))
-        )
-    return total
+    w = _flat_prompt_weights(catalog, prompt_weights)
+    log_ref = np.log(catalog.flatten(ref.probs))
+    log_pi = _segment_log_softmax(
+        log_ref + catalog.flatten(table.scores) / table.kappa, catalog.offsets
+    )
+    return table.kappa * float(np.sum(w * np.exp(log_pi) * (log_pi - log_ref)))
+
+
+def _check_mixture_weights(ensemble: ScoreEnsemble, weights) -> np.ndarray:
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (ensemble.k,):
+        raise ValueError(f"weights must have length {ensemble.k}")
+    if np.any(weights < 0) or abs(weights.sum() - 1.0) > SIMPLEX_ATOL:
+        raise ValueError("weights must lie on the simplex")
+    return weights
 
 
 def mixture_policy_probs(
@@ -236,16 +246,8 @@ def mixture_policy_probs(
     prompt: str,
 ) -> np.ndarray:
     """Convex combination of the member policies' distributions."""
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (ensemble.k,):
-        raise ValueError(f"weights must have length {ensemble.k}")
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > SIMPLEX_ATOL:
-        raise ValueError("weights must lie on the simplex")
-    out = np.zeros(len(ref.probs[prompt]))
-    for wk, table in zip(weights, ensemble.tables):
-        if wk != 0.0:
-            out += wk * policy_probs(table, ref, prompt)
-    return out
+    members = np.stack([policy_probs(t, ref, prompt) for t in ensemble.tables])
+    return _check_mixture_weights(ensemble, weights) @ members
 
 
 def ensemble_to_json_dict(ensemble: ScoreEnsemble, catalog: Catalog) -> dict:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -128,6 +129,21 @@ class Catalog:
             raise CatalogKeyError(
                 f"unknown response {response!r} under prompt {prompt!r}"
             ) from None
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Start of each prompt in the flat (prompt, response) order, then the total."""
+        out = np.cumsum([0] + [len(self._responses[p]) for p in self.prompts], dtype=np.intp)
+        out.setflags(write=False)
+        return out
+
+    def flatten(self, per_prompt: Mapping[str, np.ndarray]) -> np.ndarray:
+        """Per-prompt arrays (aligned with :meth:`responses`) joined in the flat order."""
+        return np.concatenate([np.asarray(per_prompt[p], dtype=float) for p in self.prompts])
+
+    def split(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Inverse of :meth:`flatten`: one view of ``flat`` per prompt."""
+        return dict(zip(self.prompts, np.split(flat, self.offsets[1:-1])))
 
     def to_json_dict(self) -> dict:
         return {

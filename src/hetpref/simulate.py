@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegeneratePopulationError
+from .errors import ConfigError, DegeneratePopulationError, InputError
 from .rewards import Catalog, Population, softmax
 
 __all__ = [
@@ -286,35 +286,41 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
 
 
 def read_dataset(path: str | Path) -> Dataset:
+    """Read a dataset; a malformed file raises :class:`InputError` naming the line."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        annotators = []
-        for raw in fh:
-            doc = json.loads(raw)
-            records = tuple(
-                PreferenceRecord(
-                    annotator=doc["annotator"],
-                    prompt=r["prompt"],
-                    winner=r["winner"],
-                    rejected=tuple(r["rejected"]),
+    lineno = 1
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            header = json.loads(fh.readline())
+            annotators = []
+            for lineno, raw in enumerate(fh, start=2):
+                doc = json.loads(raw)
+                records = tuple(
+                    PreferenceRecord(
+                        annotator=doc["annotator"],
+                        prompt=r["prompt"],
+                        winner=r["winner"],
+                        rejected=tuple(r["rejected"]),
+                    )
+                    for r in doc["records"]
                 )
-                for r in doc["records"]
-            )
-            annotators.append(
-                AnnotatorData(
-                    annotator=doc["annotator"],
-                    records=records,
-                    true_type=doc["true_type"],
+                annotators.append(
+                    AnnotatorData(
+                        annotator=doc["annotator"],
+                        records=records,
+                        true_type=doc["true_type"],
+                    )
                 )
-            )
-    dataset = Dataset(
-        annotators=tuple(annotators),
-        catalog_hash=header["catalog_hash"],
-        seed=header["seed"],
-        m=header["m"],
-        choice_set_size=header["choice_set_size"],
-    )
-    if dataset.n != header["n"]:
-        raise ValueError(f"header says n={header['n']} but file holds {dataset.n}")
+        lineno = 1
+        dataset = Dataset(
+            annotators=tuple(annotators),
+            catalog_hash=header["catalog_hash"],
+            seed=header["seed"],
+            m=header["m"],
+            choice_set_size=header["choice_set_size"],
+        )
+        if dataset.n != header["n"]:
+            raise ValueError(f"header says n={header['n']} but file holds {dataset.n}")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"{path}, line {lineno}: {type(exc).__name__}: {exc}") from None
     return dataset

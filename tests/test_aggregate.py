@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.special import logsumexp
 
 from hetpref.aggregate import (
     brute_force_game,
     discrepancy_matrix,
     minimax_policy_direct,
     minimax_policy_lightweight,
+    policy_distributions,
     regret_matrix,
     regret_of_policy,
     solve_regret_game,
@@ -352,3 +356,204 @@ class TestUniformMixture:
                 ]
             )
             assert mixed == pytest.approx(mean, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# The flat enumeration pass against per-prompt reference formulas.
+
+
+def ref_policy_probs(table, ref, prompt):
+    logits = np.log(ref.probs[prompt]) + table.scores[prompt] / table.kappa
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
+
+
+def ref_distributions(policy, ensemble, ref, catalog):
+    if isinstance(policy, ScoreTable):
+        return {p: ref_policy_probs(policy, ref, p) for p in catalog.prompts}
+    if isinstance(policy, ReferencePolicy):
+        return dict(policy.probs)
+    if isinstance(policy, dict):
+        return {p: np.asarray(policy[p], dtype=float) for p in catalog.prompts}
+    return {
+        p: sum(wk * ref_policy_probs(t, ref, p) for wk, t in zip(policy, ensemble.tables))
+        for p in catalog.prompts
+    }
+
+
+def ref_regret(policy, ensemble, ref, catalog, pw, k):
+    dists = ref_distributions(policy, ensemble, ref, catalog)
+    table_k = ensemble.tables[k]
+    total = 0.0
+    for wx, p in zip(pw, catalog.prompts):
+        if wx == 0.0:
+            continue
+        s_k = table_k.scores[p]
+        total += wx * float(ref_policy_probs(table_k, ref, p) @ s_k - dists[p] @ s_k)
+    return total
+
+
+def ref_discrepancy(ensemble, ref, catalog, pw):
+    k = ensemble.k
+    out = np.zeros((k + 1, k))
+    for z in range(k):
+        for zp in range(k):
+            for wx, p in zip(pw, catalog.prompts):
+                if wx == 0.0:
+                    continue
+                log_ratio = np.log(ref_policy_probs(ensemble.tables[z], ref, p) / ref.probs[p])
+                out[z + 1, zp] += wx * float(ref_policy_probs(ensemble.tables[zp], ref, p)
+                                             @ log_ratio)
+    return out
+
+
+def ref_kl(table, ref, catalog, pw):
+    total = 0.0
+    for wx, p in zip(pw, catalog.prompts):
+        if wx == 0.0:
+            continue
+        pi = ref_policy_probs(table, ref, p)
+        total += wx * float(np.sum(pi * table.kappa * (np.log(pi) - np.log(ref.probs[p]))))
+    return total
+
+
+def ref_direct_trace(ensemble, ref, catalog, pw, iters, policy_step, mwu_step):
+    """Per-iteration loss, regrets and updated adversary weights of direct descent."""
+    kappa = ensemble.kappa
+    k = ensemble.k
+    prompts = [p for wx, p in zip(pw, catalog.prompts) if wx > 0.0]
+    wxs = [wx for wx in pw if wx > 0.0]
+    s_tables = [np.stack([t.scores[p] for t in ensemble.tables]) for p in prompts]
+    own_means = np.zeros(k)
+    for wx, p, s_k in zip(wxs, prompts, s_tables):
+        for j in range(k):
+            own_means[j] += wx * float(ref_policy_probs(ensemble.tables[j], ref, p) @ s_k[j])
+    log_ref = [np.log(ref.probs[p]) for p in prompts]
+    s = [np.zeros(len(catalog.responses(p))) for p in prompts]
+    log_w = np.log(np.full(k, 1.0 / k))
+    w = np.exp(log_w)
+    rows = []
+    for _ in range(iters):
+        pis, kl, cand = [], 0.0, np.zeros(k)
+        for sp, lr, wx, s_k in zip(s, log_ref, wxs, s_tables):
+            logits = lr + sp / kappa
+            pi = np.exp(logits - logits.max())
+            pi /= pi.sum()
+            pis.append(pi)
+            g = kappa * (np.log(pi) - lr)
+            kl += wx * float(pi @ np.where(pi > 0, g, 0.0))
+            cand += wx * (s_k @ pi)
+        regrets = own_means - cand
+        pos = np.maximum(regrets, 0.0)
+        loss = float(w @ pos) + kl
+        active = (regrets > 0.0) * w
+        for i, (sp, lr, wx, s_k, pi) in enumerate(zip(s, log_ref, wxs, s_tables, pis)):
+            g = kappa * (np.log(pi) - lr)
+            grad = (wx / kappa) * pi * (g - float(pi @ g))
+            grad -= (wx / kappa) * pi * (active @ (s_k - (s_k @ pi)[:, None]))
+            s[i] = sp - policy_step * grad
+        log_w = log_w + mwu_step * (pos + kl)
+        log_w -= logsumexp(log_w)
+        w = np.exp(log_w)
+        w /= w.sum()
+        rows.append((loss, regrets.copy(), w.copy()))
+    return rows
+
+
+@st.composite
+def flat_worlds(draw):
+    """Multi-prompt catalog, non-uniform reference, weights with zeros, K members."""
+    sizes = draw(st.lists(st.integers(2, 5), min_size=1, max_size=4))
+    k = draw(st.integers(1, 4))
+    zero = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    catalog = Catalog.build(
+        {f"p{j}": [(f"r{i}", rng.normal(size=2)) for i in range(r)] for j, r in enumerate(sizes)}
+    )
+    ref = ReferencePolicy({p: rng.dirichlet(np.ones(r)) for p, r in
+                           zip(catalog.prompts, sizes)})
+    pw = rng.uniform(0.1, 1.0, size=len(sizes)) * ~np.array(zero)
+    if pw.sum() == 0.0:
+        pw[-1] = 1.0
+    pw /= pw.sum()
+    kappa = float(rng.choice([0.1, 0.5, 1.0]))
+    ensemble = ScoreEnsemble(
+        tables=tuple(
+            ScoreTable(kappa=kappa, scores={p: rng.normal(scale=0.5, size=r)
+                                            for p, r in zip(catalog.prompts, sizes)})
+            for _ in range(k)
+        ),
+        eta=np.full(k, 1.0 / k),
+    )
+    candidates = [
+        ScoreTable(kappa=kappa, scores={p: rng.normal(size=r)
+                                        for p, r in zip(catalog.prompts, sizes)}),
+        rng.dirichlet(np.ones(k)),
+        {p: rng.dirichlet(np.ones(r)) for p, r in zip(catalog.prompts, sizes)},
+        ReferencePolicy({p: rng.dirichlet(np.ones(r)) for p, r in zip(catalog.prompts, sizes)}),
+    ]
+    return catalog, ensemble, ref, pw, candidates
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(flat_worlds())
+def test_flat_enumeration_matches_per_prompt_reference(world):
+    catalog, ensemble, ref, pw, candidates = world
+    for policy in candidates:
+        want = [ref_regret(policy, ensemble, ref, catalog, pw, k) for k in range(ensemble.k)]
+        got = [regret_of_policy(policy, ensemble, ref, catalog, pw, k)
+               for k in range(ensemble.k)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert max_regret(policy, ensemble, ref, catalog, pw) == pytest.approx(
+            max(want), abs=1e-12)
+        dists = policy_distributions(policy, ensemble, ref, catalog)
+        for p, d in ref_distributions(policy, ensemble, ref, catalog).items():
+            np.testing.assert_allclose(dists[p], d, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(discrepancy_matrix(ensemble, ref, catalog, pw),
+                               ref_discrepancy(ensemble, ref, catalog, pw), rtol=0, atol=1e-12)
+    for table in (candidates[0], *ensemble.tables):
+        assert kl_to_ref(table, ref, catalog, pw) == pytest.approx(
+            ref_kl(table, ref, catalog, pw), abs=1e-12)
+
+    _table, trace = minimax_policy_direct(ensemble, ref, catalog, pw, iters=8,
+                                          policy_step=0.3, mwu_step=0.05)
+    for row, (loss, regrets, w) in zip(trace, ref_direct_trace(
+            ensemble, ref, catalog, pw, iters=8, policy_step=0.3, mwu_step=0.05)):
+        assert row["loss"] == pytest.approx(loss, abs=1e-12)
+        assert row["max_regret"] == pytest.approx(float(regrets.max()), abs=1e-12)
+        np.testing.assert_allclose(row["w"], w, rtol=0, atol=1e-12)
+
+
+def test_game_iterates_bitwise_equal_per_iteration_loop():
+    rng = np.random.default_rng(17)
+    R = rng.uniform(-1, 2, size=(4, 3))
+    iters = 3000
+    step = 0.05 / float(np.abs(R).max())
+    log_w, log_p = np.full(3, -np.log(3)), np.full(4, -np.log(4))
+    w, p = np.exp(log_w), np.exp(log_p)
+    w_prev, p_prev = w.copy(), p.copy()
+    w_sum, p_sum = np.zeros(3), np.zeros(4)
+    w_avg, p_avg = np.empty((iters, 3)), np.empty((iters, 4))
+    gaps = np.empty(iters)
+    for t in range(1, iters + 1):
+        gw, gp = R.T @ (2.0 * p - p_prev), R @ (2.0 * w - w_prev)
+        w_prev, p_prev = w, p
+        log_w = log_w - step * gw
+        log_w -= log_w.max()
+        log_p = log_p + step * gp
+        log_p -= log_p.max()
+        w = np.exp(log_w)
+        w /= w.sum()
+        p = np.exp(log_p)
+        p /= p.sum()
+        w_sum += w
+        p_sum += p
+        w_avg[t - 1], p_avg[t - 1] = w_sum / t, p_sum / t
+        gaps[t - 1] = (R @ w_avg[t - 1]).max() - (p_avg[t - 1] @ R).min()
+    sol = solve_regret_game(R, iters=iters)
+    np.testing.assert_array_equal(sol.w_avg_trace, w_avg)
+    np.testing.assert_array_equal(sol.p_avg_trace, p_avg)
+    np.testing.assert_array_equal(sol.w, w_sum / iters)
+    np.testing.assert_array_equal(sol.p, p_sum / iters)
+    assert sol.value == float((R @ (w_sum / iters)).max())
+    np.testing.assert_allclose(sol.gap_trace, gaps, rtol=0, atol=1e-14)

@@ -341,10 +341,118 @@ class TestSweepK:
         assert lls[1] >= lls[0] - 1e-6
 
 
-class TestEnvVar:
-    def test_bad_threads_is_config_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("HETPREF_THREADS", "zero")
-        cfg = write_config(tmp_path)
-        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+@pytest.fixture(scope="module")
+def fitted_run(tmp_path_factory):
+    """One simulate + emdpo + affine aggregate run, shared by the input checks."""
+    tmp = tmp_path_factory.mktemp("fitted")
+    cfg = write_config(tmp)
+    run_pipeline(cfg, tmp / "run")
+    return cfg, tmp / "run"
+
+
+def lightweight_with_gamma(cfg, run, tmp_path, gamma_text):
+    gamma = tmp_path / "gamma.csv"
+    gamma.write_text(gamma_text)
+    lw_cfg = write_config(tmp_path, {"aggregate.method": "lightweight", "aggregate.iters": 2},
+                          name="lw.yaml")
+    return main([
+        "aggregate", "--config", str(lw_cfg), "--ensemble", str(run / "ensemble.json"),
+        "--catalog", str(run / "catalog.json"), "--dataset", str(run / "dataset.jsonl"),
+        "--gamma", str(gamma), "--out", str(tmp_path / "agg"),
+    ])
+
+
+class TestMalformedGamma:
+    def edit_line(self, run, line_no, edit):
+        lines = (run / "gamma.csv").read_text().splitlines()
+        lines[line_no - 1] = edit(lines[line_no - 1])
+        return "\n".join(lines) + "\n"
+
+    def check(self, fitted_run, tmp_path, capsys, text, *needles):
+        cfg, run = fitted_run
+        assert lightweight_with_gamma(cfg, run, tmp_path, text) == 2
+        err = capsys.readouterr().err
+        assert "gamma.csv" in err
+        for needle in needles:
+            assert needle in err, err
+
+    def test_valid_file_runs(self, fitted_run, tmp_path):
+        cfg, run = fitted_run
+        assert lightweight_with_gamma(cfg, run, tmp_path, (run / "gamma.csv").read_text()) == 0
+
+    def test_ragged_row(self, fitted_run, tmp_path, capsys):
+        text = self.edit_line(fitted_run[1], 4, lambda line: line + ",0.0")
+        self.check(fitted_run, tmp_path, capsys, text, "line 4", "3 columns")
+
+    def test_non_numeric_cell(self, fitted_run, tmp_path, capsys):
+        text = self.edit_line(fitted_run[1], 5, lambda line: line.rsplit(",", 1)[0] + ",abc")
+        self.check(fitted_run, tmp_path, capsys, text, "line 5", "abc")
+
+    def test_row_off_the_simplex(self, fitted_run, tmp_path, capsys):
+        text = self.edit_line(fitted_run[1], 3, lambda line: line.split(",")[0] + ",0.9,0.9")
+        self.check(fitted_run, tmp_path, capsys, text, "line 3", "simplex")
+
+    def test_annotator_column_out_of_order(self, fitted_run, tmp_path, capsys):
+        lines = (fitted_run[1] / "gamma.csv").read_text().splitlines()
+        lines[1], lines[2] = lines[2], lines[1]
+        self.check(fitted_run, tmp_path, capsys, "\n".join(lines) + "\n", "line 2",
+                   "annotator")
+
+
+class TestMalformedDataset:
+    def rewrite(self, run, tmp_path, edit):
+        lines = (run / "dataset.jsonl").read_text().splitlines()
+        edit(lines)
+        path = tmp_path / "dataset.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("command", ["emdpo", "sweep-k"])
+    def test_truncated_line(self, fitted_run, tmp_path, capsys, command):
+        cfg, run = fitted_run
+
+        def truncate(lines):
+            lines[6] = lines[6][: len(lines[6]) // 2]
+
+        path = self.rewrite(run, tmp_path, truncate)
+        code = main([command, "--config", str(cfg), "--dataset", str(path),
+                     "--catalog", str(run / "catalog.json"), "--out", str(tmp_path / "x")])
         assert code == 2
-        assert "HETPREF_THREADS" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "dataset.jsonl, line 7" in err and "JSONDecodeError" in err
+
+    def test_file_cut_at_a_line_boundary(self, fitted_run, tmp_path, capsys):
+        cfg, run = fitted_run
+
+        def cut(lines):
+            del lines[10:]
+
+        path = self.rewrite(run, tmp_path, cut)
+        code = main(["emdpo", "--config", str(cfg), "--dataset", str(path),
+                     "--catalog", str(run / "catalog.json"), "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "dataset.jsonl, line 1" in err and "but file holds 9" in err
+
+    @pytest.mark.parametrize("command", ["emdpo", "aggregate"])
+    def test_unknown_response_id(self, fitted_run, tmp_path, capsys, command):
+        cfg, run = fitted_run
+
+        def rename(lines):
+            doc = json.loads(lines[3])
+            doc["records"][0]["winner"] = "no_such_response"
+            lines[3] = json.dumps(doc)
+
+        path = self.rewrite(run, tmp_path, rename)
+        if command == "emdpo":
+            code = main(["emdpo", "--config", str(cfg), "--dataset", str(path),
+                         "--catalog", str(run / "catalog.json"), "--out", str(tmp_path / "x")])
+        else:
+            lw_cfg = write_config(tmp_path, {"aggregate.method": "lightweight"}, name="lw.yaml")
+            code = main(["aggregate", "--config", str(lw_cfg), "--ensemble",
+                         str(run / "ensemble.json"), "--catalog", str(run / "catalog.json"),
+                         "--dataset", str(path), "--gamma", str(run / "gamma.csv"),
+                         "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "dataset.jsonl, line 4" in err and "'no_such_response'" in err

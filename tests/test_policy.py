@@ -191,6 +191,15 @@ class TestKl:
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.13081, abs=1e-5)
 
+    def test_underflowing_probability_stays_finite(self):
+        # pi = (1, e^-1000, e^-2000) up to rounding: the last two underflow
+        # to zero, and KL(pi || uniform) = log 3
+        cat = Catalog.build({"p": [("a", [1.0]), ("b", [0.0]), ("c", [-1.0])]})
+        ref = ReferencePolicy.uniform(cat)
+        table = ScoreTable(kappa=0.1, scores={"p": np.array([100.0, 0.0, -100.0])})
+        got = kl_to_ref(table, ref, cat, np.array([1.0]))
+        assert got == pytest.approx(0.1 * math.log(3), abs=1e-12)
+
 
 class TestMixturePolicy:
     def test_single_member(self, two_prompt_catalog):
