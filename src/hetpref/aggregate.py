@@ -22,6 +22,7 @@ whose deployment story fits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -249,20 +250,18 @@ def solve_regret_game(
 
 
 def _simplex_grid(k: int, n: int) -> np.ndarray:
-    """All weight vectors with denominator n on the (k-1)-simplex."""
+    """All weight vectors with denominator n on the (k-1)-simplex, in lexicographic order.
+
+    Stars and bars: each choice of k-1 bar slots among n+k-1 is one vector,
+    whose parts are the gaps between consecutive bars.
+    """
     if k == 1:
         return np.ones((1, 1))
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + [remaining])
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v, slots - 1)
-
-    rec([], n, k)
-    return np.asarray(out, dtype=float) / n
+    bars = np.fromiter(
+        chain.from_iterable(combinations(range(n + k - 1), k - 1)), dtype=np.intp
+    ).reshape(-1, k - 1)
+    edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, n + k - 1))
+    return (np.diff(edges, axis=1) - 1) / n
 
 
 def brute_force_game(

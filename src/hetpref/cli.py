@@ -149,12 +149,14 @@ def load_config(path: str | Path) -> dict:
     return cfg
 
 
-def _require_positive_int(cfg: Mapping, dotted: str) -> int:
+def _require_int(cfg: Mapping, dotted: str, minimum: int = 1) -> int:
+    """An integer config field of at least ``minimum`` (1 or 0), else a ConfigError."""
     node: Any = cfg
     for part in dotted.split("."):
         node = node[part]
-    if not isinstance(node, int) or isinstance(node, bool) or node < 1:
-        raise ConfigError(f"config field {dotted!r} must be a positive integer, got {node!r}")
+    if not isinstance(node, int) or isinstance(node, bool) or node < minimum:
+        kind = "positive" if minimum == 1 else "non-negative"
+        raise ConfigError(f"config field {dotted!r} must be a {kind} integer, got {node!r}")
     return node
 
 
@@ -162,7 +164,7 @@ def build_population(cfg: Mapping) -> tuple[rewards.Population, rewards.Catalog]
     pop_cfg = cfg["population"]
     preset = pop_cfg["preset"]
     if preset == "mpi":
-        n_phrases = _require_positive_int(cfg, "population.n_phrases")
+        n_phrases = _require_int(cfg, "population.n_phrases")
         return simulate.make_mpi_population(n_phrases=n_phrases, seed=pop_cfg["phrase_seed"])
     if preset == "adversarial":
         theta = pop_cfg["theta"]
@@ -172,7 +174,7 @@ def build_population(cfg: Mapping) -> tuple[rewards.Population, rewards.Catalog]
         theta = np.asarray(theta, dtype=float)
         catalog = identify.recovery_catalog(
             theta,
-            n_responses=_require_positive_int(cfg, "population.n_responses"),
+            n_responses=_require_int(cfg, "population.n_responses"),
             reward_spread=float(pop_cfg["reward_spread"]),
         )
         return simulate.make_adversarial_pair(theta), catalog
@@ -218,7 +220,11 @@ def _write_manifest(out: Path, command: str, cfg: Mapping, inputs: dict, outputs
 
 
 def _load_catalog(path: Path) -> rewards.Catalog:
-    return rewards.Catalog.from_json_dict(json.loads(path.read_text(encoding="utf-8")))
+    """Read a catalog; a malformed file raises :class:`InputError` naming it."""
+    try:
+        return rewards.Catalog.from_json_dict(json.loads(path.read_text(encoding="utf-8")))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"{path}: {type(exc).__name__}: {exc}") from None
 
 
 def _read_dataset(path: Path, catalog: rewards.Catalog) -> simulate.Dataset:
@@ -250,7 +256,8 @@ def cmd_simulate(cfg: Mapping, out: Path) -> None:
     population, catalog = build_population(cfg)
     sim = cfg["simulate"]
     for field in ("n", "m", "choice_set_size"):
-        _require_positive_int(cfg, f"simulate.{field}")
+        _require_int(cfg, f"simulate.{field}")
+    _require_int(cfg, "simulate.seed", minimum=0)
     dataset = simulate.simulate_dataset(
         catalog,
         population,
@@ -283,7 +290,7 @@ def _em_kwargs(cfg: Mapping) -> dict:
         max_iters=em["max_iters"],
         tol=em["tol"],
         init=em["init"],
-        seed=em["seed"],
+        seed=_require_int(cfg, "emdpo.seed", minimum=0),
         restarts=em["restarts"],
         grad_tol=em["grad_tol"],
         inner_max_iter=em["inner_max_iter"],
@@ -327,7 +334,7 @@ def _write_em_outputs(out: Path, state: emdpo.EmState, catalog: rewards.Catalog,
 def cmd_emdpo(cfg: Mapping, dataset_path: Path, catalog_path: Path, out: Path) -> None:
     catalog = _load_catalog(catalog_path)
     dataset = _read_dataset(dataset_path, catalog)
-    k = _require_positive_int(cfg, "emdpo.k")
+    k = _require_int(cfg, "emdpo.k")
     state = emdpo.run_em(dataset, catalog, k, **_em_kwargs(cfg))
     out.mkdir(parents=True, exist_ok=True)
     outputs = _write_em_outputs(out, state, catalog, dataset)
@@ -533,8 +540,8 @@ def cmd_aggregate(cfg: Mapping, ensemble_path: Path, catalog_path: Path, out: Pa
 def cmd_identify(cfg: Mapping, out: Path) -> None:
     icfg = cfg["identify"]
     theta = np.asarray(icfg["theta"], dtype=float)
-    seed = icfg["seed"]
-    n_responses = _require_positive_int(cfg, "identify.n_responses")
+    seed = _require_int(cfg, "identify.seed", minimum=0)
+    n_responses = _require_int(cfg, "identify.n_responses")
     spread = float(icfg["reward_spread"])
     catalog = identify.recovery_catalog(theta, n_responses, spread)
     population = simulate.make_adversarial_pair(theta)
@@ -627,10 +634,10 @@ def cmd_evaluate(cfg: Mapping, catalog_path: Path, ensembles: Sequence[tuple[str
             f"  preset catalog:   {pop_catalog.content_hash()}"
         )
     ecfg = cfg["evaluate"]
-    eval_n = _require_positive_int(cfg, "evaluate.eval_n")
+    eval_n = _require_int(cfg, "evaluate.eval_n")
     eval_ds = simulate.simulate_dataset(
         catalog, population, n=eval_n, m=1, choice_set_size=2,
-        rng_seed=ecfg["eval_seed"],
+        rng_seed=_require_int(cfg, "evaluate.eval_seed", minimum=0),
     )
     groups = evaluate.split_by_true_type(eval_ds)
     group_ids = sorted(groups)
@@ -718,6 +725,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_seed_override(cfg: dict, command: str, seed: int | None) -> None:
     if seed is None:
         return
+    if seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
     if command == "simulate":
         cfg["simulate"]["seed"] = seed
     elif command in ("emdpo", "sweep-k"):

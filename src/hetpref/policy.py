@@ -21,6 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .errors import InputError
 from .rewards import SIMPLEX_ATOL, Catalog, softmax
 
 __all__ = [
@@ -294,4 +295,9 @@ def write_ensemble(ensemble: ScoreEnsemble, catalog: Catalog, path: str | Path) 
 
 
 def read_ensemble(path: str | Path, catalog: Catalog) -> ScoreEnsemble:
-    return ensemble_from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")), catalog)
+    """Read an ensemble; a malformed file raises :class:`InputError` naming it."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return ensemble_from_json_dict(doc, catalog)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"{path}: {type(exc).__name__}: {exc}") from None

@@ -5,6 +5,14 @@ records: a uniformly chosen prompt (independent of the type), a uniform
 choice set without replacement, and a winner drawn from the type's choice
 model. Includes the synthetic personality population used throughout the
 experiments and the adversarial +/-theta pair.
+
+Sampling runs in two phases. The first walks one child random stream per
+annotator and makes only the random calls, in a fixed order. The second
+turns every draw into types, winners and records in one vectorized pass.
+The streams and the order of calls on them are part of the output: the
+two phases give the same records as drawing record by record, and
+changing either changes every dataset (golden digests in
+``tests/test_simulate.py`` pin them).
 """
 
 from __future__ import annotations
@@ -148,12 +156,6 @@ def _canonical_type_order(population: Population) -> np.ndarray:
     return np.array(sorted(range(len(keys)), key=lambda i: keys[i]), dtype=int)
 
 
-def _annotator_rng(seed: int, annotator: int) -> np.random.Generator:
-    # Stream splitting: one independent child stream per annotator, so
-    # generation order (or parallelism) cannot change the output.
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(annotator,)))
-
-
 def simulate_dataset(
     catalog: Catalog,
     population: Population,
@@ -162,7 +164,15 @@ def simulate_dataset(
     choice_set_size: int,
     rng_seed: int,
 ) -> Dataset:
-    """Draw n annotators with m records each; deterministic given rng_seed."""
+    """Draw n annotators with m records each; deterministic given rng_seed.
+
+    Annotator i draws from its own child stream,
+    ``SeedSequence(rng_seed).spawn(n)[i]``, so generation order cannot
+    change the output. Phase 1 walks the streams and makes only the random
+    calls: a type uniform, then per record a prompt, a choice set and a
+    winner uniform. Phase 2 turns all draws into types, winners and records
+    in one vectorized pass.
+    """
     if n < 1 or m < 1:
         raise ConfigError("n and m must be >= 1")
     if choice_set_size < 2:
@@ -173,32 +183,49 @@ def simulate_dataset(
                 f"choice_set_size {choice_set_size} exceeds responses of prompt {p!r}"
             )
 
+    prompt_ids = catalog.prompts
+    sizes = np.diff(catalog.offsets).tolist()
+
+    # Phase 1: only the random calls, stream by stream, in a fixed order.
+    # Record r = i * m + j is annotator i's j-th record.
+    type_u = np.empty(n)
+    prompt = np.empty(n * m, dtype=np.intp)
+    sel = np.empty((n * m, choice_set_size), dtype=np.intp)
+    winner_u = np.empty(n * m)
+    for i, stream in enumerate(np.random.SeedSequence(rng_seed).spawn(n)):
+        rng = np.random.default_rng(stream)
+        type_u[i] = rng.random()
+        for r in range(i * m, (i + 1) * m):
+            p = rng.integers(len(prompt_ids))
+            prompt[r] = p
+            sel[r] = rng.choice(sizes[p], size=choice_set_size, replace=False)
+            winner_u[r] = rng.random()
+
+    # Phase 2: types, then each record's winner from the inverse CDF of its
+    # type's softmax over the set, gathered from one flat (response, type)
+    # reward table.
     order = _canonical_type_order(population)
     cum = np.cumsum(population.etas[order])
-    prompt_ids = catalog.prompts
-    rewards_by_prompt = {p: catalog.features(p) @ population.thetas.T for p in prompt_ids}
-
-    annotators = []
-    for i in range(n):
-        rng = _annotator_rng(rng_seed, i)
-        z = int(order[np.searchsorted(cum, rng.random(), side="right").clip(0, len(order) - 1)])
-        records = []
-        for _ in range(m):
-            prompt = prompt_ids[rng.integers(len(prompt_ids))]
-            rids = catalog.responses(prompt)
-            sel = rng.choice(len(rids), size=choice_set_size, replace=False)
-            probs = softmax(rewards_by_prompt[prompt][sel, z])
-            w = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right").clip(
-                0, choice_set_size - 1
-            ))
-            winner = rids[sel[w]]
-            rejected = tuple(rids[j] for k, j in enumerate(sel) if k != w)
-            records.append(
-                PreferenceRecord(annotator=i, prompt=prompt, winner=winner, rejected=rejected)
-            )
-        annotators.append(
-            AnnotatorData(annotator=i, records=tuple(records), true_type=z)
-        )
+    z = order[np.searchsorted(cum, type_u, side="right").clip(0, len(order) - 1)]
+    rewards = np.concatenate([catalog.features(p) @ population.thetas.T for p in prompt_ids])
+    flat = catalog.offsets[prompt][:, None] + sel
+    probs = softmax(rewards[flat, np.repeat(z, m)[:, None]], axis=1)
+    below = np.cumsum(probs, axis=1) <= winner_u[:, None]
+    w = np.minimum(below.sum(axis=1), choice_set_size - 1)
+    # Winner first, then the rest of the set in draw order.
+    col = np.arange(choice_set_size)
+    col = col - (col <= w[:, None])
+    col[:, 0] = w
+    response_ids = np.array([r for p in prompt_ids for r in catalog.responses(p)], dtype=object)
+    sets = response_ids[np.take_along_axis(flat, col, axis=1)].tolist()
+    records = [
+        PreferenceRecord(annotator=r // m, prompt=prompt_ids[p], winner=s[0], rejected=tuple(s[1:]))
+        for r, (p, s) in enumerate(zip(prompt.tolist(), sets))
+    ]
+    annotators = [
+        AnnotatorData(annotator=i, records=tuple(records[i * m:(i + 1) * m]), true_type=t)
+        for i, t in enumerate(z.tolist())
+    ]
     return Dataset(
         annotators=tuple(annotators),
         catalog_hash=catalog.content_hash(),

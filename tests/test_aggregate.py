@@ -8,6 +8,7 @@ from scipy.optimize import linprog
 from scipy.special import logsumexp
 
 from hetpref.aggregate import (
+    _simplex_grid,
     brute_force_game,
     discrepancy_matrix,
     minimax_policy_direct,
@@ -204,7 +205,31 @@ class TestSolveRegretGame:
             solve_regret_game(np.array([[np.inf, 0.0]]), iters=10)
 
 
+def recursive_simplex_grid(k, n):
+    """The recursive enumeration the stars-and-bars grid replaced."""
+    if k == 1:
+        return np.ones((1, 1))
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            out.append(prefix + [remaining])
+            return
+        for v in range(remaining + 1):
+            rec(prefix + [v], remaining - v, slots - 1)
+
+    rec([], n, k)
+    return np.asarray(out, dtype=float) / n
+
+
 class TestBruteForce:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_simplex_grid_matches_recursion(self, k, n):
+        grid = _simplex_grid(k, n)
+        assert grid.dtype == np.float64
+        assert np.array_equal(grid, recursive_simplex_grid(k, n))
+
     def test_matches_lp_all_k(self):
         rng = np.random.default_rng(11)
         for k in (1, 2, 3, 4):

@@ -456,3 +456,91 @@ class TestMalformedDataset:
         assert code == 2
         err = capsys.readouterr().err
         assert "dataset.jsonl, line 4" in err and "'no_such_response'" in err
+
+
+class TestMalformedJson:
+    """A catalog or ensemble file that is not valid JSON, or lacks a field, exits 2."""
+
+    def write(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return path
+
+    def cut(self, run, tmp_path, name):
+        return self.write(tmp_path, name, (run / name).read_text()[:100])
+
+    def check(self, capsys, code, name, *needles):
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and name in err
+        for needle in needles:
+            assert needle in err, err
+
+    def emdpo(self, fitted_run, tmp_path, catalog):
+        cfg, run = fitted_run
+        return main(["emdpo", "--config", str(cfg), "--dataset", str(run / "dataset.jsonl"),
+                     "--catalog", str(catalog), "--out", str(tmp_path / "x")])
+
+    def read_ensemble(self, fitted_run, tmp_path, command, ensemble):
+        cfg, run = fitted_run
+        argv = [command, "--config", str(cfg), "--catalog", str(run / "catalog.json"),
+                "--out", str(tmp_path / "x")]
+        if command == "aggregate":
+            return main(argv + ["--ensemble", str(ensemble)])
+        return main(argv + ["--ensemble", f"fit={ensemble}"])
+
+    def test_catalog_cut(self, fitted_run, tmp_path, capsys):
+        path = self.cut(fitted_run[1], tmp_path, "catalog.json")
+        code = self.emdpo(fitted_run, tmp_path, path)
+        self.check(capsys, code, "catalog.json", "JSONDecodeError")
+
+    def test_catalog_without_prompts(self, fitted_run, tmp_path, capsys):
+        path = self.write(tmp_path, "catalog.json", '{"d": 2}')
+        code = self.emdpo(fitted_run, tmp_path, path)
+        self.check(capsys, code, "catalog.json", "KeyError", "'prompts'")
+
+    @pytest.mark.parametrize("command", ["aggregate", "evaluate"])
+    def test_ensemble_cut(self, fitted_run, tmp_path, capsys, command):
+        path = self.cut(fitted_run[1], tmp_path, "ensemble.json")
+        code = self.read_ensemble(fitted_run, tmp_path, command, path)
+        self.check(capsys, code, "ensemble.json", "JSONDecodeError")
+
+    @pytest.mark.parametrize("command", ["aggregate", "evaluate"])
+    def test_ensemble_without_tables(self, fitted_run, tmp_path, capsys, command):
+        path = self.write(tmp_path, "ensemble.json", '{"kappa": 0.1}')
+        code = self.read_ensemble(fitted_run, tmp_path, command, path)
+        self.check(capsys, code, "ensemble.json", "KeyError", "'tables'")
+
+
+class TestSeedValidation:
+    """A negative or non-integer seed is a config error naming the field."""
+
+    def test_negative_seed_override(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        code = main(["simulate", "--config", str(cfg), "--seed", "-1",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--seed" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("value", [-1, 1.5])
+    @pytest.mark.parametrize("command, field", [
+        ("simulate", "simulate.seed"),
+        ("emdpo", "emdpo.seed"),
+        ("identify", "identify.seed"),
+        ("evaluate", "evaluate.eval_seed"),
+    ])
+    def test_config_seed(self, fitted_run, tmp_path, capsys, command, field, value):
+        _, run = fitted_run
+        cfg = write_config(tmp_path, {field: value})
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "x")]
+        if command == "emdpo":
+            argv += ["--dataset", str(run / "dataset.jsonl")]
+        if command in ("emdpo", "evaluate"):
+            argv += ["--catalog", str(run / "catalog.json")]
+        if command == "evaluate":
+            argv += ["--ensemble", f"fit={run / 'ensemble.json'}"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and repr(field) in err and str(value) in err

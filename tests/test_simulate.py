@@ -1,10 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from hetpref.errors import ConfigError, DegeneratePopulationError
-from hetpref.rewards import Catalog, Population, pairwise_prob, reward
+from hetpref.identify import recovery_catalog
+from hetpref.rewards import Catalog, Population, pairwise_prob, reward, softmax
 from hetpref.simulate import (
+    AnnotatorData,
+    PreferenceRecord,
+    _canonical_type_order,
     exact_choice_weights,
     expected_dataset,
     make_adversarial_pair,
@@ -179,3 +187,76 @@ class TestDatasetIo:
         assert back == ds
         write_dataset(back, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def reference_annotators(catalog, population, n, m, choice_set_size, rng_seed):
+    """The record-by-record sampler the vectorized one must reproduce exactly."""
+    order = _canonical_type_order(population)
+    cum = np.cumsum(population.etas[order])
+    prompt_ids = catalog.prompts
+    rewards_by_prompt = {p: catalog.features(p) @ population.thetas.T for p in prompt_ids}
+    annotators = []
+    for i in range(n):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(i,)))
+        z = int(order[np.searchsorted(cum, rng.random(), side="right").clip(0, len(order) - 1)])
+        records = []
+        for _ in range(m):
+            prompt = prompt_ids[rng.integers(len(prompt_ids))]
+            rids = catalog.responses(prompt)
+            sel = rng.choice(len(rids), size=choice_set_size, replace=False)
+            probs = softmax(rewards_by_prompt[prompt][sel, z])
+            w = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right").clip(
+                0, choice_set_size - 1
+            ))
+            rejected = tuple(rids[j] for k, j in enumerate(sel) if k != w)
+            records.append(PreferenceRecord(i, prompt, rids[sel[w]], rejected))
+        annotators.append(AnnotatorData(annotator=i, records=tuple(records), true_type=z))
+    return tuple(annotators)
+
+
+@st.composite
+def sampler_inputs(draw):
+    sizes = draw(st.lists(st.integers(2, 7), min_size=1, max_size=5))
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    scale = draw(st.sampled_from([0.1, 1.0, 8.0]))
+    catalog = Catalog.build(
+        {f"p{j}": [(f"r{i}", rng.normal(size=d)) for i in range(r)] for j, r in enumerate(sizes)}
+    )
+    weights = rng.uniform(0.2, 1.0, size=k)
+    if k > 1 and draw(st.booleans()):
+        weights[draw(st.integers(0, k - 1))] = 1e-9
+    population = Population.from_weights(scale * rng.normal(size=(k, d)), weights / weights.sum())
+    m = draw(st.integers(1, 4))
+    choice_set_size = draw(st.integers(2, min(sizes)))
+    seed = draw(st.sampled_from([0, 1, 12345, 2**32 + 17]) | st.integers(0, 2**64))
+    return catalog, population, draw(st.integers(1, 25)), m, choice_set_size, seed
+
+
+class TestVectorizedSampler:
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(sampler_inputs())
+    def test_matches_record_by_record_sampler(self, inputs):
+        ds = simulate_dataset(*inputs)
+        ref = reference_annotators(*inputs)
+        assert [a.records for a in ds.annotators] == [a.records for a in ref]
+        assert [a.true_type for a in ds.annotators] == [a.true_type for a in ref]
+
+    @pytest.mark.parametrize("world, digest", [
+        ("adversarial", "ef8a2cd64f369a0ff6a82690d1a98f247b58862854b71836d51c2e8dd4f4c1fc"),
+        ("mpi40", "0f3f84a8ebd58cda64f5221babceffc8b9a82642db354432c0744720abeeb385"),
+    ])
+    def test_golden_digest(self, tmp_path, world, digest):
+        # Digests of write_dataset bytes from the record-by-record sampler; a
+        # change to the random streams or their order changes them.
+        if world == "adversarial":
+            theta = np.array([2.0, 0.0])
+            catalog, population = recovery_catalog(theta, 4, 3.0), make_adversarial_pair(theta)
+            ds = simulate_dataset(catalog, population, n=200, m=2, choice_set_size=3, rng_seed=11)
+        else:
+            population, catalog = make_mpi_population(40)
+            ds = simulate_dataset(catalog, population, n=150, m=3, choice_set_size=4,
+                                  rng_seed=2**33 + 5)
+        write_dataset(ds, tmp_path / "d.jsonl")
+        assert hashlib.sha256((tmp_path / "d.jsonl").read_bytes()).hexdigest() == digest
