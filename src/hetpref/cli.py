@@ -223,7 +223,7 @@ def _load_catalog(path: Path) -> rewards.Catalog:
     """Read a catalog; a malformed file raises :class:`InputError` naming it."""
     try:
         return rewards.Catalog.from_json_dict(json.loads(path.read_text(encoding="utf-8")))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InputError(f"{path}: {type(exc).__name__}: {exc}") from None
 
 
@@ -412,7 +412,10 @@ def _flatten_trace(trace: Sequence[Mapping]) -> tuple[list[str], list[list]]:
 
 def _read_gamma(path: Path, annotators: Sequence[int], k: int) -> np.ndarray:
     """Posteriors from a gamma CSV: one row per annotator in dataset order, on the simplex."""
-    rows = path.read_text(encoding="utf-8").strip().splitlines()[1:]
+    try:
+        rows = path.read_text(encoding="utf-8").strip().splitlines()[1:]
+    except OSError as exc:
+        raise InputError(f"gamma file {path}: {type(exc).__name__}: {exc}") from None
     if len(rows) != len(annotators):
         raise InputError(f"gamma file {path} has {len(rows)} rows, dataset has "
                          f"{len(annotators)} annotators")

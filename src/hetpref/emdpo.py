@@ -6,19 +6,23 @@ the policy M-step maximizes a weighted multi-item preference
 log-likelihood independently per type and per prompt. Both likelihoods
 run over unique (prompt, choice set, winner) patterns with multiplicities
 rather than over records: they depend on the records only through those
-counts. The problem is concave in the tabular scores, so the inner solver
-(deterministic quasi-Newton with an exact Hessian-vector polish) reaches
-tight gradient tolerances whenever the maximizer is finite.
+counts. The fit is concave and separable by prompt, and its maximizer is
+finite iff every comparison (winner beats a rejected response) lies inside
+a strongly connected component of its prompt's comparison digraph (Ford
+1957; Hunter 2004). The policy M-step checks that condition first, then
+runs one solver: damped Newton on per-prompt Hessian blocks, with the
+prompts of equal response count solved as one batch.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigError, ConvergenceError
 from .policy import ScoreEnsemble, ScoreTable, gauge_fix
@@ -71,6 +75,10 @@ class CompiledRecords:
     the C-contiguous (L, P) index matrix of the patterns in slice ``span``.
     ``inverse`` maps each record to its pattern and ``record_rows`` to its
     annotator's row.
+    Each prompt's negated Hessian is an r x r block of one flat buffer;
+    entry ``(hslice, cols)`` of ``groups`` is the (G, r, r) run of the G
+    prompts with r responses and their flat score indices; ``hess_pos``
+    places the (L, L, P) pattern pairs of each block in the buffer.
     """
 
     def __init__(self, catalog: Catalog, records: Sequence[PreferenceRecord],
@@ -108,6 +116,24 @@ class CompiledRecords:
             start = self.blocks[-1][0].stop if self.blocks else 0
             self.blocks.append((slice(start, start + idx.shape[1]), idx))
 
+        starts, sizes = catalog.offsets[:-1], np.diff(catalog.offsets)
+        self.prompt_of = np.repeat(np.arange(len(sizes)), sizes)
+        by_size = np.argsort(sizes, kind="stable")
+        hstart = np.empty_like(sizes)
+        hstart[by_size] = np.cumsum(sizes[by_size] ** 2) - sizes[by_size] ** 2
+        self.hess_size = int((sizes ** 2).sum())
+        self.groups: list[tuple[slice, np.ndarray]] = []
+        for r in np.unique(sizes):
+            members = by_size[sizes[by_size] == r]
+            h0 = hstart[members[0]]
+            self.groups.append((slice(h0, h0 + members.size * r * r),
+                                starts[members][:, None] + np.arange(r)))
+        self.hess_pos = []
+        for _, idx in self.blocks:
+            own = self.prompt_of[idx[0]]
+            loc = idx - starts[own]
+            self.hess_pos.append(hstart[own] + loc[:, None, :] * sizes[own] + loc[None, :, :])
+
     @classmethod
     def from_dataset(cls, dataset: Dataset, catalog: Catalog) -> "CompiledRecords":
         rows = {a.annotator: i for i, a in enumerate(dataset.annotators)}
@@ -121,20 +147,27 @@ class CompiledRecords:
             rows.setdefault(rec.annotator, len(rows))
         return cls(catalog, records, rows)
 
-    def loglik_grad(self, x: np.ndarray, weights: np.ndarray) -> tuple[float, np.ndarray]:
-        """Weighted log-likelihood of the flat scores ``x`` and its gradient.
+    def newton_terms(self, x: np.ndarray, weights: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Weighted log-likelihood per prompt, its gradient and negated Hessian.
 
         ``weights`` holds one multiplicity per pattern (see ``inverse``).
+        The negated Hessian is the sum over patterns of c (diag(p) - p p^T),
+        returned as the flat buffer laid out by ``groups``.
         """
-        val = 0.0
+        val = np.zeros(len(self.catalog.prompts))
         grad = np.zeros(self.size)
-        for span, idx in self.blocks:
+        hess = np.zeros(self.hess_size)
+        for (span, idx), pos in zip(self.blocks, self.hess_pos):
             c = weights[span]
             logp, p = _pattern_logp(x, idx)
-            val += float(c @ logp)
+            cp = c * p
+            val += np.bincount(self.prompt_of[idx[0]], c * logp, minlength=val.size)
             grad += np.bincount(idx[0], c, minlength=self.size)
-            grad -= np.bincount(idx.ravel(), (p * c).ravel(), minlength=self.size)
-        return val, grad
+            grad -= np.bincount(idx.ravel(), cp.ravel(), minlength=self.size)
+            pairs = cp[:, None, :] * (np.eye(len(idx))[:, :, None] - p[None, :, :])
+            hess += np.bincount(pos.ravel(), pairs.ravel(), minlength=self.hess_size)
+        return val, grad, hess
 
     def annotator_logliks(self, tables: Sequence[ScoreTable]) -> np.ndarray:
         """(n_rows, K) sums of record log-probabilities per annotator and type."""
@@ -159,98 +192,83 @@ def fit_preference_table(
 ) -> tuple[ScoreTable, float]:
     """Maximize the weighted multi-item preference log-likelihood over a table.
 
-    Record weights are summed onto patterns first, so each evaluation
-    costs one pass over the unique patterns. Returns the gauge-fixed
-    argmax and the final gradient infinity norm. The objective is concave;
-    warm starts never lose objective value, so a capped run still
-    constitutes a valid generalized M-step.
+    Record weights are summed onto patterns first. Each of at most
+    ``max_iter`` iterations takes a damped Newton step in every prompt whose
+    gradient exceeds ``grad_tol / 2``, caps its largest entry at 4 and
+    halves it until that prompt's objective does not fall: warm starts never
+    lose objective value, so a capped run is still a valid generalized
+    M-step. Returns the gauge-fixed table and the final gradient max norm.
     """
     record_weights = np.asarray(record_weights, dtype=float)
     if record_weights.shape != (compiled.n_records,):
         raise ValueError("one weight per record required")
     counts = np.bincount(compiled.inverse, record_weights, minlength=compiled.n_patterns)
-
-    def neg_ll_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
-        val, grad = compiled.loglik_grad(x, counts)
-        return -val, -grad
-
-    def newton_polish(x: np.ndarray, rounds: int) -> np.ndarray:
-        # Quasi-Newton stalls once curvature collapses along near-separable
-        # directions; damped Newton per prompt (step capped, backtracked so
-        # the objective never worsens) finishes the job. Prompts too large
-        # for a dense Hessian are left to the quasi-Newton result.
-        offsets = compiled.catalog.offsets
-        starts = offsets[:-1]
-        by_prompt: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-        for span, idx in compiled.blocks:
-            owner = np.searchsorted(starts, idx[0], side="right") - 1
-            for j in np.unique(owner):
-                cols = owner == j
-                by_prompt.setdefault(int(j), []).append((idx[:, cols] - starts[j],
-                                                         counts[span][cols]))
-        for j, prompt_parts in by_prompt.items():
-            sl = slice(offsets[j], offsets[j + 1])
-            r = sl.stop - sl.start
-            if r > 256:
-                continue
-            s = x[sl].copy()
-            # The negated Hessian is sum c (diag(p) - p p^T) over patterns,
-            # scattered into a flat r*r buffer.
-            def fg(sv):
-                val = 0.0
-                g = np.zeros(r)
-                h = np.zeros(r * r)
-                for sets, c in prompt_parts:
-                    logp, p = _pattern_logp(sv, sets)
-                    cp = c * p
-                    mass = np.bincount(sets.ravel(), cp.ravel(), minlength=r)
-                    val += float(c @ logp)
-                    g += np.bincount(sets[0], c, minlength=r) - mass
-                    h[::r + 1] += mass
-                    pairs = sets[:, None, :] * r + sets[None, :, :]
-                    h -= np.bincount(pairs.ravel(), (cp[:, None, :] * p[None, :, :]).ravel(),
-                                     minlength=r * r)
-                return val, g, h.reshape(r, r)
-
-            val, g, h = fg(s)
-            for _ in range(rounds):
-                if np.abs(g).max() <= grad_tol * 0.5:
-                    break
-                damping = max(1e-12, 1e-10 * float(np.trace(h)) / r)
-                try:
-                    step = np.linalg.solve(h + damping * np.eye(r), g)
-                except np.linalg.LinAlgError:
-                    step = np.linalg.lstsq(h + damping * np.eye(r), g, rcond=None)[0]
-                norm = float(np.linalg.norm(step))
-                if norm > 4.0:
-                    step *= 4.0 / norm
-                for _bt in range(30):
-                    cand = s + step
-                    new_val, new_g, new_h = fg(cand)
-                    if new_val >= val - 1e-13 * max(1.0, abs(val)):
-                        s, val, g, h = cand, new_val, new_g, new_h
-                        break
-                    step *= 0.5
-                else:
-                    break
-            x[sl] = s
-        return x
-
     x = (np.zeros(compiled.size) if init_table is None
          else compiled.catalog.flatten(init_table.scores))
-
-    res = minimize(
-        neg_ll_grad, x, jac=True, method="L-BFGS-B",
-        options={"maxiter": max_iter, "gtol": grad_tol * 0.5, "ftol": 1e-16,
-                 "maxls": 100},
-    )
-    x = res.x
-    grad_norm = float(np.abs(neg_ll_grad(x)[1]).max())
-    if grad_norm > grad_tol:
-        x = newton_polish(x, rounds=max(10, min(max_iter, 50)))
-        grad_norm = float(np.abs(neg_ll_grad(x)[1]).max())
-
+    starts, sizes = compiled.catalog.offsets[:-1], np.diff(compiled.catalog.offsets)
+    val, grad, hess = compiled.newton_terms(x, counts)
+    stuck = np.zeros(len(sizes), dtype=bool)
+    for _ in range(max_iter):
+        active = (np.maximum.reduceat(np.abs(grad), starts) > grad_tol * 0.5) & ~stuck
+        if not active.any():
+            break
+        step = np.empty(compiled.size)
+        for hslice, cols in compiled.groups:
+            g, r = cols.shape
+            blocks = hess[hslice].reshape(g, r, r)
+            diag = np.einsum("gii->gi", blocks)  # a view: damping writes into hess
+            diag += np.maximum(1e-12, 1e-10 * diag.sum(axis=1) / r)[:, None]
+            step[cols] = np.linalg.solve(blocks, grad[cols][..., None])[..., 0]
+        longest = np.maximum.reduceat(np.abs(step), starts)
+        step *= np.repeat(np.where(active, 4.0 / np.maximum(longest, 4.0), 0.0), sizes)
+        floor = val - 1e-13 * np.maximum(1.0, np.abs(val))
+        for _bt in range(30):
+            terms = compiled.newton_terms(x + step, counts)
+            worse = terms[0] < floor
+            if not worse.any():
+                break
+            step[np.repeat(worse, sizes)] *= 0.5
+        else:
+            # A prompt whose step fails 30 halvings stops where it is.
+            stuck |= worse
+            step[np.repeat(worse, sizes)] = 0.0
+            terms = compiled.newton_terms(x + step, counts)
+        x = x + step
+        val, grad, hess = terms
+    grad_norm = float(np.abs(grad).max())
     return gauge_fix(ScoreTable(kappa=kappa, scores=compiled.catalog.split(x))), grad_norm
+
+
+def _unbounded_prompt(compiled: CompiledRecords, record_weights: np.ndarray) -> str | None:
+    """Why the fit with ``record_weights`` has no finite maximizer, or None.
+
+    Each positive-weight pattern's winner beats its rejected responses. A win
+    across strongly connected components lets the likelihood grow without
+    bound by pushing the winning side up (Ford's condition fails).
+    """
+    counts = np.bincount(compiled.inverse, record_weights, minlength=compiled.n_patterns)
+    src, dst = [], []
+    for span, idx in compiled.blocks:
+        keep = counts[span] > 0
+        src.append(np.tile(idx[0, keep], idx.shape[0] - 1))
+        dst.append(idx[1:, keep].ravel())
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    graph = coo_matrix((np.ones(src.size), (src, dst)), shape=(compiled.size,) * 2)
+    _, label = connected_components(graph, connection="strong")
+    cross = label[src] != label[dst]
+    if not cross.any():
+        return None
+    j = int(compiled.prompt_of[src[cross]].min())
+    here = cross & (compiled.prompt_of[src] == j)
+    # The first source of the condensation (a DAG with an edge has one).
+    top = np.isin(label, np.setdiff1d(label[src[here]], label[dst[here]]))
+    prompt = compiled.catalog.prompts[j]
+    names = [compiled.catalog.responses(prompt)[i - compiled.catalog.offsets[j]]
+             for i in np.flatnonzero(label == label[np.argmax(top)])]
+    more = f" and {len(names) - 5} more" if len(names) > 5 else ""
+    return (f"no finite maximizer: in prompt {prompt!r}, {', '.join(map(repr, names[:5]))}"
+            f"{more} never lose to the rest of the prompt ({int(cross.sum())} comparisons "
+            "cross strongly connected components)")
 
 
 def validate_responsibilities(gamma: np.ndarray) -> np.ndarray:
@@ -300,10 +318,11 @@ def m_step_policy(
 ) -> list[ScoreTable]:
     """Weighted multi-item preference fit per type; gauge-fixed tables.
 
-    ``on_nonconvergence`` selects what happens when the gradient tolerance
-    is not met within the iteration cap: "raise" (default) or "warn". The
-    warn mode still returns the best iterate found, which never scores
-    worse than the warm start.
+    Before each type's fit, the data it weights is checked for a finite
+    maximizer. ``on_nonconvergence`` selects what happens when that check
+    fails or the gradient tolerance is not met within the iteration cap:
+    "raise" (default) or "warn". The warn mode still returns the best
+    iterate found, which never scores worse than the warm start.
     """
     tables, _ = _m_step_policy_impl(
         CompiledRecords.from_dataset(dataset, catalog), gamma, kappa,
@@ -326,30 +345,34 @@ def _m_step_policy_impl(
         raise ValueError("gamma must have one row per annotator")
     if on_nonconvergence not in ("raise", "warn"):
         raise ValueError("on_nonconvergence must be 'raise' or 'warn'")
+
+    def fail(msg: str) -> None:
+        if on_nonconvergence == "raise":
+            raise ConvergenceError(msg)
+        warnings.warn(msg, RuntimeWarning)
+
     tables: list[ScoreTable] = []
     norms: list[float] = []
     for k in range(gamma.shape[1]):
         init = init_tables[k] if init_tables is not None else None
         weights = gamma[compiled.record_rows, k]
         if weights.sum() <= 0.0:
-            warnings.warn(
-                f"type {k} received zero posterior mass; keeping its table",
-                EmptyClusterWarning,
-            )
+            warnings.warn(f"type {k} received zero posterior mass; keeping its table",
+                          EmptyClusterWarning)
             table = init if init is not None else ScoreTable.zeros(compiled.catalog, kappa)
             tables.append(gauge_fix(table))
             norms.append(0.0)
             continue
+        unbounded = _unbounded_prompt(compiled, weights)
+        if unbounded is not None:
+            fail(f"policy M-step for type {k}: {unbounded}")
         table, grad_norm = fit_preference_table(
             compiled, weights, kappa, init_table=init,
             grad_tol=grad_tol, max_iter=max_iter,
         )
         if grad_norm > grad_tol:
-            msg = (f"policy M-step for type {k} stopped at gradient norm "
-                   f"{grad_norm:.3e} > {grad_tol:.1e}")
-            if on_nonconvergence == "raise":
-                raise ConvergenceError(msg, grad_norm=grad_norm)
-            warnings.warn(msg, RuntimeWarning)
+            fail(f"policy M-step for type {k} stopped at gradient norm "
+                 f"{grad_norm:.3e} > {grad_tol:.1e}")
         tables.append(table)
         norms.append(grad_norm)
     return tables, norms
@@ -478,13 +501,9 @@ def run_em(
     for r in range(restarts):
         gamma = init_responsibilities(dataset, catalog, k, init, seed + r)
         tables: list[ScoreTable] | None = None
-        eta = np.full(k, 1.0 / k)
         trace: list[dict] = []
         prev_ll = None
-        gamma_fed = gamma
-        ll = -np.inf
-        it = 0
-        for it in range(1, max_iters + 1):
+        for it in range(1, max_iters + 1):  # runs at least once: max_iters >= 1
             gamma_fed = gamma
             eta = m_step_eta(gamma)
             tables, grad_norms = _m_step_policy_impl(
@@ -493,33 +512,13 @@ def run_em(
             )
             ensemble = ScoreEnsemble(tables=tuple(tables), eta=eta)
             gamma, ll = _e_step_compiled(compiled, ensemble)
-            trace.append(
-                {
-                    "iteration": it,
-                    "loglik": ll,
-                    "eta": [float(x) for x in eta],
-                    "grad_norms": [float(g) for g in grad_norms],
-                }
-            )
+            trace.append({"iteration": it, "loglik": ll, "eta": [float(x) for x in eta],
+                          "grad_norms": [float(g) for g in grad_norms]})
             if prev_ll is not None and ll - prev_ll < tol:
                 break
             prev_ll = ll
         all_traces.append(tuple(trace))
-        state = EmState(
-            ensemble=ScoreEnsemble(tables=tuple(tables), eta=eta),
-            gamma=gamma_fed,
-            loglik=ll,
-            iteration=it,
-            trace=tuple(trace),
-        )
-        if best is None or state.loglik > best.loglik:
-            best = state
-    assert best is not None
-    return EmState(
-        ensemble=best.ensemble,
-        gamma=best.gamma,
-        loglik=best.loglik,
-        iteration=best.iteration,
-        trace=best.trace,
-        restart_traces=tuple(all_traces),
-    )
+        if best is None or ll > best.loglik:
+            best = EmState(ensemble=ensemble, gamma=gamma_fed, loglik=ll, iteration=it,
+                           trace=tuple(trace))
+    return replace(best, restart_traces=tuple(all_traces))

@@ -30,11 +30,7 @@ class HashMismatchError(HetprefError):
 
 
 class ConvergenceError(HetprefError):
-    """An inner optimizer failed to reach its tolerance within the iteration cap."""
-
-    def __init__(self, message: str, grad_norm: float | None = None):
-        super().__init__(message)
-        self.grad_norm = grad_norm
+    """A fit has no finite maximizer, or its solver hit the iteration cap."""
 
 
 class RankError(HetprefError, ValueError):

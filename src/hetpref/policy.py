@@ -299,5 +299,5 @@ def read_ensemble(path: str | Path, catalog: Catalog) -> ScoreEnsemble:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         return ensemble_from_json_dict(doc, catalog)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InputError(f"{path}: {type(exc).__name__}: {exc}") from None

@@ -348,6 +348,8 @@ def read_dataset(path: str | Path) -> Dataset:
         )
         if dataset.n != header["n"]:
             raise ValueError(f"header says n={header['n']} but file holds {dataset.n}")
+    except OSError as exc:
+        raise InputError(f"{path}: {type(exc).__name__}: {exc}") from None
     except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"{path}, line {lineno}: {type(exc).__name__}: {exc}") from None
     return dataset

@@ -19,7 +19,7 @@ from hetpref.aggregate import (
     solve_regret_game,
     uniform_mixture,
 )
-from hetpref.emdpo import run_em
+from hetpref.emdpo import CompiledRecords, _unbounded_prompt, run_em
 from hetpref.errors import StepSizeError
 from hetpref.evaluate import max_regret, run_vanilla_dpo
 from hetpref.policy import (
@@ -256,13 +256,16 @@ def symmetric_two_type_setup(seed=0):
 
 class TestMinimaxLightweight:
     def test_k1_reduces_to_weighted_fit(self, world):
-        # dense enough that every response wins and loses somewhere, so the
-        # weighted fit has a unique finite optimum shared by both routes
+        # mild preferences and dense data: every comparison lies inside a
+        # strongly connected component, so the weighted fit has a unique
+        # finite optimum (up to gauge) shared by both routes
         catalog, _e, ref, pw = world
         rng = np.random.default_rng(3)
-        thetas = [rng.normal(size=3) * 0.8]
+        thetas = [rng.normal(size=3) * 0.3]
         pop = Population.from_weights(thetas, [1.0])
         ds = simulate_dataset(catalog, pop, n=250, m=4, choice_set_size=2, rng_seed=4)
+        compiled = CompiledRecords.from_dataset(ds, catalog)
+        assert _unbounded_prompt(compiled, np.ones(compiled.n_records)) is None
         ens = ScoreEnsemble(
             tables=(optimal_table_for_type(catalog, thetas[0], 0.1),), eta=np.array([1.0])
         )

@@ -215,23 +215,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("hash") >= 1
 
+    def emdpo_exit(self, tmp_path, cfg):
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        return main(["emdpo", "--config", str(cfg), "--dataset", str(out / "dataset.jsonl"),
+                     "--catalog", str(out / "catalog.json"), "--out", str(out)])
+
     def test_convergence_failure_is_4(self, tmp_path):
         cfg = write_config(
             tmp_path,
             {"emdpo.grad_tol": 1e-18, "emdpo.inner_max_iter": 2, "emdpo.max_iters": 1},
         )
-        out = tmp_path / "run"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        code = main(
-            [
-                "emdpo",
-                "--config", str(cfg),
-                "--dataset", str(out / "dataset.jsonl"),
-                "--catalog", str(out / "catalog.json"),
-                "--out", str(out),
-            ]
-        )
-        assert code == 4
+        assert self.emdpo_exit(tmp_path, cfg) == 4
+
+    def test_iteration_cap_on_well_posed_data_is_4(self, tmp_path, capsys):
+        # 2000 ternary records reach all 12 patterns of the adversarial world,
+        # so the existence check passes and the Newton iteration cap trips.
+        cfg = write_config(tmp_path, {"simulate.n": 1000, "emdpo.grad_tol": 1e-18,
+                                      "emdpo.inner_max_iter": 1, "emdpo.max_iters": 1})
+        assert self.emdpo_exit(tmp_path, cfg) == 4
+        err = capsys.readouterr().err
+        assert "stopped at gradient norm" in err and "no finite maximizer" not in err
+
+    def test_default_config_has_no_finite_maximizer(self, tmp_path, capsys):
+        # 1500 binary records over 990 phrases leave comparisons one-sided;
+        # the check stops emdpo before any fit.
+        cfg = tmp_path / "empty.yaml"
+        cfg.write_text("{}\n")
+        assert self.emdpo_exit(tmp_path, cfg) == 4
+        err = capsys.readouterr().err
+        assert "no finite maximizer: in prompt 'instruction'" in err, err
 
 
 class TestAggregateMethods:
@@ -392,6 +405,18 @@ class TestMalformedGamma:
         text = self.edit_line(fitted_run[1], 3, lambda line: line.split(",")[0] + ",0.9,0.9")
         self.check(fitted_run, tmp_path, capsys, text, "line 3", "simplex")
 
+    def test_missing_file(self, fitted_run, tmp_path, capsys):
+        cfg, run = fitted_run
+        lw_cfg = write_config(tmp_path, {"aggregate.method": "lightweight"}, name="lw.yaml")
+        code = main([
+            "aggregate", "--config", str(lw_cfg), "--ensemble", str(run / "ensemble.json"),
+            "--catalog", str(run / "catalog.json"), "--dataset", str(run / "dataset.jsonl"),
+            "--gamma", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "agg"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "nope.csv" in err, err
+
     def test_annotator_column_out_of_order(self, fitted_run, tmp_path, capsys):
         lines = (fitted_run[1] / "gamma.csv").read_text().splitlines()
         lines[1], lines[2] = lines[2], lines[1]
@@ -433,6 +458,14 @@ class TestMalformedDataset:
         assert code == 2
         err = capsys.readouterr().err
         assert "dataset.jsonl, line 1" in err and "but file holds 9" in err
+
+    def test_missing_file(self, fitted_run, tmp_path, capsys):
+        cfg, run = fitted_run
+        code = main(["emdpo", "--config", str(cfg), "--dataset", str(tmp_path / "nope.jsonl"),
+                     "--catalog", str(run / "catalog.json"), "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "nope.jsonl" in err, err
 
     @pytest.mark.parametrize("command", ["emdpo", "aggregate"])
     def test_unknown_response_id(self, fitted_run, tmp_path, capsys, command):
@@ -498,6 +531,15 @@ class TestMalformedJson:
         path = self.write(tmp_path, "catalog.json", '{"d": 2}')
         code = self.emdpo(fitted_run, tmp_path, path)
         self.check(capsys, code, "catalog.json", "KeyError", "'prompts'")
+
+    def test_catalog_missing(self, fitted_run, tmp_path, capsys):
+        code = self.emdpo(fitted_run, tmp_path, tmp_path / "nope.json")
+        self.check(capsys, code, "nope.json", "FileNotFoundError")
+
+    @pytest.mark.parametrize("command", ["aggregate", "evaluate"])
+    def test_ensemble_missing(self, fitted_run, tmp_path, capsys, command):
+        code = self.read_ensemble(fitted_run, tmp_path, command, tmp_path / "nope.json")
+        self.check(capsys, code, "nope.json", "FileNotFoundError")
 
     @pytest.mark.parametrize("command", ["aggregate", "evaluate"])
     def test_ensemble_cut(self, fitted_run, tmp_path, capsys, command):

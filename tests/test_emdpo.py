@@ -132,8 +132,12 @@ class TestMStepPolicy:
             optimal_table_for_type(catalog, population.types[0].theta, 0.1),
             optimal_table_for_type(catalog, population.types[1].theta, 0.1),
         ]
-        with pytest.warns(EmptyClusterWarning):
-            tables = m_step_policy(ds, catalog, gamma, kappa=0.1, init_tables=init)
+        # Ten annotators leave some comparisons one-sided: type 0's data has no
+        # finite maximizer, which warn mode reports and fits anyway.
+        with pytest.warns(EmptyClusterWarning), \
+                pytest.warns(RuntimeWarning, match="type 0: no finite maximizer"):
+            tables = m_step_policy(ds, catalog, gamma, kappa=0.1, init_tables=init,
+                                   on_nonconvergence="warn")
         for p in catalog.prompts:
             np.testing.assert_allclose(tables[1].scores[p], init[1].scores[p], atol=1e-12)
 
@@ -346,6 +350,10 @@ class TestRunEm:
     def test_restarts_pick_best(self, mixed_world):
         catalog, population = mixed_world
         ds = simulate_dataset(catalog, population, n=30, m=2, choice_set_size=2, rng_seed=16)
-        single = run_em(ds, catalog, k=2, max_iters=3, init="random_dirichlet", seed=0)
-        multi = run_em(ds, catalog, k=2, max_iters=3, init="random_dirichlet", seed=0, restarts=4)
+        # 30 annotators leave some comparisons one-sided (no finite maximizer).
+        with pytest.warns(RuntimeWarning, match="no finite maximizer"):
+            single = run_em(ds, catalog, k=2, max_iters=3, init="random_dirichlet", seed=0,
+                            on_nonconvergence="warn")
+            multi = run_em(ds, catalog, k=2, max_iters=3, init="random_dirichlet", seed=0,
+                           restarts=4, on_nonconvergence="warn")
         assert multi.loglik >= single.loglik - 1e-12

@@ -257,7 +257,10 @@ class TestClusterDpo:
 
     def test_eta_are_cluster_fractions(self, eval_world):
         catalog, _t, _p, dataset = eval_world
-        ens = run_cluster_dpo(dataset, catalog, k=3, kappa=0.1, seed=1)
+        # Some clusters' data leave comparisons one-sided (no finite maximizer).
+        with pytest.warns(RuntimeWarning, match="no finite maximizer"):
+            ens = run_cluster_dpo(dataset, catalog, k=3, kappa=0.1, seed=1,
+                                  on_nonconvergence="warn")
         assert ens.eta.sum() == pytest.approx(1.0, abs=1e-12)
         counts = ens.eta * dataset.n
         np.testing.assert_allclose(counts, np.round(counts), atol=1e-9)

@@ -1,20 +1,23 @@
-"""The pattern-compressed likelihood against per-record reference formulas."""
+"""The pattern-compressed likelihood and its Newton terms against per-record formulas."""
+
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 from scipy.special import logsumexp
 
-from hetpref.emdpo import CompiledRecords, fit_preference_table
+from hetpref.emdpo import CompiledRecords, _unbounded_prompt, fit_preference_table
 from hetpref.identify import recovery_catalog
-from hetpref.policy import ScoreTable
+from hetpref.policy import ScoreTable, gauge_fix
 from hetpref.rewards import Catalog
 from hetpref.simulate import PreferenceRecord, make_adversarial_pair, simulate_dataset
 
 
 def reference_terms(catalog, records, x):
-    """Per-record log P(winner) and its gradient in the flat score vector x."""
+    """Per-record log P(winner), its gradient and its negated Hessian in x."""
     offsets = np.cumsum([0] + [len(catalog.responses(p)) for p in catalog.prompts])
     offset = dict(zip(catalog.prompts, offsets))
     out = []
@@ -26,8 +29,21 @@ def reference_terms(catalog, records, x):
         lse = logsumexp(ss)
         grad = np.zeros(x.size)
         grad[idx[0]] += 1.0
-        np.add.at(grad, idx, -np.exp(ss - lse))
-        out.append((ss[0] - lse, grad))
+        q = np.exp(ss - lse)
+        np.add.at(grad, idx, -q)
+        hess = np.zeros((x.size, x.size))
+        np.add.at(hess, (idx[:, None], idx[None, :]), np.diag(q) - np.outer(q, q))
+        out.append((ss[0] - lse, grad, hess))
+    return out
+
+
+def dense_hessian(compiled, buffer):
+    """The flat Hessian-block buffer scattered into a dense matrix."""
+    out = np.zeros((compiled.size, compiled.size))
+    for hslice, cols in compiled.groups:
+        g, r = cols.shape
+        for block, c in zip(buffer[hslice].reshape(g, r, r), cols):
+            out[np.ix_(c, c)] = block
     return out
 
 
@@ -77,12 +93,18 @@ def test_compressed_likelihood_matches_per_record_reference(world):
     terms = reference_terms(catalog, records, x)
 
     counts = np.bincount(compiled.inverse, weights, minlength=compiled.n_patterns)
-    val, grad = compiled.loglik_grad(x, counts)
-    want_val = sum(w * lp for w, (lp, _) in zip(weights, terms))
-    want_grad = sum((w * g for w, (_, g) in zip(weights, terms)), np.zeros(x.size))
+    val, grad, hess = compiled.newton_terms(x, counts)
+    want_val = np.zeros(len(catalog.prompts))
+    for w, rec, (lp, _, _) in zip(weights, records, terms):
+        want_val[catalog.prompts.index(rec.prompt)] += w * lp
+    want_grad = sum((w * g for w, (_, g, _) in zip(weights, terms)), np.zeros(x.size))
+    want_hess = sum((w * h for w, (_, _, h) in zip(weights, terms)),
+                    np.zeros((x.size, x.size)))
     scale = max(1.0, float(weights.sum()))
-    assert val == pytest.approx(want_val, rel=1e-9, abs=1e-9 * scale)
+    np.testing.assert_allclose(val, want_val, rtol=1e-9, atol=1e-9 * scale)
     np.testing.assert_allclose(grad, want_grad, rtol=1e-9, atol=1e-9 * scale)
+    np.testing.assert_allclose(dense_hessian(compiled, hess), want_hess,
+                               rtol=1e-9, atol=1e-9 * scale)
 
     x2 = x[::-1].copy()
     got = compiled.annotator_logliks([split_scores(catalog, x), split_scores(catalog, x2)])
@@ -91,22 +113,26 @@ def test_compressed_likelihood_matches_per_record_reference(world):
     for rec in records:
         rows.setdefault(rec.annotator, len(rows))
     for k, terms_k in enumerate([terms, reference_terms(catalog, records, x2)]):
-        for rec, (lp, _) in zip(records, terms_k):
+        for rec, (lp, _, _) in zip(records, terms_k):
             want[rows[rec.annotator], k] += lp
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * len(records))
+
+
+def with_all_pairs(catalog, records, weights):
+    """Every ordered pair of every prompt once more, with weight 1, so that
+    each prompt's comparison graph is strongly connected and the maximizer
+    is finite."""
+    pairs = [PreferenceRecord(annotator=0, prompt=p, winner=a, rejected=(b,))
+             for p in catalog.prompts for a in catalog.responses(p)
+             for b in catalog.responses(p) if a != b]
+    return records + pairs, np.concatenate([weights, np.ones(len(pairs))])
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(worlds(), st.data())
 def test_duplicated_record_equals_doubled_weight(world, data):
     catalog, records, weights, _x = world
-    # Every ordered pair of every prompt once more, so that each prompt's
-    # comparison graph is strongly connected and the maximizer is finite.
-    for p in catalog.prompts:
-        rids = catalog.responses(p)
-        records = records + [PreferenceRecord(annotator=0, prompt=p, winner=a, rejected=(b,))
-                             for a in rids for b in rids if a != b]
-    weights = np.concatenate([weights, np.ones(len(records) - len(weights))])
+    records, weights = with_all_pairs(catalog, records, weights)
     i = data.draw(st.integers(0, len(records) - 1))
     doubled = weights.copy()
     doubled[i] *= 2.0
@@ -137,3 +163,113 @@ def test_adversarial_world_compiles_to_twelve_patterns(choice_set_size):
     assert idx.shape == (choice_set_size, 12) and span == slice(0, 12)
     assert np.all(np.diff(idx[1:], axis=0) > 0)
     np.testing.assert_array_equal(np.bincount(compiled.inverse, minlength=12) > 0, True)
+
+
+def reference_fit(catalog, records, weights, x, grad_tol=1e-8, max_iter=1000):
+    """The former inner solver, kept as the reference: L-BFGS-B, then, if the
+    gradient is still above tolerance, a damped Newton polish per prompt
+    (2-norm step cap 4, halved until the objective does not fall).
+    Returns the flat scores and the final gradient max norm."""
+    def totals(x):
+        terms = reference_terms(catalog, records, x)
+        return [sum((w * t[i] for w, t in zip(weights, terms)), 0.0) for i in range(3)]
+
+    def neg(x):
+        val, grad, _ = totals(x)
+        return -val, -grad
+
+    x = minimize(neg, x, jac=True, method="L-BFGS-B",
+                 options={"maxiter": max_iter, "gtol": grad_tol * 0.5, "ftol": 1e-16,
+                          "maxls": 100}).x
+    val, grad, hess = totals(x)
+    if np.abs(grad).max() <= grad_tol:
+        return x, np.abs(grad).max()
+    offsets = np.cumsum([0] + [len(catalog.responses(p)) for p in catalog.prompts])
+    for sl in (slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])):
+        for _ in range(max(10, min(max_iter, 50))):
+            if np.abs(grad[sl]).max() <= grad_tol * 0.5:
+                break
+            h = hess[sl, sl]
+            r = h.shape[0]
+            step = np.linalg.solve(h + max(1e-12, 1e-10 * np.trace(h) / r) * np.eye(r),
+                                   grad[sl])
+            step *= min(1.0, 4.0 / np.linalg.norm(step))
+            for _bt in range(30):
+                cand = x.copy()
+                cand[sl] += step
+                # Only this prompt moved, so the total changes by its change.
+                new = totals(cand)
+                if new[0] >= val - 1e-13 * max(1.0, abs(val)):
+                    x, (val, grad, hess) = cand, new
+                    break
+                step *= 0.5
+            else:
+                break
+    return x, np.abs(grad).max()
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(worlds())
+def test_newton_matches_former_solver(world):
+    catalog, records, weights, x = world
+    records, weights = with_all_pairs(catalog, records, weights)
+    compiled = CompiledRecords.from_records(records, catalog)
+    counts = np.bincount(compiled.inverse, weights, minlength=compiled.n_patterns)
+    start = compiled.newton_terms(x, counts)[0]
+    for max_iter in (1, 2, 1000):
+        table, norm = fit_preference_table(compiled, weights, kappa=1.0,
+                                           init_table=split_scores(catalog, x),
+                                           max_iter=max_iter)
+        val = compiled.newton_terms(catalog.flatten(table.scores), counts)[0]
+        assert np.all(val >= start - 1e-12 * np.maximum(1.0, np.abs(start)))
+    want_x, want_norm = reference_fit(catalog, records, weights, x)
+    assert max(norm, want_norm) <= 1e-8
+    want = gauge_fix(split_scores(catalog, want_x))
+    for p in catalog.prompts:
+        np.testing.assert_allclose(table.scores[p], want.scores[p], atol=1e-6)
+
+
+def ford_violations(catalog, records, weights):
+    """Prompts failing Ford's condition, by brute force: some split of a
+    weakly connected component of the positive-weight comparisons (winner
+    beats each rejected response) has wins in one direction only."""
+    bad = []
+    for p in catalog.prompts:
+        beats = {(rec.winner, y) for rec, w in zip(records, weights)
+                 if rec.prompt == p and w > 0 for y in rec.rejected}
+        comps = []
+        for u, v in beats:
+            joined = [c for c in comps if u in c or v in c]
+            comps = [c for c in comps if c not in joined] + [set().union({u, v}, *joined)]
+        for comp in map(sorted, comps):
+            for mask in range(1, 2 ** len(comp) - 1):
+                side = {y for i, y in enumerate(comp) if mask >> i & 1}
+                out = any(u in side and v not in side for u, v in beats if u in comp)
+                back = any(u not in side and v in side for u, v in beats if u in comp)
+                if not (out and back):
+                    bad.append(p)
+                    break
+            if p in bad:
+                break
+    return bad
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(worlds(), st.data())
+def test_existence_check_matches_ford_oracle(world, data):
+    catalog, records, _w, _x = world
+    weights = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0]),
+                                          min_size=len(records), max_size=len(records))))
+    bad = ford_violations(catalog, records, weights)
+    msg = _unbounded_prompt(CompiledRecords.from_records(records, catalog), weights)
+    assert (msg is None) == (not bad), (msg, bad)
+    if msg is None:
+        return
+    prompt, names = re.match(r"no finite maximizer: in prompt '(\w+)', (.*) never lose",
+                             msg).groups()
+    assert prompt == bad[0]
+    top = set(re.findall(r"'(\w+)'", names))
+    live = [(rec.winner, set(rec.rejected)) for rec, w in zip(records, weights)
+            if rec.prompt == prompt and w > 0]
+    assert top and not any(win not in top and rej & top for win, rej in live)
+    assert any(win in top and rej - top for win, rej in live)
