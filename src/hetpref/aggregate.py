@@ -7,10 +7,11 @@ once as (K, responses) score, log-policy and policy matrices in the
 catalog's flat (prompt, response) order; regrets of all K types, the
 discrepancy matrix and the direct objective and gradient are weighted
 sums or matrix products along that axis. Three aggregators are provided:
-an optimistic-Hedge solver for the affine-mixture matrix game, a
-lightweight loop that alternates weighted preference fits with
-multiplicative weight updates, and direct descent on the worst-case
-objective.
+an optimistic-Hedge solver for the affine-mixture matrix game, whose two
+players share one log-weight state vector advanced by one block
+matrix-vector product per iteration; a lightweight loop that alternates
+weighted preference fits with multiplicative weight updates; and direct
+descent on the worst-case objective.
 
 The output policy class is not canonical: the matrix-game solver returns
 mixture weights over the ensemble (a policy in its affine hull), while
@@ -58,6 +59,9 @@ __all__ = [
 
 # Averaged iterates per duality-gap matrix product; keeps the temporaries small.
 GAP_BLOCK = 4096
+# Largest per-iteration move of a normalized log-weight for which exp neither
+# overflows nor takes a player's largest weight below the normal range.
+_MAX_LOG_MOVE = 600.0
 
 
 class _FlatEnsemble:
@@ -187,8 +191,12 @@ def solve_regret_game(
     Both players use one-step gradient prediction; the returned solution is
     the average of the iterates, and ``value`` is the adversary's best
     response to the averaged mixture weights (an upper bound on the
-    achieved minimax value). The loop only stores the iterates; running
-    averages come from cumulative sums afterwards, and the duality gaps
+    achieved minimax value). Both players share one state vector
+    x = [w; p] of length K + N, kept as log x: one matrix-vector product
+    with the block matrix [[0, -step R'], [step R, 0]] on 2x - x_prev gives
+    both optimistic gradients, and one product with a block-of-ones matrix
+    gives each player's normalizer. The iterates are rows of one buffer that
+    a cumulative sum turns into running averages; the duality gaps come
     from one matrix product per block of ``GAP_BLOCK`` averaged iterates.
     """
     R = np.asarray(R, dtype=float)
@@ -197,39 +205,43 @@ def solve_regret_game(
     if iters < 2:
         raise ValueError("iters must be >= 2")
     n_rows, k = R.shape
+    scale = float(np.abs(R).max())
     if step is None:
-        scale = float(np.abs(R).max())
         step = 0.05 / scale if scale > 0 else 0.05
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and > 0, got {step!r}")
+    # |2x - x_prev|_1 <= 3 per player, so no log-weight moves further than
+    # this per iteration; beyond _MAX_LOG_MOVE exp could overflow, or a
+    # whole player's weights underflow to zero
+    if 3.0 * step * scale > _MAX_LOG_MOVE:
+        raise ValueError(f"step {step!r} is too large for a regret matrix of scale "
+                         f"{scale!r}: log-weights could move by {3.0 * step * scale:.3g} "
+                         f"per iteration (at most {_MAX_LOG_MOVE:g})")
 
-    log_w = np.full(k, -np.log(k))
-    log_p = np.full(n_rows, -np.log(n_rows))
-    w = np.exp(log_w)
-    p = np.exp(log_p)
-    w_prev, p_prev = w.copy(), p.copy()
+    size = k + n_rows
+    move = np.zeros((size, size))
+    move[:k, k:] = -step * R.T
+    move[k:, :k] = step * R
+    ones = np.zeros((size, size))
+    ones[:k, :k] = 1.0
+    ones[k:, k:] = 1.0
 
-    w_avg_trace = np.empty((iters, k))
-    p_avg_trace = np.empty((iters, n_rows))
+    log_x = np.concatenate([np.full(k, -np.log(k)), np.full(n_rows, -np.log(n_rows))])
+    x = np.exp(log_x)
+    x_prev = x
+    trace = np.empty((iters, size))
     for t in range(iters):
-        gw = R.T @ (2.0 * p - p_prev)
-        gp = R @ (2.0 * w - w_prev)
-        w_prev, p_prev = w, p
-        log_w = log_w - step * gw
-        log_w -= log_w.max()
-        log_p = log_p + step * gp
-        log_p -= log_p.max()
-        w = np.exp(log_w)
-        w /= w.sum()
-        p = np.exp(log_p)
-        p /= p.sum()
-        w_avg_trace[t] = w
-        p_avg_trace[t] = p
+        log_x += move @ (2.0 * x - x_prev)
+        x_prev, x = x, trace[t]
+        np.exp(log_x, out=x)
+        z = ones @ x
+        x /= z
+        log_x -= np.log(z)
 
-    # in place: the iterate buffers become the running averages
-    counts = np.arange(1, iters + 1)[:, None]
-    np.cumsum(w_avg_trace, axis=0, out=w_avg_trace)
-    w_avg_trace /= counts
-    np.cumsum(p_avg_trace, axis=0, out=p_avg_trace)
-    p_avg_trace /= counts
+    # in place: the iterates become the running averages
+    np.cumsum(trace, axis=0, out=trace)
+    trace /= np.arange(1, iters + 1)[:, None]
+    w_avg_trace, p_avg_trace = trace[:, :k], trace[:, k:]
     gap_trace = np.empty(iters)
     for lo in range(0, iters, GAP_BLOCK):
         block = slice(lo, lo + GAP_BLOCK)

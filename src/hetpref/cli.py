@@ -6,8 +6,9 @@ experiments, and evaluate metrics. Every command is a pure function of
 its config file and input files; manifests chain content hashes so any
 output can be traced back to the exact inputs that produced it.
 
-Exit codes: 0 success, 2 config error or malformed input file, 3
-input-hash mismatch, 4 convergence failure.
+Exit codes: 0 success, 2 config error (including a step size that makes
+an aggregator diverge) or malformed input file, 3 input-hash mismatch,
+4 convergence failure.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -25,7 +27,14 @@ import yaml
 
 from . import aggregate as agg
 from . import emdpo, evaluate, identify, policy, rewards, simulate
-from .errors import CatalogKeyError, ConfigError, ConvergenceError, HashMismatchError, InputError
+from .errors import (
+    CatalogKeyError,
+    ConfigError,
+    ConvergenceError,
+    HashMismatchError,
+    InputError,
+    StepSizeError,
+)
 
 # Pipeline-wide tuned defaults (KL coefficient, EM iterations, MWU
 # iterations and learning rate).
@@ -150,14 +159,28 @@ def load_config(path: str | Path) -> dict:
 
 
 def _require_int(cfg: Mapping, dotted: str, minimum: int = 1) -> int:
-    """An integer config field of at least ``minimum`` (1 or 0), else a ConfigError."""
+    """An integer config field of at least ``minimum``, else a ConfigError."""
     node: Any = cfg
     for part in dotted.split("."):
         node = node[part]
     if not isinstance(node, int) or isinstance(node, bool) or node < minimum:
-        kind = "positive" if minimum == 1 else "non-negative"
-        raise ConfigError(f"config field {dotted!r} must be a {kind} integer, got {node!r}")
+        kind = {0: "a non-negative integer", 1: "a positive integer"}.get(
+            minimum, f"an integer >= {minimum}")
+        raise ConfigError(f"config field {dotted!r} must be {kind}, got {node!r}")
     return node
+
+
+def _require_step(cfg: Mapping, field: str, allow_null: bool = False) -> float | None:
+    """A finite, positive ``aggregate`` step size; null only where ``allow_null``."""
+    value = cfg["aggregate"][field]
+    if value is None and allow_null:
+        return None
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not (math.isfinite(value) and value > 0)):
+        null = ", or null for the affine solver's automatic step" if allow_null else ""
+        raise ConfigError(f"config field 'aggregate.{field}' must be a finite number > 0"
+                          f"{null}, got {value!r}")
+    return float(value)
 
 
 def build_population(cfg: Mapping) -> tuple[rewards.Population, rewards.Catalog]:
@@ -451,6 +474,11 @@ def cmd_aggregate(cfg: Mapping, ensemble_path: Path, catalog_path: Path, out: Pa
             f"config field 'aggregate.method' must be one of {AGGREGATE_METHODS} "
             f"(aliases {sorted(METHOD_ALIASES)}), got {acfg['method']!r}"
         )
+    iters = _require_int(cfg, "aggregate.iters", minimum=2 if method == "affine" else 1)
+    # lightweight has no automatic step to fall back on
+    step = _require_step(cfg, "step", allow_null=method != "lightweight")
+    policy_step = _require_step(cfg, "policy_step")
+    mwu_step = _require_step(cfg, "mwu_step")
     out.mkdir(parents=True, exist_ok=True)
     inputs = {
         "ensemble.json": _file_sha256(ensemble_path),
@@ -470,17 +498,17 @@ def cmd_aggregate(cfg: Mapping, ensemble_path: Path, catalog_path: Path, out: Pa
     outputs["regret_matrix.csv"] = _file_sha256(regret_table)
 
     if method == "affine":
-        sol = agg.solve_regret_game(R, iters=acfg["iters"], step=acfg["step"])
+        try:
+            sol = agg.solve_regret_game(R, iters=iters, step=step)
+        except ValueError as exc:  # R is finite, so the step is at fault
+            raise ConfigError(f"config field 'aggregate.step': {exc}") from None
         trace_path = out / "game_trace.csv"
+        columns = np.column_stack([sol.w_avg_trace, sol.p_avg_trace, sol.gap_trace])
         _write_csv(
             trace_path,
             ["iteration"] + [f"w_{j}" for j in range(ensemble.k)]
             + [f"p_{j}" for j in range(ensemble.k + 1)] + ["gap"],
-            [
-                [t + 1] + [float(v) for v in sol.w_avg_trace[t]]
-                + [float(v) for v in sol.p_avg_trace[t]] + [float(sol.gap_trace[t])]
-                for t in range(sol.iters)
-            ],
+            [[t] + row for t, row in enumerate(columns.tolist(), 1)],
         )
         outputs["game_trace.csv"] = _file_sha256(trace_path)
         candidate: Any = sol.w
@@ -489,6 +517,7 @@ def cmd_aggregate(cfg: Mapping, ensemble_path: Path, catalog_path: Path, out: Pa
             "w": [float(v) for v in sol.w],
             "p": [float(v) for v in sol.p],
             "value": sol.value,
+            "gap": float(sol.gap_trace[-1]),
         }
     elif method == "uniform":
         w = agg.uniform_mixture(ensemble)
@@ -506,16 +535,19 @@ def cmd_aggregate(cfg: Mapping, ensemble_path: Path, catalog_path: Path, out: Pa
             inputs["gamma.csv"] = _file_sha256(gamma_path)
             table, trace = agg.minimax_policy_lightweight(
                 dataset, catalog, ensemble, gamma, ref,
-                iters=acfg["iters"], step=acfg["step"],
+                iters=iters, step=step,
                 inner_steps=acfg["inner_steps"],
                 prompt_weights=pw,
             )
         else:
-            table, trace = agg.minimax_policy_direct(
-                ensemble, ref, catalog, pw,
-                iters=acfg["iters"], policy_step=acfg["policy_step"],
-                mwu_step=acfg["mwu_step"],
-            )
+            try:
+                table, trace = agg.minimax_policy_direct(
+                    ensemble, ref, catalog, pw,
+                    iters=iters, policy_step=policy_step, mwu_step=mwu_step,
+                )
+            except StepSizeError as exc:
+                raise ConfigError(f"config field 'aggregate.policy_step' is too large, "
+                                  f"the direct descent diverged: {exc}") from None
         policy_path = out / "aggregated_policy.json"
         single = policy.ScoreEnsemble(tables=(table,), eta=np.array([1.0]))
         policy.write_ensemble(single, catalog, policy_path)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.special import logsumexp
@@ -552,16 +552,14 @@ def test_flat_enumeration_matches_per_prompt_reference(world):
         np.testing.assert_allclose(row["w"], w, rtol=0, atol=1e-12)
 
 
-def test_game_iterates_bitwise_equal_per_iteration_loop():
-    rng = np.random.default_rng(17)
-    R = rng.uniform(-1, 2, size=(4, 3))
-    iters = 3000
-    step = 0.05 / float(np.abs(R).max())
-    log_w, log_p = np.full(3, -np.log(3)), np.full(4, -np.log(4))
+def ref_game_trace(R, iters, step):
+    """The per-iteration optimistic-Hedge loop the fused solver replaced."""
+    n_rows, k = R.shape
+    log_w, log_p = np.full(k, -np.log(k)), np.full(n_rows, -np.log(n_rows))
     w, p = np.exp(log_w), np.exp(log_p)
     w_prev, p_prev = w.copy(), p.copy()
-    w_sum, p_sum = np.zeros(3), np.zeros(4)
-    w_avg, p_avg = np.empty((iters, 3)), np.empty((iters, 4))
+    w_sum, p_sum = np.zeros(k), np.zeros(n_rows)
+    w_avg, p_avg = np.empty((iters, k)), np.empty((iters, n_rows))
     gaps = np.empty(iters)
     for t in range(1, iters + 1):
         gw, gp = R.T @ (2.0 * p - p_prev), R @ (2.0 * w - w_prev)
@@ -578,10 +576,53 @@ def test_game_iterates_bitwise_equal_per_iteration_loop():
         p_sum += p
         w_avg[t - 1], p_avg[t - 1] = w_sum / t, p_sum / t
         gaps[t - 1] = (R @ w_avg[t - 1]).max() - (p_avg[t - 1] @ R).min()
-    sol = solve_regret_game(R, iters=iters)
-    np.testing.assert_array_equal(sol.w_avg_trace, w_avg)
-    np.testing.assert_array_equal(sol.p_avg_trace, p_avg)
-    np.testing.assert_array_equal(sol.w, w_sum / iters)
-    np.testing.assert_array_equal(sol.p, p_sum / iters)
-    assert sol.value == float((R @ (w_sum / iters)).max())
-    np.testing.assert_allclose(sol.gap_trace, gaps, rtol=0, atol=1e-14)
+    return w_avg, p_avg, gaps
+
+
+@st.composite
+def games(draw):
+    k = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.floats(-1.0, 2.0), min_size=(k + 1) * k, max_size=(k + 1) * k))
+    step = draw(st.one_of(st.none(), st.floats(1e-3, 0.5)))
+    return np.array(cells).reshape(k + 1, k), draw(st.integers(2, 2000)), step
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(games())
+@example((np.zeros((4, 3)), 500, None))
+@example((np.zeros((3, 2)), 300, 0.2))
+def test_game_iterates_match_per_iteration_loop(game):
+    R, iters, step = game
+    sol = solve_regret_game(R, iters=iters, step=step)
+    scale = float(np.abs(R).max())
+    assert sol.step == (step if step is not None else 0.05 / scale if scale > 0 else 0.05)
+    w_avg, p_avg, gaps = ref_game_trace(R, iters, sol.step)
+    for got, want in ((sol.w_avg_trace, w_avg), (sol.p_avg_trace, p_avg), (sol.w, w_avg[-1]),
+                      (sol.p, p_avg[-1]), (sol.value, (R @ w_avg[-1]).max()),
+                      (sol.gap_trace, gaps)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(sol.w, sol.w_avg_trace[-1])
+    np.testing.assert_array_equal(sol.p, sol.p_avg_trace[-1])
+    assert sol.value == float((R @ sol.w).max())
+
+
+def test_game_log_weights_recover_from_underflow():
+    # column 1 is column 0 plus 2 and row 1 is row 0 plus 1, so the loser of
+    # each player drifts by about 1/30 per iteration: past exp's -745 within
+    # the run, which the log-space state must carry without nan or inf
+    R = np.array([[0.0, 2.0], [1.0, 3.0]])
+    sol = solve_regret_game(R, iters=50_000)
+    for arr in (sol.w_avg_trace, sol.p_avg_trace, sol.gap_trace, sol.w, sol.p, sol.value):
+        assert np.all(np.isfinite(arr))
+    for trace in (sol.w_avg_trace, sol.p_avg_trace):
+        assert np.abs(trace.sum(axis=1) - 1.0).max() <= 1e-12
+    dominated = sol.w_avg_trace[:, 1]
+    assert dominated[-1] < dominated[999] < dominated[99]
+    assert dominated[-1] < 1e-3
+    assert sol.value <= float((R @ np.full(2, 0.5)).max())
+
+
+@pytest.mark.parametrize("step", [0.0, -0.5, np.nan, np.inf, 1e6])
+def test_game_rejects_bad_step(step):
+    with pytest.raises(ValueError, match="step"):
+        solve_regret_game(np.array([[0.0, 1.0], [1.0, 0.0]]), iters=10, step=step)

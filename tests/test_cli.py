@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
+from hetpref.aggregate import solve_regret_game
 from hetpref.cli import main
 
 BASE_CONFIG = {
@@ -586,3 +587,65 @@ class TestSeedValidation:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and repr(field) in err and str(value) in err
+
+
+class TestAggregateValidation:
+    """Bad aggregate iteration counts and step sizes exit 2 naming the field."""
+
+    def aggregate(self, fitted_run, tmp_path, overrides):
+        _, run = fitted_run
+        cfg = write_config(tmp_path, overrides, name="agg.yaml")
+        argv = ["aggregate", "--config", str(cfg), "--ensemble", str(run / "ensemble.json"),
+                "--catalog", str(run / "catalog.json"), "--out", str(tmp_path / "x")]
+        if overrides.get("aggregate.method") == "lightweight":
+            argv += ["--dataset", str(run / "dataset.jsonl"), "--gamma", str(run / "gamma.csv")]
+        return main(argv)
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"aggregate.iters": 1}, "aggregate.iters"),
+        ({"aggregate.iters": 0}, "aggregate.iters"),
+        ({"aggregate.iters": -3}, "aggregate.iters"),
+        ({"aggregate.iters": 2.5}, "aggregate.iters"),
+        ({"aggregate.method": "direct", "aggregate.iters": 0}, "aggregate.iters"),
+        ({"aggregate.step": "abc"}, "aggregate.step"),
+        ({"aggregate.step": float("nan")}, "aggregate.step"),
+        ({"aggregate.step": float("inf")}, "aggregate.step"),
+        ({"aggregate.step": -0.5}, "aggregate.step"),
+        ({"aggregate.step": 0}, "aggregate.step"),
+        ({"aggregate.step": 1e6}, "aggregate.step"),
+        ({"aggregate.method": "lightweight", "aggregate.step": None}, "aggregate.step"),
+        ({"aggregate.policy_step": 0.0}, "aggregate.policy_step"),
+        ({"aggregate.policy_step": float("inf")}, "aggregate.policy_step"),
+        ({"aggregate.mwu_step": -0.05}, "aggregate.mwu_step"),
+        ({"aggregate.mwu_step": float("nan")}, "aggregate.mwu_step"),
+        ({"aggregate.method": "direct", "aggregate.policy_step": 1e6}, "aggregate.policy_step"),
+    ])
+    def test_bad_value_is_2(self, fitted_run, tmp_path, capsys, overrides, field):
+        assert self.aggregate(fitted_run, tmp_path, overrides) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and repr(field) in err, err
+        assert not (tmp_path / "x" / "aggregate_report.json").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"aggregate.step": None},
+        {"aggregate.iters": 2},
+        {"aggregate.method": "direct", "aggregate.iters": 1},
+    ])
+    def test_edge_values_run(self, fitted_run, tmp_path, overrides):
+        assert self.aggregate(fitted_run, tmp_path, overrides) == 0
+
+    def test_game_trace_bytes_and_report_gap(self, fitted_run):
+        # the array-built rows match per-cell formatting of the solver's traces
+        _, run = fitted_run
+        rows = (run / "regret_matrix.csv").read_text().splitlines()[1:]
+        R = np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
+        sol = solve_regret_game(R, iters=60, step=0.05)
+        lines = ["iteration,w_0,w_1,p_0,p_1,p_2,gap"]
+        for t in range(sol.iters):
+            cells = ([repr(float(v)) for v in sol.w_avg_trace[t]]
+                     + [repr(float(v)) for v in sol.p_avg_trace[t]]
+                     + [repr(float(sol.gap_trace[t]))])
+            lines.append(",".join([str(t + 1)] + cells))
+        assert (run / "game_trace.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+        report = json.loads((run / "aggregate_report.json").read_text())
+        assert report["solution"]["gap"] == float(sol.gap_trace[-1])
