@@ -210,9 +210,9 @@ def solve_regret_game(
         step = 0.05 / scale if scale > 0 else 0.05
     if not (np.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and > 0, got {step!r}")
-    # |2x - x_prev|_1 <= 3 per player, so no log-weight moves further than
-    # this per iteration; beyond _MAX_LOG_MOVE exp could overflow, or a
-    # whole player's weights underflow to zero
+    # |2x - x_prev|_1 <= 3 per player, so a log-weight moves by at most
+    # 3 * step * scale per iteration; beyond _MAX_LOG_MOVE exp could
+    # overflow, or all of one player's weights underflow to zero
     if 3.0 * step * scale > _MAX_LOG_MOVE:
         raise ValueError(f"step {step!r} is too large for a regret matrix of scale "
                          f"{scale!r}: log-weights could move by {3.0 * step * scale:.3g} "

@@ -475,6 +475,7 @@ def cmd_aggregate(cfg: Mapping, ensemble_path: Path, catalog_path: Path, out: Pa
             f"(aliases {sorted(METHOD_ALIASES)}), got {acfg['method']!r}"
         )
     iters = _require_int(cfg, "aggregate.iters", minimum=2 if method == "affine" else 1)
+    inner_steps = _require_int(cfg, "aggregate.inner_steps")
     # lightweight has no automatic step to fall back on
     step = _require_step(cfg, "step", allow_null=method != "lightweight")
     policy_step = _require_step(cfg, "policy_step")
@@ -536,7 +537,7 @@ def cmd_aggregate(cfg: Mapping, ensemble_path: Path, catalog_path: Path, out: Pa
             table, trace = agg.minimax_policy_lightweight(
                 dataset, catalog, ensemble, gamma, ref,
                 iters=iters, step=step,
-                inner_steps=acfg["inner_steps"],
+                inner_steps=inner_steps,
                 prompt_weights=pw,
             )
         else:

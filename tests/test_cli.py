@@ -614,6 +614,9 @@ class TestAggregateValidation:
         ({"aggregate.step": 0}, "aggregate.step"),
         ({"aggregate.step": 1e6}, "aggregate.step"),
         ({"aggregate.method": "lightweight", "aggregate.step": None}, "aggregate.step"),
+        ({"aggregate.method": "lightweight", "aggregate.inner_steps": 0}, "aggregate.inner_steps"),
+        ({"aggregate.method": "lightweight", "aggregate.inner_steps": "abc"},
+         "aggregate.inner_steps"),
         ({"aggregate.policy_step": 0.0}, "aggregate.policy_step"),
         ({"aggregate.policy_step": float("inf")}, "aggregate.policy_step"),
         ({"aggregate.mwu_step": -0.05}, "aggregate.mwu_step"),
