@@ -8,12 +8,12 @@ from .rewards import (
     pairwise_prob,
     choice_prob,
     mixture_choice_prob,
+    exact_choice_weights,
 )
 from .simulate import (
     AnnotatorData,
     Dataset,
     PreferenceRecord,
-    exact_choice_weights,
     expected_dataset,
     make_adversarial_pair,
     make_mpi_population,

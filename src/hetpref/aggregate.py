@@ -36,11 +36,10 @@ from .policy import (
     ScoreTable,
     _check_mixture_weights,
     _flat_prompt_weights,
-    _segment_log_softmax,
     gauge_fix,
     uniform_prompt_weights,
 )
-from .rewards import Catalog
+from .rewards import Catalog, segment_log_softmax, softmax_lse
 from .simulate import Dataset
 
 __all__ = [
@@ -87,7 +86,7 @@ class _FlatEnsemble:
 
     def log_policy(self, scores: np.ndarray, kappa: float) -> np.ndarray:
         """log pi for flat scores: pi proportional to pi_ref * exp(s / kappa) per prompt."""
-        return _segment_log_softmax(self.log_ref + scores / kappa, self.catalog.offsets)
+        return segment_log_softmax(self.log_ref + scores / kappa, self.catalog.offsets)
 
     def distribution(self, policy) -> np.ndarray:
         """Flat response distribution of any policy flavor (see policy_distributions)."""
@@ -372,9 +371,8 @@ def minimax_policy_lightweight(
         )
         regrets = flat.regrets(table)
         log_w = log_w + step * regrets
-        log_w -= log_w.max()
-        w = np.exp(log_w)
-        w /= w.sum()
+        w, lse = softmax_lse(log_w)
+        log_w -= lse
         trace.append(
             {
                 "iteration": t,
@@ -454,9 +452,8 @@ def minimax_policy_direct(
         h -= np.repeat(np.add.reduceat(pi * h, starts), sizes)
         s = s - policy_step * (flat.weight / kappa) * pi * h
         log_w = log_w + mwu_step * (pos + kl)
-        log_w -= log_w.max()
-        w = np.exp(log_w)
-        w /= w.sum()
+        w, lse = softmax_lse(log_w)
+        log_w -= lse
         trace.append(
             {
                 "iteration": t,

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import hashlib
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -160,9 +162,7 @@ def load_config(path: str | Path) -> dict:
 
 def _require_int(cfg: Mapping, dotted: str, minimum: int = 1) -> int:
     """An integer config field of at least ``minimum``, else a ConfigError."""
-    node: Any = cfg
-    for part in dotted.split("."):
-        node = node[part]
+    node = functools.reduce(operator.getitem, dotted.split("."), cfg)
     if not isinstance(node, int) or isinstance(node, bool) or node < minimum:
         kind = {0: "a non-negative integer", 1: "a positive integer"}.get(
             minimum, f"an integer >= {minimum}")
@@ -170,17 +170,18 @@ def _require_int(cfg: Mapping, dotted: str, minimum: int = 1) -> int:
     return node
 
 
-def _require_step(cfg: Mapping, field: str, allow_null: bool = False) -> float | None:
-    """A finite, positive ``aggregate`` step size; null only where ``allow_null``."""
-    value = cfg["aggregate"][field]
-    if value is None and allow_null:
+def _require_number(cfg: Mapping, dotted: str, positive: bool = True,
+                    allow_null: bool = False) -> float | None:
+    """A finite number config field, > 0 if ``positive``; null only where ``allow_null``."""
+    node = functools.reduce(operator.getitem, dotted.split("."), cfg)
+    if node is None and allow_null:
         return None
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not (math.isfinite(value) and value > 0)):
+    if (isinstance(node, bool) or not isinstance(node, (int, float))
+            or not (math.isfinite(node) and (node > 0 or not positive))):
         null = ", or null for the affine solver's automatic step" if allow_null else ""
-        raise ConfigError(f"config field 'aggregate.{field}' must be a finite number > 0"
-                          f"{null}, got {value!r}")
-    return float(value)
+        raise ConfigError(f"config field {dotted!r} must be a finite number"
+                          f"{' > 0' if positive else ''}{null}, got {node!r}")
+    return float(node)
 
 
 def build_population(cfg: Mapping) -> tuple[rewards.Population, rewards.Catalog]:
@@ -229,9 +230,8 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    # str(float) is the shortest round-trip form, the same as repr
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -306,19 +306,29 @@ def cmd_simulate(cfg: Mapping, out: Path) -> None:
     )
 
 
-def _em_kwargs(cfg: Mapping) -> dict:
-    em = cfg["emdpo"]
-    return dict(
-        kappa=em["kappa"],
-        max_iters=em["max_iters"],
-        tol=em["tol"],
-        init=em["init"],
-        seed=_require_int(cfg, "emdpo.seed", minimum=0),
-        restarts=em["restarts"],
-        grad_tol=em["grad_tol"],
-        inner_max_iter=em["inner_max_iter"],
-        on_nonconvergence=em["on_nonconvergence"],
-    )
+def _em_kwargs(cfg: Mapping, section: str = "emdpo") -> dict:
+    """Checked run_em keyword arguments from every field of ``section`` but ``k``:
+    ``emdpo``, or ``identify.em``, which may hold any of its fields."""
+    kwargs = {}
+    for key, value in functools.reduce(operator.getitem, section.split("."), cfg).items():
+        dotted = f"{section}.{key}"
+        if key in ("kappa", "grad_tol"):
+            value = _require_number(cfg, dotted)
+        elif key == "tol":
+            value = _require_number(cfg, dotted, positive=False)
+        elif key in ("k", "max_iters", "restarts", "inner_max_iter"):
+            value = _require_int(cfg, dotted)
+        elif key == "seed":
+            value = _require_int(cfg, dotted, minimum=0)
+        elif key not in default_config()["emdpo"]:
+            raise ConfigError(f"unknown config field {dotted!r}; expected one of "
+                              f"{sorted(default_config()['emdpo'])}")
+        elif value not in _DOMAINS[f"emdpo.{key}"]:
+            raise ConfigError(f"config field {dotted!r} must be one of "
+                              f"{_DOMAINS[f'emdpo.{key}']}, got {value!r}")
+        kwargs[key] = value
+    kwargs.pop("k", None)
+    return kwargs
 
 
 def _write_em_outputs(out: Path, state: emdpo.EmState, catalog: rewards.Catalog,
@@ -477,9 +487,9 @@ def cmd_aggregate(cfg: Mapping, ensemble_path: Path, catalog_path: Path, out: Pa
     iters = _require_int(cfg, "aggregate.iters", minimum=2 if method == "affine" else 1)
     inner_steps = _require_int(cfg, "aggregate.inner_steps")
     # lightweight has no automatic step to fall back on
-    step = _require_step(cfg, "step", allow_null=method != "lightweight")
-    policy_step = _require_step(cfg, "policy_step")
-    mwu_step = _require_step(cfg, "mwu_step")
+    step = _require_number(cfg, "aggregate.step", allow_null=method != "lightweight")
+    policy_step = _require_number(cfg, "aggregate.policy_step")
+    mwu_step = _require_number(cfg, "aggregate.mwu_step")
     out.mkdir(parents=True, exist_ok=True)
     inputs = {
         "ensemble.json": _file_sha256(ensemble_path),
@@ -487,16 +497,7 @@ def cmd_aggregate(cfg: Mapping, ensemble_path: Path, catalog_path: Path, out: Pa
     }
     outputs: dict = {}
 
-    L = agg.discrepancy_matrix(ensemble, ref, catalog, pw)
-    R = agg.regret_matrix(L)
-    regret_table = out / "regret_matrix.csv"
-    _write_csv(
-        regret_table,
-        ["row"] + [f"member_{j}" for j in range(ensemble.k)],
-        [[("null" if i == 0 else f"type_{i - 1}")] + [float(v) for v in R[i]]
-         for i in range(ensemble.k + 1)],
-    )
-    outputs["regret_matrix.csv"] = _file_sha256(regret_table)
+    R = agg.regret_matrix(agg.discrepancy_matrix(ensemble, ref, catalog, pw))
 
     if method == "affine":
         try:
@@ -560,6 +561,15 @@ def cmd_aggregate(cfg: Mapping, ensemble_path: Path, catalog_path: Path, out: Pa
         candidate = table
         solution = {"method": method}
 
+    # written only once the method has succeeded: a failed run leaves no output
+    regret_table = out / "regret_matrix.csv"
+    _write_csv(
+        regret_table,
+        ["row"] + [f"member_{j}" for j in range(ensemble.k)],
+        [[("null" if i == 0 else f"type_{i - 1}")] + R[i].tolist()
+         for i in range(ensemble.k + 1)],
+    )
+    outputs["regret_matrix.csv"] = _file_sha256(regret_table)
     regrets = agg.regrets_of_policy(candidate, ensemble, ref, catalog, pw)
     report = {
         "method": method,
@@ -577,6 +587,7 @@ def cmd_identify(cfg: Mapping, out: Path) -> None:
     icfg = cfg["identify"]
     theta = np.asarray(icfg["theta"], dtype=float)
     seed = _require_int(cfg, "identify.seed", minimum=0)
+    em_config = _em_kwargs(cfg, "identify.em")
     n_responses = _require_int(cfg, "identify.n_responses")
     spread = float(icfg["reward_spread"])
     catalog = identify.recovery_catalog(theta, n_responses, spread)
@@ -615,11 +626,11 @@ def cmd_identify(cfg: Mapping, out: Path) -> None:
         if not isinstance(n, int) or n < 1:
             raise ConfigError("config field 'identify.n_values' must hold positive integers")
         rep3 = identify.ternary_recovery_experiment(
-            theta, n=n, seed=seed, em_config=dict(icfg["em"]),
+            theta, n=n, seed=seed, em_config=em_config,
             choice_set_size=3, n_responses=n_responses, reward_spread=spread,
         )
         rep2 = identify.ternary_recovery_experiment(
-            theta, n=n, seed=seed, em_config=dict(icfg["em"]),
+            theta, n=n, seed=seed, em_config=em_config,
             choice_set_size=2, n_responses=n_responses, reward_spread=spread,
         )
         rows.append([

@@ -26,7 +26,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigError, ConvergenceError
 from .policy import ScoreEnsemble, ScoreTable, gauge_fix
-from .rewards import Catalog
+from .rewards import Catalog, softmax_lse
 from .simulate import Dataset, PreferenceRecord
 
 __all__ = [
@@ -43,19 +43,6 @@ __all__ = [
     "lloyd_kmeans",
     "mean_winner_features",
 ]
-
-def _pattern_logp(x: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log P(winner) and choice probabilities of each column of an (L, P) block.
-
-    ``idx`` holds one pattern per column, winner in row 0; rows are
-    contiguous, so the reductions over a pattern run along axis 0.
-    """
-    s = x[idx]
-    mx = s.max(axis=0)
-    e = np.exp(s - mx)
-    tot = e.sum(axis=0)
-    return s[0] - mx - np.log(tot), e / tot
-
 
 INIT_STRATEGIES = ("kmeans_winner_features", "random_dirichlet", "from_true_labels")
 ROW_SUM_ATOL = 1e-10
@@ -74,7 +61,8 @@ class CompiledRecords:
     numbered by set size; each entry ``(span, idx)`` of ``blocks`` holds
     the C-contiguous (L, P) index matrix of the patterns in slice ``span``.
     ``inverse`` maps each record to its pattern and ``record_rows`` to its
-    annotator's row.
+    annotator's row. A block's scores ``x[idx]`` have one pattern per
+    column, so its softmax runs along axis 0 and row 0 is the winner's.
     Each prompt's negated Hessian is an r x r block of one flat buffer;
     entry ``(hslice, cols)`` of ``groups`` is the (G, r, r) run of the G
     prompts with r responses and their flat score indices; ``hess_pos``
@@ -160,9 +148,10 @@ class CompiledRecords:
         hess = np.zeros(self.hess_size)
         for (span, idx), pos in zip(self.blocks, self.hess_pos):
             c = weights[span]
-            logp, p = _pattern_logp(x, idx)
+            s = x[idx]
+            p, lse = softmax_lse(s, axis=0)
             cp = c * p
-            val += np.bincount(self.prompt_of[idx[0]], c * logp, minlength=val.size)
+            val += np.bincount(self.prompt_of[idx[0]], c * (s[0] - lse), minlength=val.size)
             grad += np.bincount(idx[0], c, minlength=self.size)
             grad -= np.bincount(idx.ravel(), cp.ravel(), minlength=self.size)
             pairs = cp[:, None, :] * (np.eye(len(idx))[:, :, None] - p[None, :, :])
@@ -176,7 +165,8 @@ class CompiledRecords:
         for k, table in enumerate(tables):
             x = self.catalog.flatten(table.scores)
             for span, idx in self.blocks:
-                logp[span] = _pattern_logp(x, idx)[0]
+                s = x[idx]
+                logp[span] = s[0] - softmax_lse(s, axis=0)[1]
             out[:, k] = np.bincount(self.record_rows, logp[self.inverse],
                                     minlength=self.n_rows)
         return out
@@ -292,11 +282,9 @@ def _e_step_compiled(
     logl = compiled.annotator_logliks(ensemble.tables)
     with np.errstate(divide="ignore"):
         joint = logl + np.log(ensemble.eta)[None, :]
-    mx = joint.max(axis=1)
-    norm = np.log(np.exp(joint - mx[:, None]).sum(axis=1)) + mx
+    gamma, norm = softmax_lse(joint, axis=1)
     if not np.all(np.isfinite(norm)):
         raise ArithmeticError("zero mixture likelihood for some annotator")
-    gamma = np.exp(joint - norm[:, None])
     return gamma, float(norm.sum())
 
 

@@ -19,13 +19,8 @@ import numpy as np
 from .emdpo import run_em
 from .errors import RankError
 from .policy import ScoreEnsemble, ScoreTable, optimal_table_for_type, reward_margin
-from .rewards import Catalog, Population, mixture_choice_prob, softmax
-from .simulate import (
-    Dataset,
-    exact_choice_weights,
-    make_adversarial_pair,
-    simulate_dataset,
-)
+from .rewards import Catalog, Population, exact_choice_weights, softmax
+from .simulate import Dataset, make_adversarial_pair, simulate_dataset
 
 __all__ = [
     "verify_binary_flatness",
@@ -43,10 +38,11 @@ def verify_binary_flatness(catalog: Catalog, theta: np.ndarray) -> float:
     population = make_adversarial_pair(theta)
     worst = 0.0
     for prompt in catalog.prompts:
-        rids = catalog.responses(prompt)
-        for y1, y2 in combinations(rids, 2):
-            p = mixture_choice_prob(catalog, population, prompt, [y1, y2], y1)
-            worst = max(worst, abs(p - 0.5))
+        rewards = catalog.features(prompt) @ population.thetas.T  # (responses, K)
+        pairs = np.array(list(combinations(range(len(rewards)), 2)))
+        # each pair's (2, K) rewards; the softmax runs over the pair
+        p = softmax(rewards[pairs], axis=1)[:, 0] @ population.etas
+        worst = max(worst, float(np.abs(p - 0.5).max()))
     return worst
 
 
@@ -77,20 +73,19 @@ def expected_record_loglik(
     return total / count
 
 
-def _population_model(catalog: Catalog, population: Population):
-    def model(prompt: str, cset: tuple[str, ...]) -> np.ndarray:
-        return exact_choice_weights(catalog, population, prompt, cset)
+def _mixture_model(catalog: Catalog, mixture: Population | ScoreEnsemble):
+    """Winner distribution over a choice set under a population or a fitted ensemble."""
+    if isinstance(mixture, Population):
+        scores = {p: catalog.features(p) @ mixture.thetas.T for p in catalog.prompts}
+        eta = mixture.etas
+    else:
+        scores = {p: np.stack([t.scores[p] for t in mixture.tables], axis=1)
+                  for p in catalog.prompts}
+        eta = mixture.eta
 
-    return model
-
-
-def _ensemble_model(catalog: Catalog, ensemble: ScoreEnsemble):
     def model(prompt: str, cset: tuple[str, ...]) -> np.ndarray:
         idx = [catalog.response_index(prompt, y) for y in cset]
-        probs = np.stack(
-            [softmax(t.scores[prompt][idx]) for t in ensemble.tables], axis=1
-        )
-        return probs @ ensemble.eta
+        return softmax(scores[prompt][idx], axis=0) @ eta  # (set, K) @ (K,)
 
     return model
 
@@ -107,7 +102,7 @@ def binary_likelihood_flatness(
     scores identically; a single ternary record already separates them.
     """
     values = [
-        expected_record_loglik(dataset, catalog, truth, _population_model(catalog, c))
+        expected_record_loglik(dataset, catalog, truth, _mixture_model(catalog, c))
         for c in candidates
     ]
     return float(max(values) - min(values))
@@ -262,10 +257,10 @@ def ternary_recovery_experiment(
 
     null = Population.from_weights([np.zeros_like(theta)], [1.0])
     exp_fit = expected_record_loglik(
-        dataset, catalog, population, _ensemble_model(catalog, state.ensemble)
+        dataset, catalog, population, _mixture_model(catalog, state.ensemble)
     )
     exp_null = expected_record_loglik(
-        dataset, catalog, population, _population_model(catalog, null)
+        dataset, catalog, population, _mixture_model(catalog, null)
     )
     return RecoveryReport(
         eta_error=eta_err,

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InputError
-from .rewards import SIMPLEX_ATOL, Catalog, softmax
+from .rewards import SIMPLEX_ATOL, Catalog, check_choice_set, segment_log_softmax, softmax
 
 __all__ = [
     "ReferencePolicy",
@@ -95,9 +95,6 @@ class ScoreTable:
             scores={p: np.zeros(len(catalog.responses(p))) for p in catalog.prompts},
         )
 
-    def score(self, catalog: Catalog, prompt: str, response: str) -> float:
-        return float(self.scores[prompt][catalog.response_index(prompt, response)])
-
 
 def gauge_fix(table: ScoreTable) -> ScoreTable:
     """Canonical representative: per-prompt mean score zero."""
@@ -146,18 +143,6 @@ def policy_probs(table: ScoreTable, ref: ReferencePolicy, prompt: str) -> np.nda
     return softmax(logits)
 
 
-def _segment_log_softmax(logits: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Log-softmax of each prompt's block of the last axis of flat logits.
-
-    ``offsets`` is :attr:`Catalog.offsets`. The result is finite wherever
-    the logits are, even where the probability itself underflows.
-    """
-    starts, sizes = offsets[:-1], np.diff(offsets)
-    shifted = logits - np.repeat(np.maximum.reduceat(logits, starts, axis=-1), sizes, axis=-1)
-    lse = np.log(np.add.reduceat(np.exp(shifted), starts, axis=-1))
-    return shifted - np.repeat(lse, sizes, axis=-1)
-
-
 def optimal_table_for_type(catalog: Catalog, theta: np.ndarray, kappa: float) -> ScoreTable:
     """Gauge-fixed scores of the exact KL-regularized optimum for reward theta@psi.
 
@@ -183,13 +168,10 @@ def multi_item_pref_prob(
     rejected: Sequence[str],
 ) -> float:
     """P(winner beats the rejected set): softmax of scores over the comparison set."""
-    if len(rejected) == 0:
-        raise ValueError("rejected set must be non-empty")
-    if winner in rejected:
-        raise ValueError("winner cannot appear in the rejected set")
-    idx = [catalog.response_index(prompt, y) for y in (winner, *rejected)]
-    s = table.scores[prompt][idx]
-    return float(softmax(s)[0])
+    cset = (winner, *rejected)
+    check_choice_set(cset)
+    idx = [catalog.response_index(prompt, y) for y in cset]
+    return float(softmax(table.scores[prompt][idx])[0])
 
 
 def reward_margin(
@@ -225,7 +207,7 @@ def kl_to_ref(
     """kappa-scaled KL of the table's policy from the reference, exact enumeration."""
     w = _flat_prompt_weights(catalog, prompt_weights)
     log_ref = np.log(catalog.flatten(ref.probs))
-    log_pi = _segment_log_softmax(
+    log_pi = segment_log_softmax(
         log_ref + catalog.flatten(table.scores) / table.kappa, catalog.offsets
     )
     return table.kappa * float(np.sum(w * np.exp(log_pi) * (log_pi - log_ref)))

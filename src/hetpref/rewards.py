@@ -2,9 +2,11 @@
 
 A catalog fixes the world: prompts, their candidate responses, and a
 d-dimensional feature vector per (prompt, response). Rewards are linear,
-``theta @ features``. Choice probabilities follow the usual logit forms:
-sigmoid of a reward difference for pairs, softmax over the choice set for
-larger sets, and population mixtures thereof.
+``theta @ features``. Choice probabilities follow the conditional logit
+(McFadden 1974): a softmax of rewards over the choice set, or a population
+mixture thereof. Every softmax in the package is one of the two kernels
+here: :func:`softmax_lse` along an axis, and :func:`segment_log_softmax`
+over the prompt blocks of a flat array laid out by :attr:`Catalog.offsets`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import CatalogKeyError, InvalidChoiceError
 
@@ -28,18 +29,51 @@ __all__ = [
     "pairwise_prob",
     "choice_prob",
     "mixture_choice_prob",
+    "exact_choice_weights",
+    "check_choice_set",
     "softmax",
+    "softmax_lse",
+    "segment_log_softmax",
 ]
 
 SIMPLEX_ATOL = 1e-12
 
 
+def softmax_lse(scores: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax along ``axis`` and the log-normalizer log(sum(exp(scores))).
+
+    The probabilities are exp(s - max) / sum; the log-normalizer has
+    ``axis`` removed and is finite wherever the scores are.
+    """
+    scores = np.asarray(scores, dtype=float)
+    mx = scores.max(axis=axis, keepdims=True)
+    e = np.exp(scores - mx)
+    tot = e.sum(axis=axis, keepdims=True)
+    return e / tot, np.squeeze(mx + np.log(tot), axis=axis)
+
+
 def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax (max subtraction)."""
-    scores = np.asarray(scores, dtype=float)
-    shifted = scores - scores.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return softmax_lse(scores, axis)[0]
+
+
+def segment_log_softmax(logits: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Log-softmax of each prompt's block of the last axis of flat logits.
+
+    ``offsets`` is :attr:`Catalog.offsets`. The result is finite wherever
+    the logits are, even where the probability itself underflows.
+    """
+    starts, sizes = offsets[:-1], np.diff(offsets)
+    shifted = logits - np.repeat(np.maximum.reduceat(logits, starts, axis=-1), sizes, axis=-1)
+    lse = np.log(np.add.reduceat(np.exp(shifted), starts, axis=-1))
+    return shifted - np.repeat(lse, sizes, axis=-1)
+
+
+def check_choice_set(choice_set: Sequence[str]) -> None:
+    """A choice set holds at least 2 distinct responses, else InvalidChoiceError."""
+    if len(choice_set) < 2 or len(set(choice_set)) != len(choice_set):
+        raise InvalidChoiceError(
+            f"choice set must hold >= 2 distinct responses, got {list(choice_set)!r}")
 
 
 @dataclass(frozen=True)
@@ -245,35 +279,41 @@ def reward(catalog: Catalog, theta: np.ndarray, prompt: str, response: str) -> f
     return float(theta @ catalog.feature(prompt, response))
 
 
-def pairwise_prob(
-    catalog: Catalog, theta: np.ndarray, prompt: str, y1: str, y2: str
-) -> float:
-    """P(y1 beats y2) = sigmoid of the reward difference."""
-    if y1 == y2:
-        raise InvalidChoiceError(f"pair must be distinct, got {y1!r} twice")
-    delta = reward(catalog, theta, prompt, y1) - reward(catalog, theta, prompt, y2)
-    return float(expit(delta))
+def exact_choice_weights(
+    catalog: Catalog,
+    theta_or_population: np.ndarray | Population,
+    prompt: str,
+    choice_set: Sequence[str],
+) -> np.ndarray:
+    """Full winner distribution over a choice set (softmax or mixture thereof)."""
+    check_choice_set(choice_set)
+    idx = [catalog.response_index(prompt, y) for y in choice_set]
+    feats = catalog.features(prompt)[idx]
+    if isinstance(theta_or_population, Population):
+        pop = theta_or_population
+        return softmax(feats @ pop.thetas.T, axis=0) @ pop.etas  # (set, K) @ (K,)
+    return softmax(feats @ np.asarray(theta_or_population, dtype=float))
 
 
 def choice_prob(
     catalog: Catalog,
-    theta: np.ndarray,
+    theta: np.ndarray | Population,
     prompt: str,
     choice_set: Sequence[str],
     chosen: str,
 ) -> float:
-    """P(chosen is top pick among choice_set): softmax over linear rewards."""
+    """P(chosen is top pick among choice_set) under theta, or a population's mixture."""
     if chosen not in choice_set:
         raise InvalidChoiceError(f"chosen {chosen!r} not in choice set")
-    if len(set(choice_set)) != len(choice_set):
-        raise InvalidChoiceError("choice set contains duplicates")
-    if len(choice_set) < 2:
-        raise InvalidChoiceError("choice set needs at least 2 alternatives")
-    theta = np.asarray(theta, dtype=float)
-    idx = [catalog.response_index(prompt, y) for y in choice_set]
-    rewards = catalog.features(prompt)[idx] @ theta
-    probs = softmax(rewards)
-    return float(probs[choice_set.index(chosen)])
+    probs = exact_choice_weights(catalog, theta, prompt, choice_set)
+    return float(probs[list(choice_set).index(chosen)])
+
+
+def pairwise_prob(
+    catalog: Catalog, theta: np.ndarray, prompt: str, y1: str, y2: str
+) -> float:
+    """P(y1 beats y2) = sigmoid of the reward difference."""
+    return choice_prob(catalog, theta, prompt, (y1, y2), y1)
 
 
 def mixture_choice_prob(
@@ -284,9 +324,4 @@ def mixture_choice_prob(
     chosen: str,
 ) -> float:
     """Population-level choice probability: eta-weighted average over types."""
-    return float(
-        sum(
-            t.eta * choice_prob(catalog, t.theta, prompt, choice_set, chosen)
-            for t in population.types
-        )
-    )
+    return choice_prob(catalog, population, prompt, choice_set, chosen)

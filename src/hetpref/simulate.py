@@ -20,12 +20,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ConfigError, DegeneratePopulationError, InputError
-from .rewards import Catalog, Population, softmax
+from .rewards import Catalog, Population, exact_choice_weights, softmax
 
 __all__ = [
     "PreferenceRecord",
@@ -34,7 +34,6 @@ __all__ = [
     "make_mpi_population",
     "make_adversarial_pair",
     "simulate_dataset",
-    "exact_choice_weights",
     "expected_dataset",
     "write_dataset",
     "read_dataset",
@@ -233,25 +232,6 @@ def simulate_dataset(
         m=m,
         choice_set_size=choice_set_size,
     )
-
-
-def exact_choice_weights(
-    catalog: Catalog,
-    theta_or_population: np.ndarray | Population,
-    prompt: str,
-    choice_set: Sequence[str],
-) -> np.ndarray:
-    """Full winner distribution over a choice set (softmax or mixture thereof)."""
-    if len(set(choice_set)) != len(choice_set) or len(choice_set) < 2:
-        raise ValueError("choice set must hold >= 2 distinct responses")
-    idx = [catalog.response_index(prompt, y) for y in choice_set]
-    feats = catalog.features(prompt)[idx]
-    if isinstance(theta_or_population, Population):
-        pop = theta_or_population
-        probs = softmax(feats @ pop.thetas.T, axis=0)  # (set, K)
-        return probs @ pop.etas
-    theta = np.asarray(theta_or_population, dtype=float)
-    return softmax(feats @ theta)
 
 
 def expected_dataset(

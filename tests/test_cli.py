@@ -628,6 +628,7 @@ class TestAggregateValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and repr(field) in err, err
         assert not (tmp_path / "x" / "aggregate_report.json").exists()
+        assert not (tmp_path / "x" / "regret_matrix.csv").exists()
 
     @pytest.mark.parametrize("overrides", [
         {"aggregate.step": None},
@@ -652,3 +653,60 @@ class TestAggregateValidation:
         assert (run / "game_trace.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
         report = json.loads((run / "aggregate_report.json").read_text())
         assert report["solution"]["gap"] == float(sol.gap_trace[-1])
+
+
+class TestEmdpoValidation:
+    """Bad EM numbers, in emdpo or in identify.em, exit 2 naming the field."""
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"emdpo.kappa": 0}, "emdpo.kappa"),
+        ({"emdpo.kappa": -1}, "emdpo.kappa"),
+        ({"emdpo.kappa": "abc"}, "emdpo.kappa"),
+        ({"emdpo.kappa": float("inf")}, "emdpo.kappa"),
+        ({"emdpo.grad_tol": -1}, "emdpo.grad_tol"),
+        ({"emdpo.grad_tol": 0}, "emdpo.grad_tol"),
+        ({"emdpo.tol": "abc"}, "emdpo.tol"),
+        ({"emdpo.tol": float("nan")}, "emdpo.tol"),
+        ({"emdpo.max_iters": 0}, "emdpo.max_iters"),
+        ({"emdpo.max_iters": 2.5}, "emdpo.max_iters"),
+        ({"emdpo.restarts": 0}, "emdpo.restarts"),
+        ({"emdpo.inner_max_iter": "abc"}, "emdpo.inner_max_iter"),
+        ({"emdpo.inner_max_iter": True}, "emdpo.inner_max_iter"),
+    ])
+    @pytest.mark.parametrize("command", ["emdpo", "sweep-k"])
+    def test_bad_value_is_2(self, fitted_run, tmp_path, capsys, command, overrides, field):
+        _, run = fitted_run
+        cfg = write_config(tmp_path, overrides, name="em.yaml")
+        code = main([command, "--config", str(cfg), "--dataset", str(run / "dataset.jsonl"),
+                     "--catalog", str(run / "catalog.json"), "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and repr(field) in err, err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("em, field", [
+        ({"bogus": 1}, "identify.em.bogus"),
+        ({"kappa": 0}, "identify.em.kappa"),
+        ({"kappa": "abc"}, "identify.em.kappa"),
+        ({"tol": "abc"}, "identify.em.tol"),
+        ({"grad_tol": -1}, "identify.em.grad_tol"),
+        ({"max_iters": 0}, "identify.em.max_iters"),
+        ({"inner_max_iter": "abc"}, "identify.em.inner_max_iter"),
+        ({"seed": -1}, "identify.em.seed"),
+        ({"init": "nope"}, "identify.em.init"),
+        ({"on_nonconvergence": "ignore"}, "identify.em.on_nonconvergence"),
+    ])
+    def test_identify_em_bad_value_is_2(self, tmp_path, capsys, em, field):
+        cfg = write_config(tmp_path, {"identify.em": em})
+        assert main(["identify", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and repr(field) in err, err
+        assert not (tmp_path / "x").exists()
+
+    def test_edge_values_run(self, fitted_run, tmp_path):
+        # a negative tol never stops early; an integer kappa is a number
+        _, run = fitted_run
+        cfg = write_config(tmp_path, {"emdpo.tol": -1.0, "emdpo.kappa": 1,
+                                      "emdpo.max_iters": 2})
+        assert main(["emdpo", "--config", str(cfg), "--dataset", str(run / "dataset.jsonl"),
+                     "--catalog", str(run / "catalog.json"), "--out", str(tmp_path / "x")]) == 0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hetpref.errors import InvalidChoiceError
 from hetpref.policy import (
     ReferencePolicy,
     ScoreEnsemble,
@@ -142,8 +143,10 @@ class TestMultiItemPrefProb:
 
     def test_empty_rejected_rejected(self, two_prompt_catalog):
         table = ScoreTable.zeros(two_prompt_catalog, kappa=1.0)
-        with pytest.raises(ValueError):
-            multi_item_pref_prob(table, two_prompt_catalog, "p0", "r0", [])
+        # empty, holding the winner, or holding a duplicate
+        for rejected in ([], ["r0"], ["r1", "r1"]):
+            with pytest.raises(InvalidChoiceError):
+                multi_item_pref_prob(table, two_prompt_catalog, "p0", "r0", rejected)
 
 
 class TestRewardMargin:

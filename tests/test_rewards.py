@@ -1,16 +1,33 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
 
 from hetpref.errors import CatalogKeyError, InvalidChoiceError
+from hetpref.identify import verify_binary_flatness
+from hetpref.policy import (
+    ReferencePolicy,
+    ScoreEnsemble,
+    ScoreTable,
+    mixture_policy_probs,
+    multi_item_pref_prob,
+    policy_probs,
+)
 from hetpref.rewards import (
     Catalog,
     Population,
     choice_prob,
+    exact_choice_weights,
     mixture_choice_prob,
     pairwise_prob,
     reward,
+    segment_log_softmax,
+    softmax,
+    softmax_lse,
 )
 from hetpref.simulate import make_adversarial_pair
 
@@ -186,3 +203,134 @@ class TestCatalogSerialization:
             Catalog.build({"p": [("a", [1.0]), ("a", [2.0])]})
         with pytest.raises(ValueError):
             Catalog.build({"p": [("a", [1.0]), ("b", [1.0, 2.0])]})
+
+
+# -- the kernel contract ------------------------------------------------------
+# Features and scores spread up to +-700 (rewards up to +-1050) put exp(s)
+# itself out of range; the references below divide by a sum of
+# exp(s_j - s_i) instead, where an overflow to inf gives a correct 0.
+
+SPREADS = st.sampled_from([1.0, 40.0, 700.0])
+
+
+def ref_top1(r):
+    """P(i is top) = 1 / sum_j exp(r_j - r_i) for every i."""
+    with np.errstate(over="ignore"):
+        return 1.0 / np.exp(r[None, :] - r[:, None]).sum(axis=1)
+
+
+@st.composite
+def choice_worlds(draw):
+    """A one-prompt catalog with d = 1 (reward = theta * feature), a choice
+    set in random order, a population and a score table over the prompt."""
+    n = draw(st.integers(2, 6))
+    spread = draw(SPREADS)
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    feats = np.array(draw(st.lists(unit, min_size=n, max_size=n))) * spread
+    catalog = Catalog.build({"p": [(f"r{i}", [f]) for i, f in enumerate(feats)]})
+    cset = draw(st.permutations(range(n)))[:draw(st.integers(2, n))]
+    k = draw(st.integers(1, 3))
+    thetas = draw(st.lists(st.floats(-1.5, 1.5, allow_nan=False), min_size=k, max_size=k))
+    etas = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    population = Population.from_weights([[t] for t in thetas], etas / etas.sum())
+    kappa = draw(st.floats(0.5, 2.0))
+    scores = np.array(draw(st.lists(unit, min_size=n, max_size=n))) * spread
+    return catalog, feats, [f"r{i}" for i in cset], list(cset), population, kappa, scores
+
+
+class TestKernelContract:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(choice_worlds())
+    def test_choice_probabilities_match_reference(self, world):
+        catalog, feats, cset, idx, population, kappa, scores = world
+        theta = population.thetas[0]
+        r = feats[idx] * theta[0]
+        want = ref_top1(r)
+        got = exact_choice_weights(catalog, theta, "p", cset)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert abs(got.sum() - 1.0) <= 1e-12
+        each = [choice_prob(catalog, theta, "p", cset, y) for y in cset]
+        np.testing.assert_allclose(each, want, rtol=0, atol=1e-12)
+        assert abs(sum(each) - 1.0) <= 1e-12
+
+        a, b = cset[0], cset[1]
+        p_ab = pairwise_prob(catalog, theta, "p", a, b)
+        assert abs(p_ab - expit(r[0] - r[1])) <= 1e-12
+        assert abs(p_ab + pairwise_prob(catalog, theta, "p", b, a) - 1.0) <= 1e-12
+
+        # mixtures: a loop over types
+        mix = sum(t.eta * ref_top1(feats[idx] * t.theta[0]) for t in population.types)
+        np.testing.assert_allclose(exact_choice_weights(catalog, population, "p", cset), mix,
+                                   rtol=0, atol=1e-12)
+        each = [mixture_choice_prob(catalog, population, "p", cset, y) for y in cset]
+        np.testing.assert_allclose(each, mix, rtol=0, atol=1e-12)
+        assert abs(sum(each) - 1.0) <= 1e-12
+
+        table = ScoreTable(kappa=kappa, scores={"p": scores})
+        each = [multi_item_pref_prob(table, catalog, "p", y, [z for z in cset if z != y])
+                for y in cset]
+        np.testing.assert_allclose(each, ref_top1(scores[idx]), rtol=0, atol=1e-12)
+        assert abs(sum(each) - 1.0) <= 1e-12
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(choice_worlds(), st.data())
+    def test_policies_match_reference(self, world, data):
+        catalog, _feats, _cset, _idx, population, kappa, scores = world
+        n = len(scores)
+        ref_probs = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+        ref = ReferencePolicy({"p": ref_probs / ref_probs.sum()})
+        tables = [ScoreTable(kappa=kappa, scores={"p": scores * t.theta[0]})
+                  for t in population.types]
+        members = [ref_top1(np.log(ref.probs["p"]) + t.scores["p"] / kappa) for t in tables]
+        for table, want in zip(tables, members):
+            got = policy_probs(table, ref, "p")
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            assert abs(got.sum() - 1.0) <= 1e-12
+        ensemble = ScoreEnsemble(tables=tuple(tables), eta=population.etas)
+        got = mixture_policy_probs(ensemble, population.etas, ref, "p")
+        want = sum(w * m for w, m in zip(population.etas, members))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert abs(got.sum() - 1.0) <= 1e-12
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), SPREADS, st.sampled_from([0, 1, -1]),
+           st.data())
+    def test_softmax_is_shifted_exp_over_sum(self, rows, cols, spread, axis, data):
+        unit = st.floats(-1.0, 1.0, allow_nan=False)
+        s = np.array(data.draw(st.lists(unit, min_size=rows * cols, max_size=rows * cols)))
+        s = s.reshape(rows, cols) * spread
+        e = np.exp(s - s.max(axis=axis, keepdims=True))
+        want = e / e.sum(axis=axis, keepdims=True)
+        assert np.array_equal(softmax(s, axis=axis), want)
+        probs, lse = softmax_lse(s, axis=axis)
+        assert np.array_equal(probs, want)
+        np.testing.assert_allclose(lse, np.logaddexp.reduce(s, axis=axis), rtol=1e-15,
+                                   atol=1e-12)
+        # the ragged kernel on the rows of s laid end to end
+        offsets = np.arange(0, rows * cols + 1, cols)
+        logp = segment_log_softmax(s.ravel(), offsets)
+        np.testing.assert_allclose(np.exp(logp), softmax(s, axis=1).ravel(), rtol=0,
+                                   atol=1e-12)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), SPREADS, st.data())
+    def test_binary_flatness_equals_per_pair_loop(self, n_prompts, d, spread, data):
+        unit = st.floats(-1.0, 1.0, allow_nan=False)
+        entries = {}
+        for j in range(n_prompts):
+            n = data.draw(st.integers(2, 7))
+            entries[f"q{j}"] = [
+                (f"r{i}", np.array(data.draw(st.lists(unit, min_size=d, max_size=d))) * spread)
+                for i in range(n)
+            ]
+        catalog = Catalog.build(entries)
+        theta = np.array(data.draw(st.lists(st.floats(0.1, 2.0), min_size=d, max_size=d)))
+
+        # the per-pair loop verify_binary_flatness ran before its one kernel call per prompt
+        population = make_adversarial_pair(theta)
+        worst = 0.0
+        for prompt in catalog.prompts:
+            for y1, y2 in combinations(catalog.responses(prompt), 2):
+                p = mixture_choice_prob(catalog, population, prompt, [y1, y2], y1)
+                worst = max(worst, abs(p - 0.5))
+        assert verify_binary_flatness(catalog, theta) == worst
