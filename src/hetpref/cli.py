@@ -180,8 +180,26 @@ def _require_number(cfg: Mapping, dotted: str, positive: bool = True,
             or not (math.isfinite(node) and (node > 0 or not positive))):
         null = ", or null for the affine solver's automatic step" if allow_null else ""
         raise ConfigError(f"config field {dotted!r} must be a finite number"
-                          f"{' > 0' if positive else ''}{null}, got {node!r}")
+                          f"{' > 0' if positive else ''}{null}, got {node!r}"
+                          f"{_yaml11_hint(node)}")
     return float(node)
+
+
+def _yaml11_hint(node: Any) -> str:
+    """Why a string that looks like a float was not read as a number, or "".
+
+    PyYAML follows YAML 1.1, where a float needs a dot and a signed
+    exponent: ``1e-8`` and ``1.0e6`` are strings, ``1.0e-8`` and
+    ``1.0e+6`` are numbers.
+    """
+    try:
+        value = float(node) if isinstance(node, str) else math.nan
+    except ValueError:
+        return ""
+    if not math.isfinite(value):
+        return ""
+    spelling = np.format_float_scientific(value, trim="0", exp_digits=1)
+    return f" (YAML read it as a string; write {spelling} for a number)"
 
 
 def build_population(cfg: Mapping) -> tuple[rewards.Population, rewards.Catalog]:
@@ -490,7 +508,6 @@ def cmd_aggregate(cfg: Mapping, ensemble_path: Path, catalog_path: Path, out: Pa
     step = _require_number(cfg, "aggregate.step", allow_null=method != "lightweight")
     policy_step = _require_number(cfg, "aggregate.policy_step")
     mwu_step = _require_number(cfg, "aggregate.mwu_step")
-    out.mkdir(parents=True, exist_ok=True)
     inputs = {
         "ensemble.json": _file_sha256(ensemble_path),
         "catalog.json": _file_sha256(catalog_path),
@@ -498,21 +515,20 @@ def cmd_aggregate(cfg: Mapping, ensemble_path: Path, catalog_path: Path, out: Pa
     outputs: dict = {}
 
     R = agg.regret_matrix(agg.discrepancy_matrix(ensemble, ref, catalog, pw))
+    csvs: dict[str, tuple[list, list]] = {}  # file name -> (header, rows)
+    table = None  # the aggregated policy of the table-valued methods
 
     if method == "affine":
         try:
             sol = agg.solve_regret_game(R, iters=iters, step=step)
         except ValueError as exc:  # R is finite, so the step is at fault
             raise ConfigError(f"config field 'aggregate.step': {exc}") from None
-        trace_path = out / "game_trace.csv"
         columns = np.column_stack([sol.w_avg_trace, sol.p_avg_trace, sol.gap_trace])
-        _write_csv(
-            trace_path,
+        csvs["game_trace.csv"] = (
             ["iteration"] + [f"w_{j}" for j in range(ensemble.k)]
             + [f"p_{j}" for j in range(ensemble.k + 1)] + ["gap"],
             [[t] + row for t, row in enumerate(columns.tolist(), 1)],
         )
-        outputs["game_trace.csv"] = _file_sha256(trace_path)
         candidate: Any = sol.w
         solution = {
             "method": method,
@@ -550,26 +566,25 @@ def cmd_aggregate(cfg: Mapping, ensemble_path: Path, catalog_path: Path, out: Pa
             except StepSizeError as exc:
                 raise ConfigError(f"config field 'aggregate.policy_step' is too large, "
                                   f"the direct descent diverged: {exc}") from None
+        csvs["aggregate_trace.csv"] = _flatten_trace(trace)
+        candidate = table
+        solution = {"method": method}
+
+    # --out is made only once the method has succeeded: a failed run leaves nothing
+    out.mkdir(parents=True, exist_ok=True)
+    if table is not None:
         policy_path = out / "aggregated_policy.json"
         single = policy.ScoreEnsemble(tables=(table,), eta=np.array([1.0]))
         policy.write_ensemble(single, catalog, policy_path)
         outputs["aggregated_policy.json"] = _file_sha256(policy_path)
-        trace_path = out / "aggregate_trace.csv"
-        header, rows = _flatten_trace(trace)
-        _write_csv(trace_path, header, rows)
-        outputs["aggregate_trace.csv"] = _file_sha256(trace_path)
-        candidate = table
-        solution = {"method": method}
-
-    # written only once the method has succeeded: a failed run leaves no output
-    regret_table = out / "regret_matrix.csv"
-    _write_csv(
-        regret_table,
+    csvs["regret_matrix.csv"] = (
         ["row"] + [f"member_{j}" for j in range(ensemble.k)],
         [[("null" if i == 0 else f"type_{i - 1}")] + R[i].tolist()
          for i in range(ensemble.k + 1)],
     )
-    outputs["regret_matrix.csv"] = _file_sha256(regret_table)
+    for name, (header, rows) in csvs.items():
+        _write_csv(out / name, header, rows)
+        outputs[name] = _file_sha256(out / name)
     regrets = agg.regrets_of_policy(candidate, ensemble, ref, catalog, pw)
     report = {
         "method": method,

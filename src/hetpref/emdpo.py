@@ -67,6 +67,12 @@ class CompiledRecords:
     entry ``(hslice, cols)`` of ``groups`` is the (G, r, r) run of the G
     prompts with r responses and their flat score indices; ``hess_pos``
     places the (L, L, P) pattern pairs of each block in the buffer.
+
+    An annotator's E-step row depends only on its *profile*, the ordered
+    sequence of its records' pattern ids (the order fixes the rounding of
+    its log-likelihood sum). ``profile_of`` maps each row to its profile;
+    ``rep_patterns`` and ``rep_profiles`` hold, in record order, the pattern
+    and the profile of each record of one representative row per profile.
     """
 
     def __init__(self, catalog: Catalog, records: Sequence[PreferenceRecord],
@@ -98,6 +104,22 @@ class CompiledRecords:
         renumber[order] = np.arange(len(order))
         self.inverse = renumber[inverse]
         self.n_patterns = len(keys)
+        # One row per annotator of its pattern ids in record order, padded with -1.
+        by_row = np.argsort(self.record_rows, kind="stable")
+        per_row = np.bincount(self.record_rows, minlength=self.n_rows)
+        pos = np.arange(self.n_records) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+        seqs = np.full((self.n_rows, per_row.max(initial=0)), -1, dtype=np.intp)
+        seqs[self.record_rows[by_row], pos] = self.inverse[by_row]
+        _, first, profile_of = np.unique(seqs, axis=0, return_index=True, return_inverse=True)
+        self.profile_of = profile_of.reshape(-1)
+        self.n_profiles = first.size
+        representative = np.zeros(self.n_rows, dtype=bool)
+        representative[first] = True
+        rep = representative[self.record_rows]
+        self.rep_patterns = self.inverse[rep]
+        self.rep_profiles = self.profile_of[self.record_rows[rep]]
+        # (support mask, existence-check answer) of the last check; see unbounded_prompt
+        self._support: tuple[np.ndarray, str | None] | None = None
         self.blocks: list[tuple[slice, np.ndarray]] = []
         for L in np.unique(lengths):
             idx = np.array([keys[i] for i in order[lengths[order] == L]], dtype=np.intp).T.copy()
@@ -158,18 +180,33 @@ class CompiledRecords:
             hess += np.bincount(pos.ravel(), pairs.ravel(), minlength=self.hess_size)
         return val, grad, hess
 
-    def annotator_logliks(self, tables: Sequence[ScoreTable]) -> np.ndarray:
-        """(n_rows, K) sums of record log-probabilities per annotator and type."""
-        out = np.empty((self.n_rows, len(tables)))
+    def profile_logliks(self, tables: Sequence[ScoreTable]) -> np.ndarray:
+        """(n_profiles, K) sums of record log-probabilities per profile and type."""
+        out = np.empty((self.n_profiles, len(tables)))
         logp = np.empty(self.n_patterns)
         for k, table in enumerate(tables):
             x = self.catalog.flatten(table.scores)
             for span, idx in self.blocks:
                 s = x[idx]
                 logp[span] = s[0] - softmax_lse(s, axis=0)[1]
-            out[:, k] = np.bincount(self.record_rows, logp[self.inverse],
-                                    minlength=self.n_rows)
+            out[:, k] = np.bincount(self.rep_profiles, logp[self.rep_patterns],
+                                    minlength=self.n_profiles)
         return out
+
+    def annotator_logliks(self, tables: Sequence[ScoreTable]) -> np.ndarray:
+        """(n_rows, K) sums of record log-probabilities per annotator and type."""
+        return self.profile_logliks(tables)[self.profile_of]
+
+    def unbounded_prompt(self, record_weights: np.ndarray) -> str | None:
+        """:func:`_unbounded_prompt`, rerun only when the support changes.
+
+        Its answer depends on the weights only through which patterns carry
+        positive weight; the last support and answer are kept.
+        """
+        support = np.bincount(self.inverse, record_weights, minlength=self.n_patterns) > 0
+        if self._support is None or not np.array_equal(self._support[0], support):
+            self._support = (support, _unbounded_prompt(self, record_weights))
+        return self._support[1]
 
 
 def fit_preference_table(
@@ -279,13 +316,14 @@ def e_step(dataset: Dataset, catalog: Catalog, ensemble: ScoreEnsemble) -> np.nd
 def _e_step_compiled(
     compiled: CompiledRecords, ensemble: ScoreEnsemble
 ) -> tuple[np.ndarray, float]:
-    logl = compiled.annotator_logliks(ensemble.tables)
+    # Row-wise arithmetic: annotators sharing a profile share a posterior.
+    logl = compiled.profile_logliks(ensemble.tables)
     with np.errstate(divide="ignore"):
         joint = logl + np.log(ensemble.eta)[None, :]
     gamma, norm = softmax_lse(joint, axis=1)
     if not np.all(np.isfinite(norm)):
         raise ArithmeticError("zero mixture likelihood for some annotator")
-    return gamma, float(norm.sum())
+    return gamma[compiled.profile_of], float(norm[compiled.profile_of].sum())
 
 
 def m_step_eta(gamma: np.ndarray) -> np.ndarray:
@@ -351,7 +389,7 @@ def _m_step_policy_impl(
             tables.append(gauge_fix(table))
             norms.append(0.0)
             continue
-        unbounded = _unbounded_prompt(compiled, weights)
+        unbounded = compiled.unbounded_prompt(weights)
         if unbounded is not None:
             fail(f"policy M-step for type {k}: {unbounded}")
         table, grad_norm = fit_preference_table(
@@ -374,13 +412,15 @@ def mixture_loglik(dataset: Dataset, catalog: Catalog, ensemble: ScoreEnsemble) 
 
 def mean_winner_features(dataset: Dataset, catalog: Catalog) -> np.ndarray:
     """(n, d) matrix of each annotator's average winning-response features."""
-    out = np.zeros((dataset.n, catalog.d))
-    for i, a in enumerate(dataset.annotators):
-        acc = np.zeros(catalog.d)
-        for r in a.records:
-            acc += catalog.feature(r.prompt, r.winner)
-        out[i] = acc / len(a.records)
-    return out
+    start = dict(zip(catalog.prompts, catalog.offsets.tolist()))
+    win = [catalog.response_index(r.prompt, r.winner) + start[r.prompt]
+           for a in dataset.annotators for r in a.records]
+    sizes = np.array([len(a.records) for a in dataset.annotators])
+    rows = np.repeat(np.arange(dataset.n), sizes)
+    feats = np.concatenate([catalog.features(p) for p in catalog.prompts])[win]
+    # bincount adds each annotator's records in order, as a running sum would
+    sums = [np.bincount(rows, feats[:, j], minlength=dataset.n) for j in range(catalog.d)]
+    return np.column_stack(sums) / sizes[:, None]
 
 
 def lloyd_kmeans(

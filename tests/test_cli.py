@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 from hetpref.aggregate import solve_regret_game
-from hetpref.cli import main
+from hetpref.cli import load_config, main
 
 BASE_CONFIG = {
     "population": {
@@ -627,8 +627,7 @@ class TestAggregateValidation:
         assert self.aggregate(fitted_run, tmp_path, overrides) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and repr(field) in err, err
-        assert not (tmp_path / "x" / "aggregate_report.json").exists()
-        assert not (tmp_path / "x" / "regret_matrix.csv").exists()
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("overrides", [
         {"aggregate.step": None},
@@ -653,6 +652,27 @@ class TestAggregateValidation:
         assert (run / "game_trace.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
         report = json.loads((run / "aggregate_report.json").read_text())
         assert report["solution"]["gap"] == float(sol.gap_trace[-1])
+
+
+@pytest.mark.parametrize("command, field, text, number", [
+    ("emdpo", "emdpo.grad_tol", "1e-8", "1.0e-8"),
+    ("aggregate", "aggregate.policy_step", "1.0e6", "1.0e+6"),
+])
+def test_yaml_1_1_float_string_is_named(fitted_run, tmp_path, capsys, command, field, text,
+                                        number):
+    # YAML 1.1 reads a float without a dot, or with an unsigned exponent, as a string
+    _, run = fitted_run
+    cfg = write_config(tmp_path, {field: "NUMBER", "aggregate.method": "direct"})
+    cfg.write_text(cfg.read_text().replace("NUMBER", text))
+    assert load_config(cfg)[field.split(".")[0]][field.split(".")[1]] == text
+    inputs = {"emdpo": ["--dataset", str(run / "dataset.jsonl")],
+              "aggregate": ["--ensemble", str(run / "ensemble.json")]}[command]
+    assert main([command, "--config", str(cfg), *inputs, "--catalog", str(run / "catalog.json"),
+                 "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert f"got {text!r} (YAML read it as a string; write {number} for a number)" in err, err
+    assert yaml.safe_load(f"v: {number}")["v"] == float(text)
+    assert not (tmp_path / "x").exists()
 
 
 class TestEmdpoValidation:

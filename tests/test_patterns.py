@@ -1,6 +1,7 @@
 """The pattern-compressed likelihood and its Newton terms against per-record formulas."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
+from hetpref import emdpo
 from hetpref.emdpo import CompiledRecords, _unbounded_prompt, fit_preference_table
 from hetpref.identify import recovery_catalog
 from hetpref.policy import ScoreTable, gauge_fix
@@ -273,3 +275,28 @@ def test_existence_check_matches_ford_oracle(world, data):
             if rec.prompt == prompt and w > 0]
     assert top and not any(win not in top and rej & top for win, rej in live)
     assert any(win in top and rej - top for win, rej in live)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(worlds(), st.data())
+def test_memoized_existence_check_equals_fresh(world, data):
+    catalog, records, _w, _x = world
+    compiled = CompiledRecords.from_records(records, catalog)
+    for _ in range(4):
+        weights = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                                              min_size=len(records), max_size=len(records))))
+        assert compiled.unbounded_prompt(weights) == _unbounded_prompt(compiled, weights)
+
+
+def test_existence_check_reruns_when_support_changes():
+    catalog = Catalog.build({"q": [(f"r{i}", [float(i)]) for i in range(3)]})
+    records = [PreferenceRecord(annotator=0, prompt="q", winner=w, rejected=(y,))
+               for w, y in [("r0", "r1"), ("r1", "r2"), ("r2", "r0")]]
+    compiled = CompiledRecords.from_records(records, catalog)
+    positive, cut = np.array([1.0, 2.0, 0.5]), np.array([1.0, 2.0, 0.0])
+    with mock.patch.object(emdpo, "_unbounded_prompt", wraps=_unbounded_prompt) as check:
+        answers = [compiled.unbounded_prompt(w) for w in (positive, 3 * positive, cut, positive)]
+    assert answers[:2] == [None, None] and answers[3] is None
+    assert answers[2] == _unbounded_prompt(compiled, cut)
+    assert answers[2].startswith("no finite maximizer: in prompt 'q', 'r0' never lose")
+    assert check.call_count == 3  # the second support equals the first
