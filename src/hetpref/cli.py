@@ -192,8 +192,10 @@ def _yaml11_hint(node: Any) -> str:
     exponent: ``1e-8`` and ``1.0e6`` are strings, ``1.0e-8`` and
     ``1.0e+6`` are numbers.
     """
+    if not isinstance(node, str):
+        return ""
     try:
-        value = float(node) if isinstance(node, str) else math.nan
+        value = float(node)
     except ValueError:
         return ""
     if not math.isfinite(value):
