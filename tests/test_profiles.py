@@ -81,8 +81,9 @@ def em_worlds(draw):
 
     template = st.lists(st.integers(0, len(sizes) - 1).flatmap(choice), min_size=1, max_size=4)
     templates = draw(st.lists(template, min_size=1, max_size=4))
+    # at least three annotators, so k-means can start up to three types
     picks = draw(st.lists(st.tuples(st.integers(0, len(templates) - 1), st.booleans()),
-                          min_size=2, max_size=14))
+                          min_size=3, max_size=14))
     annotators = []
     for a, (t, shuffle) in enumerate(picks):
         recs = list(templates[t])
