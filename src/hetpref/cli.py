@@ -185,6 +185,19 @@ def _require_number(cfg: Mapping, dotted: str, positive: bool = True,
     return float(node)
 
 
+def _require_theta(cfg: Mapping, dotted: str) -> np.ndarray:
+    """An adversarial pair's theta: a list of finite numbers, not all zero."""
+    node = functools.reduce(operator.getitem, dotted.split("."), cfg)
+    try:
+        theta = np.asarray(node, dtype=float)
+    except (TypeError, ValueError):
+        theta = np.empty(0)
+    if theta.ndim != 1 or not np.all(np.isfinite(theta)) or not np.any(theta != 0.0):
+        raise ConfigError(f"config field {dotted!r} must be a list of finite numbers, "
+                          f"not all zero, got {node!r}")
+    return theta
+
+
 def _yaml11_hint(node: Any) -> str:
     """Why a string that looks like a float was not read as a number, or "".
 
@@ -209,17 +222,17 @@ def build_population(cfg: Mapping) -> tuple[rewards.Population, rewards.Catalog]
     preset = pop_cfg["preset"]
     if preset == "mpi":
         n_phrases = _require_int(cfg, "population.n_phrases")
-        return simulate.make_mpi_population(n_phrases=n_phrases, seed=pop_cfg["phrase_seed"])
+        seed = _require_int(cfg, "population.phrase_seed", minimum=0)
+        return simulate.make_mpi_population(n_phrases=n_phrases, seed=seed)
     if preset == "adversarial":
-        theta = pop_cfg["theta"]
-        if theta is None:
+        if pop_cfg["theta"] is None:
             raise ConfigError("config field 'population.theta' is required for the "
                               "adversarial preset")
-        theta = np.asarray(theta, dtype=float)
+        theta = _require_theta(cfg, "population.theta")
         catalog = identify.recovery_catalog(
             theta,
-            n_responses=_require_int(cfg, "population.n_responses"),
-            reward_spread=float(pop_cfg["reward_spread"]),
+            n_responses=_require_int(cfg, "population.n_responses", minimum=2),
+            reward_spread=_require_number(cfg, "population.reward_spread"),
         )
         return simulate.make_adversarial_pair(theta), catalog
     # custom
@@ -229,12 +242,18 @@ def build_population(cfg: Mapping) -> tuple[rewards.Population, rewards.Catalog]
     if pop_cfg["catalog"] is None:
         raise ConfigError("config field 'population.catalog' is required for the "
                           "custom preset: {prompt: [[response, [features...]], ...]}")
-    entries = {
-        prompt: [(rid, vec) for rid, vec in items]
-        for prompt, items in pop_cfg["catalog"].items()
-    }
-    catalog = rewards.Catalog.build(entries)
-    population = rewards.Population.from_weights(pop_cfg["thetas"], pop_cfg["etas"])
+    try:
+        catalog = rewards.Catalog.build({
+            prompt: [(rid, vec) for rid, vec in items]
+            for prompt, items in pop_cfg["catalog"].items()
+        })
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config field 'population.catalog': {exc}") from None
+    try:
+        population = rewards.Population.from_weights(pop_cfg["thetas"], pop_cfg["etas"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config fields 'population.thetas' and 'population.etas': "
+                          f"{exc}") from None
     if population.thetas.shape[1] != catalog.d:
         raise ConfigError("config field 'population.thetas' dimension does not match "
                           "the catalog feature dimension")
@@ -602,11 +621,16 @@ def cmd_aggregate(cfg: Mapping, ensemble_path: Path, catalog_path: Path, out: Pa
 
 def cmd_identify(cfg: Mapping, out: Path) -> None:
     icfg = cfg["identify"]
-    theta = np.asarray(icfg["theta"], dtype=float)
+    theta = _require_theta(cfg, "identify.theta")
     seed = _require_int(cfg, "identify.seed", minimum=0)
     em_config = _em_kwargs(cfg, "identify.em")
-    n_responses = _require_int(cfg, "identify.n_responses")
-    spread = float(icfg["reward_spread"])
+    n_responses = _require_int(cfg, "identify.n_responses", minimum=2)
+    spread = _require_number(cfg, "identify.reward_spread")
+    n_values = icfg["n_values"]
+    if not isinstance(n_values, list) or not all(
+            isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in n_values):
+        raise ConfigError(f"config field 'identify.n_values' must be a list of positive "
+                          f"integers, got {n_values!r}")
     catalog = identify.recovery_catalog(theta, n_responses, spread)
     population = simulate.make_adversarial_pair(theta)
 
@@ -639,9 +663,7 @@ def cmd_identify(cfg: Mapping, out: Path) -> None:
 
     rows = []
     reports = []
-    for n in icfg["n_values"]:
-        if not isinstance(n, int) or n < 1:
-            raise ConfigError("config field 'identify.n_values' must hold positive integers")
+    for n in n_values:
         rep3 = identify.ternary_recovery_experiment(
             theta, n=n, seed=seed, em_config=em_config,
             choice_set_size=3, n_responses=n_responses, reward_spread=spread,

@@ -6,13 +6,14 @@ choice set without replacement, and a winner drawn from the type's choice
 model. Includes the synthetic personality population used throughout the
 experiments and the adversarial +/-theta pair.
 
-Sampling runs in two phases. The first walks one child random stream per
-annotator and makes only the random calls, in a fixed order. The second
-turns every draw into types, winners and records in one vectorized pass.
-The streams and the order of calls on them are part of the output: the
-two phases give the same records as drawing record by record, and
-changing either changes every dataset (golden digests in
-``tests/test_simulate.py`` pin them).
+Sampling runs in two phases. The first makes only the random calls, in a
+fixed order, on one child random stream per annotator; ``_streams`` makes
+each call for all annotators at once, with the draws numpy's ``Generator``
+would make on each stream. The second turns every draw into types, winners
+and records in one vectorized pass. The streams and the order of calls on
+them are part of the output: the two phases give the same records as
+drawing record by record, and changing either changes every dataset
+(golden digests in ``tests/test_simulate.py`` pin them).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
+from ._streams import Streams
 from .errors import ConfigError, DegeneratePopulationError, InputError
 from .rewards import Catalog, Population, exact_choice_weights, softmax
 
@@ -167,11 +169,20 @@ def simulate_dataset(
 
     Annotator i draws from its own child stream,
     ``SeedSequence(rng_seed).spawn(n)[i]``, so generation order cannot
-    change the output. Phase 1 walks the streams and makes only the random
-    calls: a type uniform, then per record a prompt, a choice set and a
-    winner uniform. Phase 2 turns all draws into types, winners and records
-    in one vectorized pass.
+    change the output. Phase 1 makes only the random calls: a type uniform,
+    then per record a prompt, a choice set and a winner uniform. Each call
+    runs on all n streams at once, so phase 1 costs about m * (2 *
+    choice_set_size + 2) array steps over n lanes: cheap for many
+    annotators, slower than one numpy ``Generator`` per annotator when n is
+    tiny and m is large. Phase 2 turns all draws into types, winners and
+    records in one vectorized pass.
+
+    ``n``, ``m`` and ``choice_set_size`` must be integers; ``rng_seed`` is
+    anything ``numpy.random.SeedSequence`` accepts as entropy.
     """
+    for name, value in (("n", n), ("m", m), ("choice_set_size", choice_set_size)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if n < 1 or m < 1:
         raise ConfigError("n and m must be >= 1")
     if choice_set_size < 2:
@@ -183,22 +194,20 @@ def simulate_dataset(
             )
 
     prompt_ids = catalog.prompts
-    sizes = np.diff(catalog.offsets).tolist()
+    sizes = np.diff(catalog.offsets)
 
-    # Phase 1: only the random calls, stream by stream, in a fixed order.
-    # Record r = i * m + j is annotator i's j-th record.
-    type_u = np.empty(n)
-    prompt = np.empty(n * m, dtype=np.intp)
-    sel = np.empty((n * m, choice_set_size), dtype=np.intp)
-    winner_u = np.empty(n * m)
-    for i, stream in enumerate(np.random.SeedSequence(rng_seed).spawn(n)):
-        rng = np.random.default_rng(stream)
-        type_u[i] = rng.random()
-        for r in range(i * m, (i + 1) * m):
-            p = rng.integers(len(prompt_ids))
-            prompt[r] = p
-            sel[r] = rng.choice(sizes[p], size=choice_set_size, replace=False)
-            winner_u[r] = rng.random()
+    # Phase 1: only the random calls, in each stream's fixed order, all
+    # streams at once. Record r = i * m + j is annotator i's j-th record.
+    streams = Streams(rng_seed, n)
+    type_u = streams.random()
+    prompt = np.empty((n, m), dtype=np.intp)
+    sel = np.empty((n, m, choice_set_size), dtype=np.intp)
+    winner_u = np.empty((n, m))
+    for j in range(m):
+        prompt[:, j] = streams.integers(len(prompt_ids))
+        sel[:, j] = streams.choice(sizes[prompt[:, j]], choice_set_size)
+        winner_u[:, j] = streams.random()
+    prompt, sel, winner_u = prompt.ravel(), sel.reshape(n * m, -1), winner_u.ravel()
 
     # Phase 2: types, then each record's winner from the inverse CDF of its
     # type's softmax over the set, gathered from one flat (response, type)

@@ -675,6 +675,73 @@ def test_yaml_1_1_float_string_is_named(fitted_run, tmp_path, capsys, command, f
     assert not (tmp_path / "x").exists()
 
 
+CUSTOM_POPULATION = {
+    "preset": "custom",
+    "thetas": [[1.0, 0.0], [0.0, 1.0]],
+    "etas": [0.5, 0.5],
+    "catalog": {"q": [["a", [1.0, 0.0]], ["b", [0.0, 1.0]], ["c", [1.0, 1.0]]]},
+}
+
+
+class TestPopulationValidation:
+    """Malformed population fields exit 2 naming the field, before any output."""
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"population.theta": [2.0, "x"]}, "population.theta"),
+        ({"population.theta": [0.0, 0.0]}, "population.theta"),
+        ({"population.theta": 2.0}, "population.theta"),
+        ({"population.reward_spread": "abc"}, "population.reward_spread"),
+        ({"population.reward_spread": 0}, "population.reward_spread"),
+        ({"population.n_responses": 1}, "population.n_responses"),
+        ({"population": {"preset": "mpi", "n_phrases": 10, "phrase_seed": "x"}},
+         "population.phrase_seed"),
+        ({"population": {**CUSTOM_POPULATION,
+                         "catalog": {"q": [["a", [1.0, "x"]], ["b", [0.0, 1.0]]]}}},
+         "population.catalog"),
+        ({"population": {**CUSTOM_POPULATION, "catalog": {"q": [["a", [1.0, 0.0]]]}}},
+         "population.catalog"),
+        ({"population": {**CUSTOM_POPULATION, "etas": [0.5]}}, "population.etas"),
+        ({"population": {**CUSTOM_POPULATION, "etas": [0.5, 0.4]}}, "population.etas"),
+        ({"population": {**CUSTOM_POPULATION, "thetas": [[1.0, "x"], [0.0, 1.0]]}},
+         "population.thetas"),
+    ])
+    def test_bad_value_is_2(self, tmp_path, capsys, overrides, field):
+        cfg = write_config(tmp_path, overrides)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and repr(field) in err, err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("population", [
+        CUSTOM_POPULATION,
+        {"preset": "mpi", "n_phrases": 10, "phrase_seed": 3},
+    ])
+    def test_valid_population_runs(self, tmp_path, population):
+        cfg = write_config(tmp_path, {"population": population})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
+
+
+class TestIdentifyValidation:
+    """Malformed identify fields exit 2 naming the field, before any output."""
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"identify.reward_spread": "abc"}, "identify.reward_spread"),
+        ({"identify.theta": [1.0, "x"]}, "identify.theta"),
+        ({"identify.theta": [0.0, 0.0]}, "identify.theta"),
+        ({"identify.theta": []}, "identify.theta"),
+        ({"identify.n_values": 5}, "identify.n_values"),
+        ({"identify.n_values": [500, 0]}, "identify.n_values"),
+        ({"identify.n_values": [500, True]}, "identify.n_values"),
+        ({"identify.n_responses": 1}, "identify.n_responses"),
+    ])
+    def test_bad_value_is_2(self, tmp_path, capsys, overrides, field):
+        cfg = write_config(tmp_path, overrides)
+        assert main(["identify", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and repr(field) in err, err
+        assert not (tmp_path / "x").exists()
+
+
 class TestEmdpoValidation:
     """Bad EM numbers, in emdpo or in identify.em, exit 2 naming the field."""
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from hetpref._streams import Streams
 from hetpref.errors import ConfigError, DegeneratePopulationError
 from hetpref.identify import recovery_catalog
 from hetpref.rewards import Catalog, Population, pairwise_prob, reward, softmax
@@ -95,6 +96,38 @@ class TestSimulateDataset:
         catalog, population = small_world
         with pytest.raises(ConfigError):
             simulate_dataset(catalog, population, n=5, m=1, choice_set_size=6, rng_seed=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 2.5), ("n", True), ("m", 1.0), ("m", np.float64(2)), ("choice_set_size", 3.0),
+        ("choice_set_size", "3"),
+    ])
+    def test_non_integer_sizes_rejected(self, small_world, field, value):
+        catalog, population = small_world
+        sizes = {"n": 5, "m": 2, "choice_set_size": 3} | {field: value}
+        with pytest.raises(ConfigError, match=field):
+            simulate_dataset(catalog, population, rng_seed=0, **sizes)
+
+    def test_numpy_integer_sizes_accepted(self, small_world):
+        catalog, population = small_world
+        a = simulate_dataset(catalog, population, n=np.int64(6), m=np.int32(2),
+                             choice_set_size=np.int64(3), rng_seed=4)
+        assert a == simulate_dataset(catalog, population, n=6, m=2, choice_set_size=3, rng_seed=4)
+
+    @pytest.mark.parametrize("seed, error, message", [
+        (-1, ValueError, "non-negative"),
+        (1.5, TypeError, "int or sequence of ints"),
+        ("7", TypeError, "int or sequence of ints"),
+    ])
+    def test_bad_seed_raises_numpys_error(self, small_world, seed, error, message):
+        catalog, population = small_world
+        with pytest.raises(error, match=message):
+            simulate_dataset(catalog, population, n=5, m=1, choice_set_size=2, rng_seed=seed)
+
+    def test_none_seed_draws_fresh_entropy(self, small_world):
+        catalog, population = small_world
+        a, b = (simulate_dataset(catalog, population, n=50, m=3, choice_set_size=3, rng_seed=None)
+                for _ in range(2))
+        assert a.seed is None and a.records() != b.records()
 
     def test_winner_frequency_matches_pairwise_prob(self):
         theta = np.array([0.9])
@@ -230,7 +263,7 @@ def sampler_inputs(draw):
     population = Population.from_weights(scale * rng.normal(size=(k, d)), weights / weights.sum())
     m = draw(st.integers(1, 4))
     choice_set_size = draw(st.integers(2, min(sizes)))
-    seed = draw(st.sampled_from([0, 1, 12345, 2**32 + 17]) | st.integers(0, 2**64))
+    seed = draw(st.sampled_from([0, 1, 12345, 2**32 + 17, 2**130]) | st.integers(0, 2**64))
     return catalog, population, draw(st.integers(1, 25)), m, choice_set_size, seed
 
 
@@ -260,3 +293,68 @@ class TestVectorizedSampler:
                                   rng_seed=2**33 + 5)
         write_dataset(ds, tmp_path / "d.jsonl")
         assert hashlib.sha256((tmp_path / "d.jsonl").read_bytes()).hexdigest() == digest
+
+
+def generator_draws(seed, n, calls):
+    """Each call made on numpy's Generator for every child of SeedSequence(seed)."""
+    rows = []
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n)):
+        rng = np.random.default_rng(child)
+        row = []
+        for name, *args in calls:
+            if name == "choice":
+                r = int(np.broadcast_to(args[0], n)[i])
+                row.extend(rng.choice(r, size=args[1], replace=False).tolist())
+            else:
+                row.append(getattr(rng, name)(*args))
+        rows.append(row)
+    return rows
+
+
+def stream_draws(seed, n, calls):
+    """The same calls made once on all n lanes of Streams, regrouped by lane."""
+    streams = Streams(seed, n)
+    columns = [getattr(streams, name)(*args).reshape(n, -1) for name, *args in calls]
+    return [[x for c in columns for x in c[i].tolist()] for i in range(n)]
+
+
+class TestStreams:
+    """Streams against numpy's Generator on paths the sampler tests do not reach."""
+
+    MIXED = [("random",), ("integers", 5), ("choice", 7, 3), ("random",), ("integers", 1),
+             ("choice", 2, 2), ("random",)]
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_rejection_heavy_range(self, seed):
+        # Range 2**31 + 1: Lemire's threshold is 2**31 - 1, so about half of
+        # all 32-bit words are rejected and lanes fall out of step.
+        calls = [("integers", 2**31 + 1)] * 6 + [("random",), ("choice", 9, 4)]
+        assert stream_draws(seed, 64, calls) == generator_draws(seed, 64, calls)
+
+    @pytest.mark.parametrize("seed", [2**128, 2**130, 2**200 + 12345, [3, 2**40, 5, 6, 7]])
+    def test_entropy_longer_than_the_pool(self, seed):
+        assert stream_draws(seed, 16, self.MIXED) == generator_draws(seed, 16, self.MIXED)
+
+    def test_choice_sizes_per_lane(self):
+        calls = [("choice", np.array([2, 3, 7, 9, 5, 2, 2, 6]), 2), ("integers", 3), ("random",)]
+        assert stream_draws(5, 8, calls) == generator_draws(5, 8, calls)
+
+    def test_tail_shuffle(self):
+        # numpy shuffles the tail of arange(r) when r > 10000 and k > r // 50:
+        # 10001 and 20000 take that branch with k = 201, 10050 and 201 do not.
+        calls = [("choice", np.array([10_001, 20_000, 10_050, 201, 10_001]), 201), ("random",),
+                 ("choice", 10_001, 200), ("integers", 3)]
+        assert stream_draws(3, 5, calls) == generator_draws(3, 5, calls)
+
+    def test_tail_shuffle_of_the_whole_population(self):
+        calls = [("choice", 10_001, 10_001), ("random",)]
+        assert stream_draws(9, 2, calls) == generator_draws(9, 2, calls)
+
+    def test_one_prompt_catalog(self):
+        # integers(1) draws nothing, so the choice set follows the type uniform
+        catalog = Catalog.build({"only": [(f"r{i}", [float(i), 1.0 - i]) for i in range(5)]})
+        population = Population.from_weights([[1.0, 0.0], [0.0, 1.0]], [0.3, 0.7])
+        inputs = (catalog, population, 40, 3, 3, 2**64 + 3)
+        ds = simulate_dataset(*inputs)
+        assert [a.records for a in ds.annotators] == [a.records for a in
+                                                      reference_annotators(*inputs)]
