@@ -157,9 +157,9 @@ class Streams:
         """``Generator.random()`` in every lane."""
         return (self._next64() >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
-    def integers(self, high) -> np.ndarray:
-        """``Generator.integers(high)`` per lane; ``high`` a scalar or one per lane."""
-        return self._bounded(np.broadcast_to(np.asarray(high, dtype=np.int64) - 1, self.hi.shape))
+    def integers(self, high: int) -> np.ndarray:
+        """``Generator.integers(high)`` in every lane."""
+        return self._bounded(np.full(self.hi.shape, high - 1))
 
     def choice(self, r, k: int) -> np.ndarray:
         """``Generator.choice(r, size=k, replace=False)`` per lane, ``r`` one per lane.

@@ -171,11 +171,11 @@ def simulate_dataset(
     ``SeedSequence(rng_seed).spawn(n)[i]``, so generation order cannot
     change the output. Phase 1 makes only the random calls: a type uniform,
     then per record a prompt, a choice set and a winner uniform. Each call
-    runs on all n streams at once, so phase 1 costs about m * (2 *
-    choice_set_size + 2) array steps over n lanes: cheap for many
-    annotators, slower than one numpy ``Generator`` per annotator when n is
-    tiny and m is large. Phase 2 turns all draws into types, winners and
-    records in one vectorized pass.
+    runs on all n streams at once, so phase 1 takes about
+    m * (2 * choice_set_size + 1) draws, each a few dozen array operations
+    over n lanes: cheap for many annotators, slower than one numpy
+    ``Generator`` per annotator when n is tiny and m is large. Phase 2 turns
+    all draws into types, winners and records in one vectorized pass.
 
     ``n``, ``m`` and ``choice_set_size`` must be integers; ``rng_seed`` is
     anything ``numpy.random.SeedSequence`` accepts as entropy.
