@@ -299,18 +299,12 @@ def _read_dataset(path: Path, catalog: rewards.Catalog) -> simulate.Dataset:
             f"  dataset catalog_hash: {dataset.catalog_hash}\n"
             f"  provided catalog:     {actual}"
         )
-    seen = set()
-    for line, a in enumerate(dataset.annotators, start=2):
-        for rec in a.records:
-            key = (rec.prompt, rec.winner, rec.rejected)
-            if key in seen:
-                continue
-            seen.add(key)
-            try:
-                for y in rec.choice_set:
-                    catalog.response_index(rec.prompt, y)
-            except CatalogKeyError as exc:
-                raise InputError(f"{path}, line {line}: {exc.args[0]}") from None
+    for entry, (prompt, response) in enumerate(dataset.vocab):
+        try:
+            catalog.response_index(prompt, response)
+        except CatalogKeyError as exc:
+            line = dataset.first_row_with(entry) + 2
+            raise InputError(f"{path}, line {line}: {exc.args[0]}") from None
     return dataset
 
 
@@ -380,8 +374,8 @@ def _write_em_outputs(out: Path, state: emdpo.EmState, catalog: rewards.Catalog,
         gamma_path,
         ["annotator"] + [f"g_{j}" for j in range(k)],
         [
-            [a.annotator] + [float(state.gamma[i, j]) for j in range(k)]
-            for i, a in enumerate(dataset.annotators)
+            [a] + [float(g) for g in row]
+            for a, row in zip(dataset.ids.tolist(), state.gamma)
         ],
     )
     trace_path = out / "trace.csv"
@@ -570,7 +564,7 @@ def cmd_aggregate(cfg: Mapping, ensemble_path: Path, catalog_path: Path, out: Pa
             inputs["dataset.jsonl"] = _file_sha256(dataset_path)
             if gamma_path is None:
                 raise ConfigError("aggregate method 'lightweight' requires --gamma")
-            gamma = _read_gamma(gamma_path, [a.annotator for a in dataset.annotators], ensemble.k)
+            gamma = _read_gamma(gamma_path, dataset.ids.tolist(), ensemble.k)
             inputs["gamma.csv"] = _file_sha256(gamma_path)
             table, trace = agg.minimax_policy_lightweight(
                 dataset, catalog, ensemble, gamma, ref,

@@ -18,16 +18,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, InputError
 from .policy import ScoreEnsemble, ScoreTable, gauge_fix
 from .rewards import Catalog, softmax_lse
-from .simulate import Dataset, PreferenceRecord
+from .simulate import Dataset, PreferenceRecord, row_groups
 
 __all__ = [
     "CompiledRecords",
@@ -75,61 +75,43 @@ class CompiledRecords:
     and the profile of each record of one representative row per profile.
     """
 
-    def __init__(self, catalog: Catalog, records: Sequence[PreferenceRecord],
-                 row_of_annotator: Mapping[int, int]):
+    def __init__(self, catalog: Catalog, dataset: Dataset):
         self.catalog = catalog
-        self.n_rows = len(row_of_annotator)
-        self.n_records = len(records)
+        self.n_rows = dataset.n
+        self.n_records = dataset.rows.size
         self.size = int(catalog.offsets[-1])
-        start = dict(zip(catalog.prompts, catalog.offsets.tolist()))
-        self.record_rows = np.array([row_of_annotator[r.annotator] for r in records], np.intp)
-        # Most records repeat an earlier one; ``seen`` skips their catalog lookups.
-        seen: dict[tuple, int] = {}
-        patterns: dict[tuple[int, ...], int] = {}
-        inverse = np.empty(self.n_records, dtype=np.intp)
-        for g, rec in enumerate(records):
-            raw = (rec.prompt, rec.winner, rec.rejected)
-            pid = seen.get(raw)
-            if pid is None:
-                win = catalog.response_index(rec.prompt, rec.winner)
-                rej = sorted(catalog.response_index(rec.prompt, y) for y in rec.rejected)
-                off = start[rec.prompt]
-                key = (off + win, *[off + j for j in rej])
-                pid = seen[raw] = patterns.setdefault(key, len(patterns))
-            inverse[g] = pid
-        keys = list(patterns)
-        lengths = np.array([len(k) for k in keys], dtype=np.intp)
-        order = np.argsort(lengths, kind="stable")
-        renumber = np.empty_like(order)
-        renumber[order] = np.arange(len(order))
-        self.inverse = renumber[inverse]
-        self.n_patterns = len(keys)
+        self.record_rows = dataset.rows
+        flat = dataset.catalog_index(catalog)
+        self.inverse = np.empty(self.n_records, dtype=np.intp)
+        self.blocks: list[tuple[slice, np.ndarray]] = []
+        for recs, sets in dataset.sets_by_size():
+            sets = flat[sets]
+            sets[:, 1:].sort(axis=1)
+            group, first = row_groups(sets)
+            # patterns of one size are numbered by first occurrence
+            rank = np.empty_like(first)
+            rank[np.argsort(first)] = np.arange(first.size)
+            start = self.blocks[-1][0].stop if self.blocks else 0
+            self.inverse[recs] = start + rank[group]
+            self.blocks.append((slice(start, start + first.size), sets[np.sort(first)].T.copy()))
+        self.n_patterns = self.blocks[-1][0].stop if self.blocks else 0
         # One row per annotator of its pattern ids in record order, padded with -1.
         by_row = np.argsort(self.record_rows, kind="stable")
         per_row = np.bincount(self.record_rows, minlength=self.n_rows)
         pos = np.arange(self.n_records) - np.repeat(np.cumsum(per_row) - per_row, per_row)
         seqs = np.full((self.n_rows, per_row.max(initial=0)), -1, dtype=np.intp)
         seqs[self.record_rows[by_row], pos] = self.inverse[by_row]
-        # Equal neighbours in lexicographic row order share a profile
-        # (np.unique(axis=0) finds the same groups, 9x slower at 5000 rows).
-        by_seq = np.lexsort(seqs.T[::-1]) if seqs.size else np.arange(self.n_rows)
-        new = np.ones(self.n_rows, dtype=bool)
-        new[1:] = (seqs[by_seq[1:]] != seqs[by_seq[:-1]]).any(axis=1)
-        self.profile_of = np.empty(self.n_rows, dtype=np.intp)
-        self.profile_of[by_seq] = np.cumsum(new) - 1
-        self.n_profiles = int(new.sum())
+        # Equal rows share a profile (np.unique(axis=0) finds the same groups,
+        # 9x slower at 5000 rows).
+        self.profile_of, first = row_groups(seqs)
+        self.n_profiles = first.size
         representative = np.zeros(self.n_rows, dtype=bool)
-        representative[by_seq[new]] = True
+        representative[first] = True
         rep = representative[self.record_rows]
         self.rep_patterns = self.inverse[rep]
         self.rep_profiles = self.profile_of[self.record_rows[rep]]
         # (support mask, existence-check answer) of the last check; see unbounded_prompt
         self._support: tuple[np.ndarray, str | None] | None = None
-        self.blocks: list[tuple[slice, np.ndarray]] = []
-        for L in np.unique(lengths):
-            idx = np.array([keys[i] for i in order[lengths[order] == L]], dtype=np.intp).T.copy()
-            start = self.blocks[-1][0].stop if self.blocks else 0
-            self.blocks.append((slice(start, start + idx.shape[1]), idx))
 
         starts, sizes = catalog.offsets[:-1], np.diff(catalog.offsets)
         self.prompt_of = np.repeat(np.arange(len(sizes)), sizes)
@@ -151,16 +133,13 @@ class CompiledRecords:
 
     @classmethod
     def from_dataset(cls, dataset: Dataset, catalog: Catalog) -> "CompiledRecords":
-        rows = {a.annotator: i for i, a in enumerate(dataset.annotators)}
-        return cls(catalog, dataset.records(), rows)
+        return cls(catalog, dataset)
 
     @classmethod
     def from_records(cls, records: Sequence[PreferenceRecord], catalog: Catalog
                      ) -> "CompiledRecords":
-        rows = {}
-        for rec in records:
-            rows.setdefault(rec.annotator, len(rows))
-        return cls(catalog, records, rows)
+        """Records in any order; one row per annotator in order of first appearance."""
+        return cls(catalog, Dataset.from_records(records))
 
     def newton_terms(self, x: np.ndarray, weights: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -417,14 +396,12 @@ def mixture_loglik(dataset: Dataset, catalog: Catalog, ensemble: ScoreEnsemble) 
 
 def mean_winner_features(dataset: Dataset, catalog: Catalog) -> np.ndarray:
     """(n, d) matrix of each annotator's average winning-response features."""
-    start = dict(zip(catalog.prompts, catalog.offsets.tolist()))
-    win = [catalog.response_index(r.prompt, r.winner) + start[r.prompt]
-           for a in dataset.annotators for r in a.records]
-    sizes = np.array([len(a.records) for a in dataset.annotators])
-    rows = np.repeat(np.arange(dataset.n), sizes)
+    win = dataset.catalog_index(catalog)[dataset.items[dataset.offsets[:-1]]]
+    sizes = np.bincount(dataset.rows, minlength=dataset.n)
     feats = np.concatenate([catalog.features(p) for p in catalog.prompts])[win]
     # bincount adds each annotator's records in order, as a running sum would
-    sums = [np.bincount(rows, feats[:, j], minlength=dataset.n) for j in range(catalog.d)]
+    sums = [np.bincount(dataset.rows, feats[:, j], minlength=dataset.n)
+            for j in range(catalog.d)]
     return np.column_stack(sums) / sizes[:, None]
 
 
@@ -472,12 +449,14 @@ def init_responsibilities(
         rng = np.random.default_rng(seed)
         return rng.dirichlet(np.ones(k), size=n)
     if strategy == "from_true_labels":
-        gamma = np.zeros((n, k))
-        for i, a in enumerate(dataset.annotators):
-            if a.true_type is None:
-                raise ValueError("dataset carries no true_type labels")
-            gamma[i, a.true_type] = 1.0
-        return gamma
+        labels = dataset.true_type
+        bad = np.flatnonzero((labels < 0) | (labels >= k))
+        if bad.size:
+            i = bad[0]
+            raise InputError(f"annotator {dataset.ids[i]} has no true_type label" if labels[i] < 0
+                             else f"annotator {dataset.ids[i]} has true_type {labels[i]}, "
+                                  f"not below k={k}")
+        return np.eye(k)[labels]
     labels, _ = lloyd_kmeans(mean_winner_features(dataset, catalog), k, seed)
     gamma = np.full((n, k), 0.1 / (k - 1))
     gamma[np.arange(n), labels] = 0.9

@@ -7,6 +7,8 @@ hidden type labels, which exist for exactly this purpose.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .aggregate import regrets_of_policy
@@ -17,7 +19,8 @@ from .emdpo import (
     mean_winner_features,
     run_em,
 )
-from .policy import ReferencePolicy, ScoreEnsemble, ScoreTable, reward_margin
+from .errors import InputError
+from .policy import ReferencePolicy, ScoreEnsemble, ScoreTable
 from .rewards import Catalog
 from .simulate import Dataset
 
@@ -32,21 +35,17 @@ __all__ = [
 ]
 
 
-def _binary_pairs(dataset: Dataset, catalog: Catalog) -> list[tuple[str, str, str]]:
-    pairs = []
-    for rec in dataset.records():
-        if len(rec.rejected) != 1:
-            raise ValueError("margin/accuracy metrics need binary records")
-        pairs.append((rec.prompt, rec.winner, rec.rejected[0]))
-    return pairs
+def _margins(table: ScoreTable, catalog: Catalog, dataset: Dataset) -> np.ndarray:
+    """Implicit-reward margin of each binary record's winner over its loser."""
+    if np.any(np.diff(dataset.offsets) != 2):
+        raise ValueError("margin/accuracy metrics need binary records")
+    x = catalog.flatten(table.scores)[dataset.catalog_index(catalog)[dataset.items]]
+    return x[0::2] - x[1::2]
 
 
 def mean_margin(table: ScoreTable, catalog: Catalog, dataset: Dataset) -> float:
     """Average implicit-reward margin of winner over loser."""
-    pairs = _binary_pairs(dataset, catalog)
-    return float(
-        np.mean([reward_margin(table, catalog, p, w, l) for p, w, l in pairs])
-    )
+    return float(np.mean(_margins(table, catalog, dataset)))
 
 
 def max_mean_reward_margin(
@@ -58,8 +57,7 @@ def max_mean_reward_margin(
 
 def accuracy(table: ScoreTable, catalog: Catalog, dataset: Dataset) -> float:
     """Fraction of records ranked correctly; exact ties count one half."""
-    pairs = _binary_pairs(dataset, catalog)
-    margins = np.array([reward_margin(table, catalog, p, w, l) for p, w, l in pairs])
+    margins = _margins(table, catalog, dataset)
     return float(((margins > 0).sum() + 0.5 * (margins == 0).sum()) / len(margins))
 
 
@@ -122,47 +120,28 @@ def binarize_records(dataset: Dataset) -> Dataset:
     A top choice among a set implies a pairwise win over every rejected
     member; margin and accuracy metrics are defined on such pairs.
     """
-    from .simulate import AnnotatorData, PreferenceRecord
-
-    annotators = []
-    for a in dataset.annotators:
-        records = []
-        for r in a.records:
-            for loser in r.rejected:
-                records.append(
-                    PreferenceRecord(
-                        annotator=a.annotator,
-                        prompt=r.prompt,
-                        winner=r.winner,
-                        rejected=(loser,),
-                    )
-                )
-        annotators.append(
-            AnnotatorData(annotator=a.annotator, records=tuple(records), true_type=a.true_type)
-        )
-    return Dataset(
-        annotators=tuple(annotators),
-        catalog_hash=dataset.catalog_hash,
-        seed=dataset.seed,
-        m=dataset.m,
-        choice_set_size=2,
-    )
+    starts, lengths = dataset.offsets[:-1], np.diff(dataset.offsets)
+    rec = np.repeat(np.arange(lengths.size), lengths - 1)
+    rejected = np.flatnonzero(np.arange(dataset.items.size) != np.repeat(starts, lengths))
+    items = np.column_stack([dataset.items[starts[rec]], dataset.items[rejected]]).ravel()
+    return replace(dataset, rows=dataset.rows[rec], offsets=np.arange(items.size + 1, step=2),
+                   items=items, choice_set_size=2)
 
 
 def split_by_true_type(dataset: Dataset) -> dict[int, Dataset]:
     """Oracle grouping for evaluation: one sub-dataset per hidden type."""
-    groups: dict[int, list] = {}
-    for a in dataset.annotators:
-        if a.true_type is None:
-            raise ValueError("dataset carries no true_type labels")
-        groups.setdefault(a.true_type, []).append(a)
-    return {
-        t: Dataset(
-            annotators=tuple(members),
-            catalog_hash=dataset.catalog_hash,
-            seed=dataset.seed,
-            m=dataset.m,
-            choice_set_size=dataset.choice_set_size,
+    labels = dataset.true_type
+    if np.any(labels < 0):
+        raise InputError(f"annotator {dataset.ids[np.argmax(labels < 0)]} has no true_type "
+                         "label; grouping by type needs every label")
+    groups = {}
+    for t in np.unique(labels).tolist():
+        member = labels == t
+        keep = member[dataset.rows]
+        groups[t] = replace(
+            dataset, ids=dataset.ids[member], true_type=labels[member],
+            rows=(np.cumsum(member) - 1)[dataset.rows[keep]],
+            offsets=np.concatenate([[0], np.cumsum(np.diff(dataset.offsets)[keep])]),
+            items=dataset.items[np.repeat(keep, np.diff(dataset.offsets))],
         )
-        for t, members in sorted(groups.items())
-    }
+    return groups

@@ -20,7 +20,7 @@ from .emdpo import run_em
 from .errors import RankError
 from .policy import ScoreEnsemble, ScoreTable, optimal_table_for_type, reward_margin
 from .rewards import Catalog, Population, exact_choice_weights, softmax
-from .simulate import Dataset, make_adversarial_pair, simulate_dataset
+from .simulate import Dataset, make_adversarial_pair, row_groups, simulate_dataset
 
 __all__ = [
     "verify_binary_flatness",
@@ -56,21 +56,23 @@ def expected_record_loglik(
 
     The expectation replaces the sampled winner with the exact winner
     distribution, giving the infinite-data (per-record cross entropy) form
-    of the log-likelihood for the given choice sets.
+    of the log-likelihood for the given choice sets. ``model`` is called
+    once per distinct choice set, with the responses sorted by name.
     """
-    total = 0.0
-    count = 0
-    cache: dict[tuple[str, tuple[str, ...]], float] = {}
-    for rec in dataset.records():
-        key = (rec.prompt, tuple(sorted(rec.choice_set)))
-        if key not in cache:
-            cset = key[1]
-            p_true = exact_choice_weights(catalog, truth, rec.prompt, cset)
-            p_model = np.asarray(model(rec.prompt, cset), dtype=float)
-            cache[key] = float(p_true @ np.log(p_model))
-        total += cache[key]
-        count += 1
-    return total / count
+    values = np.empty(dataset.rows.size)
+    for recs, sets in dataset.sets_by_size():
+        sets = np.sort(sets, axis=1)
+        group, first = row_groups(sets)
+        per_set = []
+        for row in sets[first].tolist():
+            prompt = dataset.vocab[row[0]][0]
+            cset = tuple(sorted(dataset.vocab[v][1] for v in row))
+            p_true = exact_choice_weights(catalog, truth, prompt, cset)
+            p_model = np.asarray(model(prompt, cset), dtype=float)
+            per_set.append(float(p_true @ np.log(p_model)))
+        values[recs] = np.array(per_set)[group]
+    # np.cumsum adds in record order, as the running sum it replaces did
+    return float(np.cumsum(values)[-1] / values.size)
 
 
 def _mixture_model(catalog: Catalog, mixture: Population | ScoreEnsemble):

@@ -10,7 +10,7 @@ Sampling runs in two phases. The first makes only the random calls, in a
 fixed order, on one child random stream per annotator; ``_streams`` makes
 each call for all annotators at once, with the draws numpy's ``Generator``
 would make on each stream. The second turns every draw into types, winners
-and records in one vectorized pass. The streams and the order of calls on
+and record columns in one vectorized pass. The streams and the order of calls on
 them are part of the output: the two phases give the same records as
 drawing record by record, and changing either changes every dataset
 (golden digests in ``tests/test_simulate.py`` pin them).
@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -52,20 +53,12 @@ MPI_PROMPT = "instruction"
 
 @dataclass(frozen=True)
 class PreferenceRecord:
-    """One observation: a winner against an ordered set of rejected responses."""
+    """A view of one record: a winner against an ordered set of rejected responses."""
 
     annotator: int
     prompt: str
     winner: str
     rejected: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.rejected) < 1:
-            raise ValueError("a record needs at least one rejected response")
-        if self.winner in self.rejected:
-            raise ValueError("winner cannot also be rejected")
-        if len(set(self.rejected)) != len(self.rejected):
-            raise ValueError("rejected ids must be distinct")
 
     @property
     def choice_set(self) -> tuple[str, ...]:
@@ -74,41 +67,173 @@ class PreferenceRecord:
 
 @dataclass(frozen=True)
 class AnnotatorData:
-    """All records of one annotator plus the hidden type (evaluation only)."""
+    """A view of one annotator's records plus the hidden type (evaluation only)."""
 
     annotator: int
     records: tuple[PreferenceRecord, ...]
     true_type: int | None = None
 
-    def __post_init__(self):
-        if len(self.records) < 1:
-            raise ValueError("annotator needs at least one record")
-        for r in self.records:
-            if r.annotator != self.annotator:
-                raise ValueError("record annotator id mismatch")
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
+class _Columns:
+    """Ragged choice-set columns, grown one annotator row at a time."""
+
+    def __init__(self):
+        self.vocab, self.items, self.ends, self.rows = {}, [], [0], []
+
+    def add(self, row: int, records: Iterable[tuple[str, str, Sequence[str]]]) -> None:
+        """Append ``(prompt, winner, rejected)`` records of annotator ``row``."""
+        entry = self.vocab.setdefault
+        for prompt, winner, rejected in records:
+            self.items.append(entry((prompt, winner), len(self.vocab)))
+            self.items.extend([entry((prompt, y), len(self.vocab)) for y in rejected])
+            self.ends.append(len(self.items))
+            self.rows.append(row)
+
+    def dataset(self, ids: list, types: list, where: Callable[[int], str], **meta) -> "Dataset":
+        """The checked dataset; a malformed row raises :class:`InputError` at ``where(row)``."""
+        rows, offsets, items = (np.array(c, dtype=np.intp)
+                                for c in (self.rows, self.ends, self.items))
+        fault = _first_fault(ids, types, rows, offsets, items)
+        if fault is not None:
+            raise InputError(f"{where(fault[0])}: {fault[1]}")
+        return Dataset(ids=np.array(ids, dtype=np.int64),
+                       true_type=np.array([-1 if t is None else t for t in types], dtype=np.int64),
+                       rows=rows, offsets=offsets, items=items, vocab=tuple(self.vocab), **meta)
+
+
+def _first_fault(ids: list, types: list, rows: np.ndarray, offsets: np.ndarray,
+                 items: np.ndarray) -> tuple[int, str] | None:
+    """The first malformed annotator row and what is wrong with it, or None.
+
+    Faults are ordered by row, then by the order of the checks.
+    """
+    lengths = np.diff(offsets)
+    rec = np.repeat(np.arange(lengths.size), lengths)
+    rejected = np.arange(items.size) != offsets[rec]
+    span = int(items.max(initial=0)) + 1
+    pairs = np.sort((rec * span + items)[rejected])
+    checks = [
+        (np.flatnonzero(np.bincount(rows, minlength=len(ids)) == 0),
+         "annotator needs at least one record"),
+        (rows[lengths < 2], "a record needs at least one rejected response"),
+        (rows[rec[rejected & (items == items[offsets[rec]])]], "winner cannot also be rejected"),
+        (rows[pairs[1:][pairs[1:] == pairs[:-1]] // span], "rejected ids must be distinct"),
+    ]
+    row, _, fault = min(((int(bad.min()), c, msg) for c, (bad, msg) in enumerate(checks)
+                         if bad.size), default=(len(ids), 0, None))
+    seen: dict[int, int] = {}
+    for i, (a, t) in enumerate(zip(ids[:row + 1], types)):
+        if not (_is_int(a) and -2**63 <= a < 2**63):
+            return i, f"annotator id must be a 64-bit integer, got {a!r}"
+        if seen.setdefault(a, i) != i:
+            return i, f"annotator id {a} is not unique"
+        if t is not None and not (_is_int(t) and 0 <= t < 2**63):
+            return i, f"true_type must be null or a non-negative integer, got {t!r}"
+    return None if fault is None else (row, fault)
+
+
+def row_groups(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Groups of equal rows of a 2-D array, numbered in lexicographic order:
+    each row's group and the index of each group's first row."""
+    by = np.lexsort(a.T[::-1]) if a.size else np.arange(len(a))
+    new = np.ones(len(by), dtype=bool)
+    new[1:] = (a[by[1:]] != a[by[:-1]]).any(axis=1)
+    group = np.empty(len(by), dtype=np.intp)
+    group[by] = np.cumsum(new) - 1
+    return group, by[new]  # lexsort is stable: a run starts at its first row
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Annotator-level preference data tied to a catalog by hash."""
+    """Annotator-level preference data as integer columns, tied to a catalog by hash.
 
-    annotators: tuple[AnnotatorData, ...]
-    catalog_hash: str
-    seed: int
-    m: int
-    choice_set_size: int
+    Record r belongs to annotator row ``rows[r]`` and offers the choice set
+    ``items[offsets[r]:offsets[r + 1]]``: the winner first, then the
+    rejected responses in recorded order. Items index ``vocab``, the
+    (prompt, response) names; a simulated dataset uses the catalog's flat
+    order. Row i has annotator id ``ids[i]`` and hidden type
+    ``true_type[i]``, -1 where unknown. Each annotator's records keep their
+    order; a dataset read from a file lists them row by row. ``annotators``
+    and ``records()`` are views built on demand.
+    """
 
-    def __post_init__(self):
-        ids = [a.annotator for a in self.annotators]
-        if len(set(ids)) != len(ids):
-            raise ValueError("annotator ids must be unique")
+    ids: np.ndarray
+    true_type: np.ndarray
+    rows: np.ndarray
+    offsets: np.ndarray
+    items: np.ndarray
+    vocab: tuple[tuple[str, str], ...]
+    catalog_hash: str | None = None
+    seed: Any = None
+    m: int | None = None
+    choice_set_size: int | None = None
+
+    @classmethod
+    def from_records(cls, records: Iterable[PreferenceRecord],
+                     true_types: Mapping[int, int] | None = None, **meta) -> "Dataset":
+        """Columns of records in the given order, one row per annotator id in order
+        of first appearance; a malformed record raises :class:`InputError`."""
+        columns, row_of = _Columns(), {}
+        for r in records:
+            columns.add(row_of.setdefault(r.annotator, len(row_of)),
+                        [(r.prompt, r.winner, r.rejected)])
+        ids = list(row_of)
+        return columns.dataset(ids, [(true_types or {}).get(a) for a in ids],
+                               lambda i: f"annotator {ids[i]!r}", **meta)
+
+    def __eq__(self, other) -> bool:
+        fields = ("ids", "true_type", "rows", "offsets", "catalog_hash", "seed", "m",
+                  "choice_set_size")
+        return isinstance(other, Dataset) and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in fields
+        ) and np.array_equal(*(np.array(d.vocab, dtype=object)[d.items] for d in (self, other)))
 
     @property
     def n(self) -> int:
-        return len(self.annotators)
+        return len(self.ids)
+
+    def catalog_index(self, catalog: Catalog) -> np.ndarray:
+        """Each vocabulary entry's index in the catalog's flat order."""
+        start = dict(zip(catalog.prompts, catalog.offsets.tolist()))
+        return np.array([catalog.response_index(p, y) + start[p] for p, y in self.vocab],
+                        dtype=np.intp)
+
+    def sets_by_size(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Per set size L, ascending: the records offering L responses and
+        their (records, L) matrix of vocabulary indices, winner first."""
+        lengths = np.diff(self.offsets)
+        for size in np.unique(lengths).tolist():
+            recs = np.flatnonzero(lengths == size)
+            yield recs, self.items[self.offsets[recs, None] + np.arange(size)]
+
+    def first_row_with(self, entry: int) -> int:
+        """Row of the first record whose choice set holds vocabulary ``entry``."""
+        pos = int(np.argmax(self.items == entry))
+        return int(self.rows[np.searchsorted(self.offsets, pos, side="right") - 1])
 
     def records(self) -> list[PreferenceRecord]:
-        return [r for a in self.annotators for r in a.records]
+        """A view of every record, in record order."""
+        vocab, items, ends = self.vocab, self.items.tolist(), self.offsets.tolist()
+        ids = self.ids.tolist()
+        return [PreferenceRecord(ids[row], *vocab[items[s]],
+                                 tuple(vocab[j][1] for j in items[s + 1:e]))
+                for row, s, e in zip(self.rows.tolist(), ends, ends[1:])]
+
+    @cached_property
+    def annotators(self) -> tuple[AnnotatorData, ...]:
+        """A view of every annotator row with its records."""
+        records = self.records()
+        by_row = np.argsort(self.rows, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(self.rows, minlength=self.n)).tolist()
+        return tuple(
+            AnnotatorData(annotator=a, records=tuple(records[j] for j in by_row[s:e]),
+                          true_type=None if t < 0 else t)
+            for a, t, s, e in zip(self.ids.tolist(), self.true_type.tolist(), [0] + ends, ends)
+        )
 
 
 def make_mpi_population(n_phrases: int = 990, seed: int = 0) -> tuple[Population, Catalog]:
@@ -178,10 +303,11 @@ def simulate_dataset(
     all draws into types, winners and records in one vectorized pass.
 
     ``n``, ``m`` and ``choice_set_size`` must be integers; ``rng_seed`` is
-    anything ``numpy.random.SeedSequence`` accepts as entropy.
+    anything ``numpy.random.SeedSequence`` accepts as entropy. With None,
+    the fresh entropy drawn is recorded as the dataset's ``seed``.
     """
     for name, value in (("n", n), ("m", m), ("choice_set_size", choice_set_size)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        if not _is_int(value):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
     if n < 1 or m < 1:
         raise ConfigError("n and m must be >= 1")
@@ -198,6 +324,8 @@ def simulate_dataset(
 
     # Phase 1: only the random calls, in each stream's fixed order, all
     # streams at once. Record r = i * m + j is annotator i's j-th record.
+    if rng_seed is None:
+        rng_seed = np.random.SeedSequence().entropy
     streams = Streams(rng_seed, n)
     type_u = streams.random()
     prompt = np.empty((n, m), dtype=np.intp)
@@ -224,18 +352,13 @@ def simulate_dataset(
     col = np.arange(choice_set_size)
     col = col - (col <= w[:, None])
     col[:, 0] = w
-    response_ids = np.array([r for p in prompt_ids for r in catalog.responses(p)], dtype=object)
-    sets = response_ids[np.take_along_axis(flat, col, axis=1)].tolist()
-    records = [
-        PreferenceRecord(annotator=r // m, prompt=prompt_ids[p], winner=s[0], rejected=tuple(s[1:]))
-        for r, (p, s) in enumerate(zip(prompt.tolist(), sets))
-    ]
-    annotators = [
-        AnnotatorData(annotator=i, records=tuple(records[i * m:(i + 1) * m]), true_type=t)
-        for i, t in enumerate(z.tolist())
-    ]
     return Dataset(
-        annotators=tuple(annotators),
+        ids=np.arange(n, dtype=np.int64),
+        true_type=z.astype(np.int64),
+        rows=np.repeat(np.arange(n), m),
+        offsets=np.arange(n * m + 1) * choice_set_size,
+        items=np.take_along_axis(flat, col, axis=1).ravel(),
+        vocab=tuple((p, r) for p in prompt_ids for r in catalog.responses(p)),
         catalog_hash=catalog.content_hash(),
         seed=rng_seed,
         m=m,
@@ -278,58 +401,57 @@ def expected_dataset(
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
-    """JSON-lines: one header line, then one annotator per line."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        header = {
-            "catalog_hash": dataset.catalog_hash,
-            "seed": dataset.seed,
-            "n": dataset.n,
-            "m": dataset.m,
-            "choice_set_size": dataset.choice_set_size,
-        }
+    """JSON-lines: one header line, then one annotator per line.
+
+    A line is ``json.dumps`` of the annotator's id, records and type with
+    sorted keys; each distinct record is encoded once.
+    """
+    header = {
+        "catalog_hash": dataset.catalog_hash,
+        "seed": dataset.seed,
+        "n": dataset.n,
+        "m": dataset.m,
+        "choice_set_size": dataset.choice_set_size,
+    }
+    vocab, items, ends = dataset.vocab, dataset.items.tolist(), dataset.offsets.tolist()
+    encoded: dict[tuple[int, ...], str] = {}
+
+    def encode(cset: tuple[int, ...]) -> str:
+        if cset not in encoded:
+            encoded[cset] = json.dumps({"prompt": vocab[cset[0]][0], "winner": vocab[cset[0]][1],
+                                        "rejected": [vocab[j][1] for j in cset[1:]]},
+                                       sort_keys=True)
+        return encoded[cset]
+
+    records = [encode(tuple(items[s:e])) for s, e in zip(ends, ends[1:])]
+    by_row = np.argsort(dataset.rows, kind="stable").tolist()
+    row_ends = np.cumsum(np.bincount(dataset.rows, minlength=dataset.n)).tolist()
+    with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for a in dataset.annotators:
-            line = {
-                "annotator": a.annotator,
-                "true_type": a.true_type,
-                "records": [
-                    {"prompt": r.prompt, "winner": r.winner, "rejected": list(r.rejected)}
-                    for r in a.records
-                ],
-            }
-            fh.write(json.dumps(line, sort_keys=True) + "\n")
+        for a, t, s, e in zip(dataset.ids.tolist(), dataset.true_type.tolist(),
+                              [0] + row_ends, row_ends):
+            line = ", ".join([records[j] for j in by_row[s:e]])
+            fh.write(f'{{"annotator": {a}, "records": [{line}], '
+                     f'"true_type": {"null" if t < 0 else t}}}\n')
 
 
 def read_dataset(path: str | Path) -> Dataset:
     """Read a dataset; a malformed file raises :class:`InputError` naming the line."""
     path = Path(path)
     lineno = 1
+    columns, ids, types = _Columns(), [], []
     try:
         with path.open("r", encoding="utf-8") as fh:
             header = json.loads(fh.readline())
-            annotators = []
             for lineno, raw in enumerate(fh, start=2):
                 doc = json.loads(raw)
-                records = tuple(
-                    PreferenceRecord(
-                        annotator=doc["annotator"],
-                        prompt=r["prompt"],
-                        winner=r["winner"],
-                        rejected=tuple(r["rejected"]),
-                    )
-                    for r in doc["records"]
-                )
-                annotators.append(
-                    AnnotatorData(
-                        annotator=doc["annotator"],
-                        records=records,
-                        true_type=doc["true_type"],
-                    )
-                )
+                ids.append(doc["annotator"])
+                types.append(doc["true_type"])
+                columns.add(lineno - 2, ((r["prompt"], r["winner"], r["rejected"])
+                                         for r in doc["records"]))
         lineno = 1
-        dataset = Dataset(
-            annotators=tuple(annotators),
+        dataset = columns.dataset(
+            ids, types, lambda row: f"{path}, line {row + 2}",
             catalog_hash=header["catalog_hash"],
             seed=header["seed"],
             m=header["m"],
@@ -339,6 +461,8 @@ def read_dataset(path: str | Path) -> Dataset:
             raise ValueError(f"header says n={header['n']} but file holds {dataset.n}")
     except OSError as exc:
         raise InputError(f"{path}: {type(exc).__name__}: {exc}") from None
+    except InputError:
+        raise
     except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"{path}, line {lineno}: {type(exc).__name__}: {exc}") from None
     return dataset

@@ -491,6 +491,57 @@ class TestMalformedDataset:
         err = capsys.readouterr().err
         assert "dataset.jsonl, line 4" in err and "'no_such_response'" in err
 
+    def edit_line_4(self, run, tmp_path, edit):
+        """Apply ``edit(doc, first_record)`` to annotator line 4 (annotator id 2)."""
+        def apply(lines):
+            doc = json.loads(lines[3])
+            edit(doc, doc["records"][0])
+            lines[3] = json.dumps(doc)
+
+        return self.rewrite(run, tmp_path, apply)
+
+    def run_command(self, command, cfg, run, path, tmp_path):
+        return main([command, "--config", str(cfg), "--dataset", str(path),
+                     "--catalog", str(run / "catalog.json"), "--out", str(tmp_path / "x")])
+
+    @pytest.mark.parametrize("edit, needle", [
+        (lambda d, r: r["rejected"].append(r["winner"]), "winner cannot also be rejected"),
+        (lambda d, r: r["rejected"].append(r["rejected"][0]), "rejected ids must be distinct"),
+        (lambda d, r: r["rejected"].clear(), "at least one rejected response"),
+        (lambda d, r: d["records"].clear(), "at least one record"),
+        (lambda d, r: d.update(annotator=0), "annotator id 0 is not unique"),
+        (lambda d, r: d.update(annotator="a"), "annotator id must be a 64-bit integer, got 'a'"),
+        (lambda d, r: d.update(true_type=-1), "got -1"),
+        (lambda d, r: d.update(true_type="x"), "got 'x'"),
+        (lambda d, r: d.update(true_type=1.5), "got 1.5"),
+        (lambda d, r: d.update(true_type=True), "got True"),
+    ], ids=["winner-rejected", "duplicate-rejected", "empty-rejected", "empty-records",
+            "duplicate-id", "string-id", "negative-type", "string-type", "float-type",
+            "bool-type"])
+    def test_malformed_annotator_line(self, fitted_run, tmp_path, capsys, edit, needle):
+        _cfg, run = fitted_run
+        cfg = write_config(tmp_path, {"emdpo.init": "from_true_labels"})
+        path = self.edit_line_4(run, tmp_path, edit)
+        assert self.run_command("emdpo", cfg, run, path, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "dataset.jsonl, line 4" in err, err
+        assert needle in err, err
+
+    def test_type_label_not_below_k(self, fitted_run, tmp_path, capsys):
+        _cfg, run = fitted_run
+        cfg = write_config(tmp_path, {"emdpo.init": "from_true_labels"})
+        path = self.edit_line_4(run, tmp_path, lambda d, r: d.update(true_type=5))
+        assert self.run_command("emdpo", cfg, run, path, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "annotator 2" in err and "true_type 5" in err and "k=2" in err, err
+
+    def test_sweep_k_without_labels(self, fitted_run, tmp_path, capsys):
+        cfg, run = fitted_run
+        path = self.edit_line_4(run, tmp_path, lambda d, r: d.update(true_type=None))
+        assert self.run_command("sweep-k", cfg, run, path, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "annotator 2" in err and "no true_type" in err, err
+
 
 class TestMalformedJson:
     """A catalog or ensemble file that is not valid JSON, or lacks a field, exits 2."""

@@ -30,22 +30,12 @@ def line_catalog(theta, rewards, prompt="q"):
 
 def dataset_from_records(catalog, records_spec, m_header=1, css=2):
     """records_spec: list of per-annotator lists of (prompt, winner, rejected)."""
-    from hetpref.simulate import AnnotatorData, Dataset, PreferenceRecord
+    from hetpref.simulate import Dataset, PreferenceRecord
 
-    annotators = []
-    for i, recs in enumerate(records_spec):
-        annotators.append(
-            AnnotatorData(
-                annotator=i,
-                records=tuple(
-                    PreferenceRecord(annotator=i, prompt=p, winner=w, rejected=tuple(r))
-                    for p, w, r in recs
-                ),
-                true_type=None,
-            )
-        )
-    return Dataset(
-        annotators=tuple(annotators),
+    records = [PreferenceRecord(annotator=i, prompt=p, winner=w, rejected=tuple(r))
+               for i, recs in enumerate(records_spec) for p, w, r in recs]
+    return Dataset.from_records(
+        records,
         catalog_hash=catalog.content_hash(),
         seed=0,
         m=m_header,

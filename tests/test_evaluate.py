@@ -21,7 +21,6 @@ from hetpref.policy import (
 )
 from hetpref.rewards import Catalog, Population
 from hetpref.simulate import (
-    AnnotatorData,
     Dataset,
     PreferenceRecord,
     expected_dataset,
@@ -45,26 +44,19 @@ def eval_world():
 def argmax_dataset(catalog, theta, n_pairs=60, seed=0):
     """Noiseless records: the winner is always the higher-reward response."""
     rng = np.random.default_rng(seed)
-    annotators = []
+    records = []
     for i in range(n_pairs):
         prompt = catalog.prompts[rng.integers(len(catalog.prompts))]
         rids = catalog.responses(prompt)
         a, b = rng.choice(len(rids), size=2, replace=False)
         rewards = catalog.features(prompt) @ theta
         w, l = (a, b) if rewards[a] >= rewards[b] else (b, a)
-        annotators.append(
-            AnnotatorData(
-                annotator=i,
-                records=(
-                    PreferenceRecord(
-                        annotator=i, prompt=prompt, winner=rids[w], rejected=(rids[l],)
-                    ),
-                ),
-                true_type=0,
-            )
+        records.append(
+            PreferenceRecord(annotator=i, prompt=prompt, winner=rids[w], rejected=(rids[l],))
         )
-    return Dataset(
-        annotators=tuple(annotators),
+    return Dataset.from_records(
+        records,
+        true_types={i: 0 for i in range(n_pairs)},
         catalog_hash=catalog.content_hash(),
         seed=seed,
         m=1,

@@ -20,7 +20,7 @@ from hetpref.emdpo import (
 )
 from hetpref.policy import ScoreEnsemble, ScoreTable
 from hetpref.rewards import Catalog, softmax_lse
-from hetpref.simulate import AnnotatorData, Dataset, PreferenceRecord
+from hetpref.simulate import Dataset, PreferenceRecord
 
 
 def reference_logliks(compiled, tables):
@@ -84,18 +84,16 @@ def em_worlds(draw):
     # at least three annotators, so k-means can start up to three types
     picks = draw(st.lists(st.tuples(st.integers(0, len(templates) - 1), st.booleans()),
                           min_size=3, max_size=14))
-    annotators = []
+    records = []
     for a, (t, shuffle) in enumerate(picks):
         recs = list(templates[t])
         if shuffle:
             random.Random(a).shuffle(recs)
-        annotators.append(AnnotatorData(
-            annotator=a, true_type=a % 2,
-            records=tuple(PreferenceRecord(annotator=a, prompt=p, winner=perm[0],
-                                           rejected=tuple(perm[1:size]))
-                          for p, perm, size in recs)))
-    dataset = Dataset(annotators=tuple(annotators), catalog_hash=catalog.content_hash(),
-                      seed=0, m=1, choice_set_size=2)
+        records += [PreferenceRecord(annotator=a, prompt=p, winner=perm[0],
+                                     rejected=tuple(perm[1:size])) for p, perm, size in recs]
+    dataset = Dataset.from_records(records, true_types={a: a % 2 for a in range(len(picks))},
+                                   catalog_hash=catalog.content_hash(), seed=0, m=1,
+                                   choice_set_size=2)
     records = dataset.records()
     draw(st.randoms(use_true_random=False)).shuffle(records)
     return catalog, dataset, records

@@ -127,7 +127,9 @@ class TestSimulateDataset:
         catalog, population = small_world
         a, b = (simulate_dataset(catalog, population, n=50, m=3, choice_set_size=3, rng_seed=None)
                 for _ in range(2))
-        assert a.seed is None and a.records() != b.records()
+        assert isinstance(a.seed, int) and a.records() != b.records()
+        assert simulate_dataset(catalog, population, n=50, m=3, choice_set_size=3,
+                                rng_seed=a.seed) == a
 
     def test_winner_frequency_matches_pairwise_prob(self):
         theta = np.array([0.9])
