@@ -223,17 +223,19 @@ class Dataset:
                                  tuple(vocab[j][1] for j in items[s + 1:e]))
                 for row, s, e in zip(self.rows.tolist(), ends, ends[1:])]
 
+    def _row_records(self) -> list[list[int]]:
+        """The record indices of each annotator row, in record order."""
+        by_row = np.argsort(self.rows, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(self.rows, minlength=self.n)).tolist()
+        return [by_row[s:e] for s, e in zip([0] + ends, ends)]
+
     @cached_property
     def annotators(self) -> tuple[AnnotatorData, ...]:
         """A view of every annotator row with its records."""
         records = self.records()
-        by_row = np.argsort(self.rows, kind="stable").tolist()
-        ends = np.cumsum(np.bincount(self.rows, minlength=self.n)).tolist()
-        return tuple(
-            AnnotatorData(annotator=a, records=tuple(records[j] for j in by_row[s:e]),
-                          true_type=None if t < 0 else t)
-            for a, t, s, e in zip(self.ids.tolist(), self.true_type.tolist(), [0] + ends, ends)
-        )
+        return tuple(AnnotatorData(a, tuple(records[j] for j in recs), None if t < 0 else t)
+                     for a, t, recs in zip(self.ids.tolist(), self.true_type.tolist(),
+                                           self._row_records()))
 
 
 def make_mpi_population(n_phrases: int = 990, seed: int = 0) -> tuple[Population, Catalog]:
@@ -424,13 +426,11 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
         return encoded[cset]
 
     records = [encode(tuple(items[s:e])) for s, e in zip(ends, ends[1:])]
-    by_row = np.argsort(dataset.rows, kind="stable").tolist()
-    row_ends = np.cumsum(np.bincount(dataset.rows, minlength=dataset.n)).tolist()
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for a, t, s, e in zip(dataset.ids.tolist(), dataset.true_type.tolist(),
-                              [0] + row_ends, row_ends):
-            line = ", ".join([records[j] for j in by_row[s:e]])
+        for a, t, recs in zip(dataset.ids.tolist(), dataset.true_type.tolist(),
+                              dataset._row_records()):
+            line = ", ".join([records[j] for j in recs])
             fh.write(f'{{"annotator": {a}, "records": [{line}], '
                      f'"true_type": {"null" if t < 0 else t}}}\n')
 
