@@ -370,14 +370,8 @@ def _write_em_outputs(out: Path, state: emdpo.EmState, catalog: rewards.Catalog,
     policy.write_ensemble(state.ensemble, catalog, ensemble_path)
     k = state.ensemble.k
     gamma_path = out / "gamma.csv"
-    _write_csv(
-        gamma_path,
-        ["annotator"] + [f"g_{j}" for j in range(k)],
-        [
-            [a] + [float(g) for g in row]
-            for a, row in zip(dataset.ids.tolist(), state.gamma)
-        ],
-    )
+    _write_csv(gamma_path, ["annotator"] + [f"g_{j}" for j in range(k)],
+               [[a] + row for a, row in zip(dataset.ids.tolist(), state.gamma.tolist())])
     trace_path = out / "trace.csv"
     traces = state.restart_traces or (state.trace,)
     _write_csv(
@@ -456,24 +450,14 @@ def _flatten_trace(trace: Sequence[Mapping]) -> tuple[list[str], list[list]]:
     if not trace:
         return ["iteration"], []
     keys = ["iteration"] + sorted(k for k in trace[0] if k != "iteration")
-    header: list[str] = []
-    for key in keys:
-        value = trace[0][key]
-        if isinstance(value, list):
-            header.extend(f"{key}_{j}" for j in range(len(value)))
-        else:
-            header.append(key)
-    rows = []
-    for row in trace:
-        flat: list = []
-        for key in keys:
-            value = row[key]
-            if isinstance(value, list):
-                flat.extend(value)
-            else:
-                flat.append(value)
-        rows.append(flat)
-    return header, rows
+
+    def cells(row: Mapping) -> list[tuple[str, Any]]:
+        """(column, value) pairs; a list field spreads over key_0, key_1, ..."""
+        return [pair for key in keys for pair in (
+            [(f"{key}_{j}", v) for j, v in enumerate(row[key])]
+            if isinstance(row[key], list) else [(key, row[key])])]
+
+    return [c for c, _ in cells(trace[0])], [[v for _, v in cells(row)] for row in trace]
 
 
 def _read_gamma(path: Path, annotators: Sequence[int], k: int) -> np.ndarray:

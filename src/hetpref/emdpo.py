@@ -1,17 +1,17 @@
-"""Expectation-maximization over latent annotator types.
+"""Expectation-maximization over latent annotator types, on weighted profiles.
 
-The E-step computes per-annotator posteriors over types in log space; the
-mixture-weight M-step is the closed-form column mean of the posteriors;
-the policy M-step maximizes a weighted multi-item preference
-log-likelihood independently per type and per prompt. Both likelihoods
-run over unique (prompt, choice set, winner) patterns with multiplicities
-rather than over records: they depend on the records only through those
-counts. The fit is concave and separable by prompt, and its maximizer is
-finite iff every comparison (winner beats a rejected response) lies inside
-a strongly connected component of its prompt's comparison digraph (Ford
-1957; Hunter 2004). The policy M-step checks that condition first, then
-runs one solver: damped Newton on per-prompt Hessian blocks, with the
-prompts of equal response count solved as one batch.
+The E-step computes posteriors over types in log space; the mixture-weight
+M-step is the closed-form mean of the posteriors; the policy M-step
+maximizes a weighted multi-item preference log-likelihood per type and per
+prompt. Both depend on the records only through unique (prompt, choice
+set, winner) patterns, so EM carries each profile's posterior mass and a
+(K, size) score matrix (see :class:`CompiledRecords`). The fit is concave
+and separable by prompt, and its maximizer is finite iff every comparison
+(winner beats a rejected response) lies inside a strongly connected
+component of its prompt's comparison digraph (Ford 1957; Hunter 2004). The
+policy M-step checks that condition first, then runs one solver per type:
+damped Newton on per-prompt Hessian blocks, prompts of equal response
+count solved as one batch.
 """
 
 from __future__ import annotations
@@ -68,11 +68,12 @@ class CompiledRecords:
     prompts with r responses and their flat score indices; ``hess_pos``
     places the (L, L, P) pattern pairs of each block in the buffer.
 
-    An annotator's E-step row depends only on its *profile*, the ordered
-    sequence of its records' pattern ids (the order fixes the rounding of
-    its log-likelihood sum). ``profile_of`` maps each row to its profile;
-    ``rep_patterns`` and ``rep_profiles`` hold, in record order, the pattern
-    and the profile of each record of one representative row per profile.
+    EM runs on weighted *profiles*: annotators with the same ordered sequence
+    of pattern ids (the order fixes the rounding of a log-likelihood sum)
+    share a posterior. ``profile_of`` maps each row to its profile and
+    ``mult`` counts its rows; ``rep_patterns`` and ``rep_profiles`` hold, in
+    record order, the pattern and the profile of each record of one
+    representative row per profile, from which :meth:`pattern_counts` reads.
     """
 
     def __init__(self, catalog: Catalog, dataset: Dataset):
@@ -110,8 +111,7 @@ class CompiledRecords:
         rep = representative[self.record_rows]
         self.rep_patterns = self.inverse[rep]
         self.rep_profiles = self.profile_of[self.record_rows[rep]]
-        # (support mask, existence-check answer) of the last check; see unbounded_prompt
-        self._support: tuple[np.ndarray, str | None] | None = None
+        self.mult = np.bincount(self.profile_of, minlength=self.n_profiles).astype(float)
 
         starts, sizes = catalog.offsets[:-1], np.diff(catalog.offsets)
         self.prompt_of = np.repeat(np.arange(len(sizes)), sizes)
@@ -125,11 +125,12 @@ class CompiledRecords:
             h0 = hstart[members[0]]
             self.groups.append((slice(h0, h0 + members.size * r * r),
                                 starts[members][:, None] + np.arange(r)))
-        self.hess_pos = []
+        self.hess_pos, self.eyes = [], []
         for _, idx in self.blocks:
             own = self.prompt_of[idx[0]]
             loc = idx - starts[own]
             self.hess_pos.append(hstart[own] + loc[:, None, :] * sizes[own] + loc[None, :, :])
+            self.eyes.append(np.eye(len(idx))[:, :, None])
 
     @classmethod
     def from_dataset(cls, dataset: Dataset, catalog: Catalog) -> "CompiledRecords":
@@ -152,7 +153,7 @@ class CompiledRecords:
         val = np.zeros(len(self.catalog.prompts))
         grad = np.zeros(self.size)
         hess = np.zeros(self.hess_size)
-        for (span, idx), pos in zip(self.blocks, self.hess_pos):
+        for (span, idx), pos, eye in zip(self.blocks, self.hess_pos, self.eyes):
             c = weights[span]
             s = x[idx]
             p, lse = softmax_lse(s, axis=0)
@@ -160,37 +161,39 @@ class CompiledRecords:
             val += np.bincount(self.prompt_of[idx[0]], c * (s[0] - lse), minlength=val.size)
             grad += np.bincount(idx[0], c, minlength=self.size)
             grad -= np.bincount(idx.ravel(), cp.ravel(), minlength=self.size)
-            pairs = cp[:, None, :] * (np.eye(len(idx))[:, :, None] - p[None, :, :])
+            pairs = cp[:, None, :] * (eye - p[None, :, :])
             hess += np.bincount(pos.ravel(), pairs.ravel(), minlength=self.hess_size)
         return val, grad, hess
 
-    def profile_logliks(self, tables: Sequence[ScoreTable]) -> np.ndarray:
-        """(n_profiles, K) sums of record log-probabilities per profile and type."""
-        out = np.empty((self.n_profiles, len(tables)))
-        logp = np.empty(self.n_patterns)
-        for k, table in enumerate(tables):
-            x = self.catalog.flatten(table.scores)
-            for span, idx in self.blocks:
-                s = x[idx]
-                logp[span] = s[0] - softmax_lse(s, axis=0)[1]
-            out[:, k] = np.bincount(self.rep_profiles, logp[self.rep_patterns],
-                                    minlength=self.n_profiles)
-        return out
+    def profile_mass(self, gamma: np.ndarray) -> np.ndarray:
+        """(n_profiles, K) sums of (n_rows, K) posteriors over each profile's rows."""
+        return _bin_sums(self.profile_of, gamma, self.n_profiles)
 
-    def annotator_logliks(self, tables: Sequence[ScoreTable]) -> np.ndarray:
-        """(n_rows, K) sums of record log-probabilities per annotator and type."""
-        return self.profile_logliks(tables)[self.profile_of]
+    def pattern_counts(self, mass: np.ndarray) -> np.ndarray:
+        """(K, n_patterns) counts of each type from (n_profiles, K) profile masses."""
+        return _bin_sums(self.rep_patterns, mass[self.rep_profiles], self.n_patterns).T
 
-    def unbounded_prompt(self, record_weights: np.ndarray) -> str | None:
-        """:func:`_unbounded_prompt`, rerun only when the support changes.
+    def profile_logliks(self, x: np.ndarray) -> np.ndarray:
+        """(n_profiles, K) sums of record log-probabilities under (K, size) scores."""
+        logp = np.empty((len(x), self.n_patterns))
+        for span, idx in self.blocks:
+            s = np.take(x, idx, axis=1)  # C order: each type's block laid out as x[idx]
+            logp[:, span] = s[:, 0] - softmax_lse(s, axis=1)[1]
+        return _bin_sums(self.rep_profiles, logp[:, self.rep_patterns].T, self.n_profiles)
 
-        Its answer depends on the weights only through which patterns carry
-        positive weight; the last support and answer are kept.
-        """
-        support = np.bincount(self.inverse, record_weights, minlength=self.n_patterns) > 0
-        if self._support is None or not np.array_equal(self._support[0], support):
-            self._support = (support, _unbounded_prompt(self, record_weights))
-        return self._support[1]
+    def gauge_fix(self, x: np.ndarray) -> None:
+        """:func:`policy.gauge_fix` of every row of (K, size) scores ``x``, in place."""
+        for _, cols in self.groups:
+            # C order, so each mean sums as for one table (x[:, cols] puts K innermost)
+            s = np.take(x, cols, axis=1)
+            x[:, cols] = s - s.mean(axis=-1, keepdims=True)
+
+
+def _bin_sums(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """(size, K) sums of the (len(index), K) ``values`` by row ``index``, in row order."""
+    k = values.shape[1]
+    return np.bincount((index[:, None] * k + np.arange(k)).ravel(), values.ravel(),
+                       minlength=size * k).reshape(size, k)
 
 
 def fit_preference_table(
@@ -203,12 +206,9 @@ def fit_preference_table(
 ) -> tuple[ScoreTable, float]:
     """Maximize the weighted multi-item preference log-likelihood over a table.
 
-    Record weights are summed onto patterns first. Each of at most
-    ``max_iter`` iterations takes a damped Newton step in every prompt whose
-    gradient exceeds ``grad_tol / 2``, caps its largest entry at 4 and
-    halves it until that prompt's objective does not fall: warm starts never
-    lose objective value, so a capped run is still a valid generalized
-    M-step. Returns the gauge-fixed table and the final gradient max norm.
+    :func:`_newton_fit` on the record weights summed onto patterns, from
+    ``init_table`` or zeros. Returns the gauge-fixed table and the final
+    gradient max norm.
     """
     record_weights = np.asarray(record_weights, dtype=float)
     if record_weights.shape != (compiled.n_records,):
@@ -216,6 +216,20 @@ def fit_preference_table(
     counts = np.bincount(compiled.inverse, record_weights, minlength=compiled.n_patterns)
     x = (np.zeros(compiled.size) if init_table is None
          else compiled.catalog.flatten(init_table.scores))
+    x, grad_norm = _newton_fit(compiled, counts, x, grad_tol, max_iter)
+    return gauge_fix(ScoreTable(kappa=kappa, scores=compiled.catalog.split(x))), grad_norm
+
+
+def _newton_fit(compiled: CompiledRecords, counts: np.ndarray, x: np.ndarray,
+                grad_tol: float, max_iter: int) -> tuple[np.ndarray, float]:
+    """Fit flat scores ``x`` to pattern ``counts``; the new scores and gradient max norm.
+
+    Each of at most ``max_iter`` iterations takes a damped Newton step in
+    every prompt whose gradient exceeds ``grad_tol / 2``, caps its largest
+    entry at 4 and halves it until that prompt's objective does not fall:
+    warm starts never lose objective value, so a capped run is still a
+    valid generalized M-step. The scores are not gauge-fixed.
+    """
     starts, sizes = compiled.catalog.offsets[:-1], np.diff(compiled.catalog.offsets)
     val, grad, hess = compiled.newton_terms(x, counts)
     stuck = np.zeros(len(sizes), dtype=bool)
@@ -246,21 +260,35 @@ def fit_preference_table(
             terms = compiled.newton_terms(x + step, counts)
         x = x + step
         val, grad, hess = terms
-    grad_norm = float(np.abs(grad).max())
-    return gauge_fix(ScoreTable(kappa=kappa, scores=compiled.catalog.split(x))), grad_norm
+    return x, float(np.abs(grad).max())
 
 
 def _unbounded_prompt(compiled: CompiledRecords, record_weights: np.ndarray) -> str | None:
-    """Why the fit with ``record_weights`` has no finite maximizer, or None.
+    """Why the fit with ``record_weights`` has no finite maximizer, or None."""
+    counts = np.bincount(compiled.inverse, record_weights, minlength=compiled.n_patterns)
+    return _unbounded_support(compiled, counts > 0)
 
-    Each positive-weight pattern's winner beats its rejected responses. A win
+
+def _unbounded_cached(compiled: CompiledRecords, counts: np.ndarray,
+                      checked: dict[bytes, str | None]) -> str | None:
+    """:func:`_unbounded_support` of the patterns with positive ``counts``, kept in ``checked``."""
+    support = counts > 0
+    key = support.tobytes()
+    if key not in checked:
+        checked[key] = _unbounded_support(compiled, support)
+    return checked[key]
+
+
+def _unbounded_support(compiled: CompiledRecords, support: np.ndarray) -> str | None:
+    """Why a fit weighting the patterns in ``support`` has no finite maximizer, or None.
+
+    Each supported pattern's winner beats its rejected responses. A win
     across strongly connected components lets the likelihood grow without
     bound by pushing the winning side up (Ford's condition fails).
     """
-    counts = np.bincount(compiled.inverse, record_weights, minlength=compiled.n_patterns)
     src, dst = [], []
     for span, idx in compiled.blocks:
-        keep = counts[span] > 0
+        keep = support[span]
         src.append(np.tile(idx[0, keep], idx.shape[0] - 1))
         dst.append(idx[1:, keep].ravel())
     src, dst = np.concatenate(src), np.concatenate(dst)
@@ -282,37 +310,38 @@ def _unbounded_prompt(compiled: CompiledRecords, record_weights: np.ndarray) -> 
             "cross strongly connected components)")
 
 
-def validate_responsibilities(gamma: np.ndarray) -> np.ndarray:
+def e_step(dataset: Dataset, catalog: Catalog, ensemble: ScoreEnsemble) -> np.ndarray:
+    """Posterior over types per annotator, computed with log-sum-exp."""
+    return _e_step_compiled(CompiledRecords.from_dataset(dataset, catalog), ensemble)[0]
+
+
+def _e_step_compiled(compiled: CompiledRecords, ensemble: ScoreEnsemble
+                     ) -> tuple[np.ndarray, float]:
+    """(n_rows, K) posteriors and the observed-data log-likelihood."""
+    x = np.stack([compiled.catalog.flatten(t.scores) for t in ensemble.tables])
+    gamma, norm = _e_step(compiled, x, ensemble.eta)
+    return gamma[compiled.profile_of], float(norm[compiled.profile_of].sum())
+
+
+def _e_step(compiled: CompiledRecords, x: np.ndarray, eta: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """(n_profiles, K) posteriors under (K, size) scores and each profile's log-likelihood."""
+    logl = compiled.profile_logliks(x)
+    with np.errstate(divide="ignore"):
+        joint = logl + np.log(eta)[None, :]
+    gamma, norm = softmax_lse(joint, axis=1)
+    if not np.all(np.isfinite(norm)):
+        raise ArithmeticError("zero mixture likelihood for some annotator")
+    return gamma, norm
+
+
+def m_step_eta(gamma: np.ndarray) -> np.ndarray:
+    """Closed-form mixture-weight update: column means of the posteriors."""
     gamma = np.asarray(gamma, dtype=float)
     if gamma.ndim != 2:
         raise ValueError("responsibilities must be an n x K matrix")
     if np.any(gamma < 0) or np.any(np.abs(gamma.sum(axis=1) - 1.0) > ROW_SUM_ATOL):
         raise ValueError("every responsibility row must lie on the simplex")
-    return gamma
-
-
-def e_step(dataset: Dataset, catalog: Catalog, ensemble: ScoreEnsemble) -> np.ndarray:
-    """Posterior over types per annotator, computed with log-sum-exp."""
-    compiled = CompiledRecords.from_dataset(dataset, catalog)
-    return _e_step_compiled(compiled, ensemble)[0]
-
-
-def _e_step_compiled(
-    compiled: CompiledRecords, ensemble: ScoreEnsemble
-) -> tuple[np.ndarray, float]:
-    # Row-wise arithmetic: annotators sharing a profile share a posterior.
-    logl = compiled.profile_logliks(ensemble.tables)
-    with np.errstate(divide="ignore"):
-        joint = logl + np.log(ensemble.eta)[None, :]
-    gamma, norm = softmax_lse(joint, axis=1)
-    if not np.all(np.isfinite(norm)):
-        raise ArithmeticError("zero mixture likelihood for some annotator")
-    return gamma[compiled.profile_of], float(norm[compiled.profile_of].sum())
-
-
-def m_step_eta(gamma: np.ndarray) -> np.ndarray:
-    """Closed-form mixture-weight update: column means of the posteriors."""
-    gamma = validate_responsibilities(gamma)
     return gamma.mean(axis=0)
 
 
@@ -341,18 +370,30 @@ def m_step_policy(
     return tables
 
 
-def _m_step_policy_impl(
-    compiled: CompiledRecords,
-    gamma: np.ndarray,
-    kappa: float,
-    init_tables: Sequence[ScoreTable] | None,
-    grad_tol: float,
-    max_iter: int,
-    on_nonconvergence: str,
-) -> tuple[list[ScoreTable], list[float]]:
+def _m_step_policy_impl(compiled: CompiledRecords, gamma: np.ndarray, kappa: float,
+                        init_tables: Sequence[ScoreTable] | None, grad_tol: float,
+                        max_iter: int, on_nonconvergence: str
+                        ) -> tuple[list[ScoreTable], list[float]]:
+    """:func:`_fit_types` on the pattern counts of (n_rows, K) posteriors ``gamma``."""
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape[0] != compiled.n_rows:
         raise ValueError("gamma must have one row per annotator")
+    x = (np.zeros((gamma.shape[1], compiled.size)) if init_tables is None
+         else np.stack([compiled.catalog.flatten(t.scores) for t in init_tables]))
+    counts = compiled.pattern_counts(compiled.profile_mass(gamma))
+    norms = _fit_types(compiled, counts, x, grad_tol, max_iter, on_nonconvergence, {})
+    return [ScoreTable(kappa=kappa, scores=compiled.catalog.split(row)) for row in x], norms
+
+
+def _fit_types(compiled: CompiledRecords, counts: np.ndarray, x: np.ndarray, grad_tol: float,
+               max_iter: int, on_nonconvergence: str, checked: dict[bytes, str | None]
+               ) -> list[float]:
+    """Fit row k of (K, size) scores ``x`` to ``counts[k]`` in place; the gradient norms.
+
+    A type without posterior mass keeps its scores; the others are checked
+    (:func:`_unbounded_cached`), then fit by :func:`_newton_fit`. Every row
+    ends gauge-fixed.
+    """
     if on_nonconvergence not in ("raise", "warn"):
         raise ValueError("on_nonconvergence must be 'raise' or 'warn'")
 
@@ -361,37 +402,28 @@ def _m_step_policy_impl(
             raise ConvergenceError(msg)
         warnings.warn(msg, RuntimeWarning)
 
-    tables: list[ScoreTable] = []
     norms: list[float] = []
-    for k in range(gamma.shape[1]):
-        init = init_tables[k] if init_tables is not None else None
-        weights = gamma[compiled.record_rows, k]
-        if weights.sum() <= 0.0:
+    for k, c in enumerate(counts):
+        if c.sum() <= 0.0:
             warnings.warn(f"type {k} received zero posterior mass; keeping its table",
                           EmptyClusterWarning)
-            table = init if init is not None else ScoreTable.zeros(compiled.catalog, kappa)
-            tables.append(gauge_fix(table))
             norms.append(0.0)
             continue
-        unbounded = compiled.unbounded_prompt(weights)
+        unbounded = _unbounded_cached(compiled, c, checked)
         if unbounded is not None:
             fail(f"policy M-step for type {k}: {unbounded}")
-        table, grad_norm = fit_preference_table(
-            compiled, weights, kappa, init_table=init,
-            grad_tol=grad_tol, max_iter=max_iter,
-        )
+        x[k], grad_norm = _newton_fit(compiled, c, x[k], grad_tol, max_iter)
         if grad_norm > grad_tol:
             fail(f"policy M-step for type {k} stopped at gradient norm "
                  f"{grad_norm:.3e} > {grad_tol:.1e}")
-        tables.append(table)
         norms.append(grad_norm)
-    return tables, norms
+    compiled.gauge_fix(x)
+    return norms
 
 
 def mixture_loglik(dataset: Dataset, catalog: Catalog, ensemble: ScoreEnsemble) -> float:
     """Observed-data log-likelihood of the mixture, log-space stable."""
-    compiled = CompiledRecords.from_dataset(dataset, catalog)
-    return _e_step_compiled(compiled, ensemble)[1]
+    return _e_step_compiled(CompiledRecords.from_dataset(dataset, catalog), ensemble)[1]
 
 
 def mean_winner_features(dataset: Dataset, catalog: Catalog) -> np.ndarray:
@@ -498,7 +530,9 @@ def run_em(
 
     Each iteration is one closed-form eta update plus one policy M-step,
     followed by an E-step that also yields the current observed-data
-    log-likelihood. Restart r reruns the initializer with ``seed + r``.
+    log-likelihood. Between iterations the state is each profile's posterior
+    mass and the (K, size) scores. Restart r reruns the initializer with
+    ``seed + r``.
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
@@ -508,29 +542,34 @@ def run_em(
         raise ConfigError("restarts must be >= 1")
     compiled = CompiledRecords.from_dataset(dataset, catalog)
 
+    checked: dict[bytes, str | None] = {}
     best: EmState | None = None
     all_traces: list[tuple[dict, ...]] = []
     for r in range(restarts):
-        gamma = init_responsibilities(dataset, catalog, k, init, seed + r)
-        tables: list[ScoreTable] | None = None
+        gamma0 = init_responsibilities(dataset, catalog, k, init, seed + r)
+        mass = compiled.profile_mass(gamma0)
+        x = np.zeros((k, compiled.size))
+        gamma = None  # per profile; None while the start is still being fed
         trace: list[dict] = []
         prev_ll = None
         for it in range(1, max_iters + 1):  # runs at least once: max_iters >= 1
             gamma_fed = gamma
-            eta = m_step_eta(gamma)
-            tables, grad_norms = _m_step_policy_impl(
-                compiled, gamma, kappa, tables, grad_tol, inner_max_iter,
-                on_nonconvergence,
-            )
-            ensemble = ScoreEnsemble(tables=tuple(tables), eta=eta)
-            gamma, ll = _e_step_compiled(compiled, ensemble)
-            trace.append({"iteration": it, "loglik": ll, "eta": [float(x) for x in eta],
+            eta = mass.sum(axis=0) / compiled.n_rows
+            grad_norms = _fit_types(compiled, compiled.pattern_counts(mass), x, grad_tol,
+                                    inner_max_iter, on_nonconvergence, checked)
+            gamma, norm = _e_step(compiled, x, eta)
+            mass = compiled.mult[:, None] * gamma
+            ll = float(compiled.mult @ norm)
+            trace.append({"iteration": it, "loglik": ll, "eta": [float(v) for v in eta],
                           "grad_norms": [float(g) for g in grad_norms]})
             if prev_ll is not None and ll - prev_ll < tol:
                 break
             prev_ll = ll
         all_traces.append(tuple(trace))
         if best is None or ll > best.loglik:
-            best = EmState(ensemble=ensemble, gamma=gamma_fed, loglik=ll, iteration=it,
-                           trace=tuple(trace))
+            tables = tuple(ScoreTable(kappa=kappa, scores=catalog.split(row)) for row in x)
+            best = EmState(
+                ensemble=ScoreEnsemble(tables=tables, eta=eta), loglik=ll, iteration=it,
+                gamma=gamma0 if gamma_fed is None else gamma_fed[compiled.profile_of],
+                trace=tuple(trace))
     return replace(best, restart_traces=tuple(all_traces))

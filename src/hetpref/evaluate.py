@@ -81,16 +81,8 @@ def run_vanilla_dpo(
     on_nonconvergence: str = "raise",
 ) -> ScoreTable:
     """Single preference fit on the pooled data; identical to EM with one type."""
-    state = run_em(
-        dataset,
-        catalog,
-        k=1,
-        kappa=kappa,
-        max_iters=1,
-        grad_tol=grad_tol,
-        inner_max_iter=max_iter,
-        on_nonconvergence=on_nonconvergence,
-    )
+    state = run_em(dataset, catalog, k=1, kappa=kappa, max_iters=1, grad_tol=grad_tol,
+                   inner_max_iter=max_iter, on_nonconvergence=on_nonconvergence)
     return state.ensemble.tables[0]
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .emdpo import run_em
 from .errors import RankError
-from .policy import ScoreEnsemble, ScoreTable, optimal_table_for_type, reward_margin
+from .policy import ScoreEnsemble, ScoreTable, optimal_table_for_type
 from .rewards import Catalog, Population, exact_choice_weights, softmax
 from .simulate import Dataset, make_adversarial_pair, row_groups, simulate_dataset
 
@@ -180,12 +180,9 @@ class RecoveryReport:
 
 
 def _all_margins(table: ScoreTable, catalog: Catalog) -> np.ndarray:
-    vals = []
-    for prompt in catalog.prompts:
-        rids = catalog.responses(prompt)
-        for y1, y2 in combinations(rids, 2):
-            vals.append(reward_margin(table, catalog, prompt, y1, y2))
-    return np.asarray(vals)
+    """s(y1) - s(y2) for every response pair, y1 listed first, prompt by prompt."""
+    pairs = [(s, np.triu_indices(len(s), 1)) for s in map(table.scores.get, catalog.prompts)]
+    return np.concatenate([s[i] - s[j] for s, (i, j) in pairs])
 
 
 def ternary_recovery_experiment(

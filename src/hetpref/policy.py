@@ -235,23 +235,9 @@ def mixture_policy_probs(
 
 def ensemble_to_json_dict(ensemble: ScoreEnsemble, catalog: Catalog) -> dict:
     """Canonical JSON form; gauge is enforced on write."""
-    tables = []
-    for t in ensemble.tables:
-        t = gauge_fix(t)
-        tables.append(
-            {
-                p: {
-                    r: float(s)
-                    for r, s in zip(catalog.responses(p), t.scores[p])
-                }
-                for p in catalog.prompts
-            }
-        )
-    return {
-        "kappa": float(ensemble.kappa),
-        "eta": [float(e) for e in ensemble.eta],
-        "tables": tables,
-    }
+    tables = [{p: dict(zip(catalog.responses(p), t.scores[p].tolist())) for p in catalog.prompts}
+              for t in map(gauge_fix, ensemble.tables)]
+    return {"kappa": float(ensemble.kappa), "eta": ensemble.eta.tolist(), "tables": tables}
 
 
 def ensemble_from_json_dict(doc: Mapping, catalog: Catalog) -> ScoreEnsemble:

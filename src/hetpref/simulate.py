@@ -362,9 +362,10 @@ def simulate_dataset(
         items=np.take_along_axis(flat, col, axis=1).ravel(),
         vocab=tuple((p, r) for p in prompt_ids for r in catalog.responses(p)),
         catalog_hash=catalog.content_hash(),
-        seed=rng_seed,
-        m=m,
-        choice_set_size=choice_set_size,
+        # Python ints, so that write_dataset can encode numpy-integer arguments
+        seed=int(rng_seed) if _is_int(rng_seed) else rng_seed,
+        m=int(m),
+        choice_set_size=int(choice_set_size),
     )
 
 

@@ -11,7 +11,13 @@ from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from hetpref import emdpo
-from hetpref.emdpo import CompiledRecords, _unbounded_prompt, fit_preference_table
+from hetpref.emdpo import (
+    CompiledRecords,
+    _unbounded_cached,
+    _unbounded_prompt,
+    _unbounded_support,
+    fit_preference_table,
+)
 from hetpref.identify import recovery_catalog
 from hetpref.policy import ScoreTable, gauge_fix
 from hetpref.rewards import Catalog
@@ -109,7 +115,7 @@ def test_compressed_likelihood_matches_per_record_reference(world):
                                rtol=1e-9, atol=1e-9 * scale)
 
     x2 = x[::-1].copy()
-    got = compiled.annotator_logliks([split_scores(catalog, x), split_scores(catalog, x2)])
+    got = compiled.profile_logliks(np.stack([x, x2]))[compiled.profile_of]
     want = np.zeros((compiled.n_rows, 2))
     rows = {}
     for rec in records:
@@ -282,10 +288,13 @@ def test_existence_check_matches_ford_oracle(world, data):
 def test_memoized_existence_check_equals_fresh(world, data):
     catalog, records, _w, _x = world
     compiled = CompiledRecords.from_records(records, catalog)
+    checked = {}
     for _ in range(4):
         weights = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
                                               min_size=len(records), max_size=len(records))))
-        assert compiled.unbounded_prompt(weights) == _unbounded_prompt(compiled, weights)
+        counts = np.bincount(compiled.inverse, weights, minlength=compiled.n_patterns)
+        assert (_unbounded_cached(compiled, counts, checked)
+                == _unbounded_prompt(compiled, weights))
 
 
 def test_existence_check_reruns_when_support_changes():
@@ -294,9 +303,11 @@ def test_existence_check_reruns_when_support_changes():
                for w, y in [("r0", "r1"), ("r1", "r2"), ("r2", "r0")]]
     compiled = CompiledRecords.from_records(records, catalog)
     positive, cut = np.array([1.0, 2.0, 0.5]), np.array([1.0, 2.0, 0.0])
-    with mock.patch.object(emdpo, "_unbounded_prompt", wraps=_unbounded_prompt) as check:
-        answers = [compiled.unbounded_prompt(w) for w in (positive, 3 * positive, cut, positive)]
+    checked = {}
+    with mock.patch.object(emdpo, "_unbounded_support", wraps=_unbounded_support) as check:
+        answers = [_unbounded_cached(compiled, np.bincount(compiled.inverse, w), checked)
+                   for w in (positive, 3 * positive, cut, positive)]
     assert answers[:2] == [None, None] and answers[3] is None
     assert answers[2] == _unbounded_prompt(compiled, cut)
     assert answers[2].startswith("no finite maximizer: in prompt 'q', 'r0' never lose")
-    assert check.call_count == 3  # the second support equals the first
+    assert check.call_count == 2  # one check per distinct support

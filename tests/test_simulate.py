@@ -223,6 +223,18 @@ class TestDatasetIo:
         write_dataset(back, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_numpy_integer_header_round_trip(self, small_world, tmp_path):
+        catalog, population = small_world
+        ds = simulate_dataset(catalog, population, n=np.int64(6), m=np.int32(2),
+                              choice_set_size=np.int64(3), rng_seed=np.uint64(4))
+        assert all(type(v) is int for v in (ds.seed, ds.m, ds.choice_set_size))
+        write_dataset(ds, tmp_path / "d.jsonl")
+        back = read_dataset(tmp_path / "d.jsonl")
+        assert back == ds
+        write_dataset(simulate_dataset(catalog, population, n=6, m=2, choice_set_size=3,
+                                       rng_seed=4), tmp_path / "plain.jsonl")
+        assert (tmp_path / "d.jsonl").read_bytes() == (tmp_path / "plain.jsonl").read_bytes()
+
 
 def reference_annotators(catalog, population, n, m, choice_set_size, rng_seed):
     """The record-by-record sampler the vectorized one must reproduce exactly."""
