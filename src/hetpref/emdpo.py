@@ -9,7 +9,8 @@ set, winner) patterns, so EM carries each profile's posterior mass and a
 and separable by prompt, and its maximizer is finite iff every comparison
 (winner beats a rejected response) lies inside a strongly connected
 component of its prompt's comparison digraph (Ford 1957; Hunter 2004). The
-policy M-step checks that condition first, then runs one solver per type:
+policy M-step checks that condition first, finding the components with
+Tarjan's algorithm (Tarjan 1972), then runs one solver per type:
 damped Newton on per-prompt Hessian blocks, prompts of equal response
 count solved as one batch.
 """
@@ -21,8 +22,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigError, ConvergenceError, InputError
 from .policy import ScoreEnsemble, ScoreTable, gauge_fix
@@ -283,8 +282,9 @@ def _unbounded_support(compiled: CompiledRecords, support: np.ndarray) -> str | 
     """Why a fit weighting the patterns in ``support`` has no finite maximizer, or None.
 
     Each supported pattern's winner beats its rejected responses. A win
-    across strongly connected components lets the likelihood grow without
-    bound by pushing the winning side up (Ford's condition fails).
+    across strongly connected components (found by :func:`_strong_components`,
+    Tarjan 1972) lets the likelihood grow without bound by pushing the
+    winning side up (Ford's condition fails).
     """
     src, dst = [], []
     for span, idx in compiled.blocks:
@@ -292,8 +292,7 @@ def _unbounded_support(compiled: CompiledRecords, support: np.ndarray) -> str | 
         src.append(np.tile(idx[0, keep], idx.shape[0] - 1))
         dst.append(idx[1:, keep].ravel())
     src, dst = np.concatenate(src), np.concatenate(dst)
-    graph = coo_matrix((np.ones(src.size), (src, dst)), shape=(compiled.size,) * 2)
-    _, label = connected_components(graph, connection="strong")
+    label = _strong_components(compiled.size, src, dst)
     cross = label[src] != label[dst]
     if not cross.any():
         return None
@@ -308,6 +307,43 @@ def _unbounded_support(compiled: CompiledRecords, support: np.ndarray) -> str | 
     return (f"no finite maximizer: in prompt {prompt!r}, {', '.join(map(repr, names[:5]))}"
             f"{more} never lose to the rest of the prompt ({int(cross.sum())} comparisons "
             "cross strongly connected components)")
+
+
+def _strong_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Label each of ``n`` nodes with the root of its strongly connected component.
+
+    Tarjan's algorithm (Tarjan 1972): one O(n + edges) pass over the edges
+    src -> dst with explicit stacks, so no recursion limit applies.
+    """
+    keys = np.unique(src.astype(np.int64) * n + dst)
+    heads = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n).tolist()
+    succ, nxt = (keys % n).tolist(), heads[:-1]  # nxt[v]: v's next edge to follow
+    order, low, label = [-1] * n, [0] * n, [-1] * n  # label -1: unseen or on ``stack``
+    stack: list[int] = []
+    count = 0
+    for root in range(n):
+        path = [root] if order[root] < 0 else []
+        while path:
+            v = path[-1]
+            if order[v] < 0:
+                order[v] = low[v] = count
+                count += 1
+                stack.append(v)
+            if nxt[v] < heads[v + 1]:
+                w = succ[nxt[v]]
+                nxt[v] += 1
+                if order[w] < 0:
+                    path.append(w)
+                elif label[w] < 0:
+                    low[v] = min(low[v], order[w])
+                continue
+            path.pop()
+            if path:
+                low[path[-1]] = min(low[path[-1]], low[v])
+            if low[v] == order[v]:  # v roots a component: pop it off ``stack``
+                while label[v] < 0:
+                    label[stack.pop()] = v
+    return np.array(label, dtype=np.intp)
 
 
 def e_step(dataset: Dataset, catalog: Catalog, ensemble: ScoreEnsemble) -> np.ndarray:
@@ -532,7 +568,8 @@ def run_em(
     followed by an E-step that also yields the current observed-data
     log-likelihood. Between iterations the state is each profile's posterior
     mass and the (K, size) scores. Restart r reruns the initializer with
-    ``seed + r``.
+    ``seed + r``. A later restart wins only with a log-likelihood higher by
+    more than a relative 1e-12, so restarts tied up to rounding keep the first.
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
@@ -566,7 +603,7 @@ def run_em(
                 break
             prev_ll = ll
         all_traces.append(tuple(trace))
-        if best is None or ll > best.loglik:
+        if best is None or ll - best.loglik > 1e-12 * abs(best.loglik):
             tables = tuple(ScoreTable(kappa=kappa, scores=catalog.split(row)) for row in x)
             best = EmState(
                 ensemble=ScoreEnsemble(tables=tables, eta=eta), loglik=ll, iteration=it,

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import hetpref
 from hetpref.aggregate import solve_regret_game
 from hetpref.cli import load_config, main
 
@@ -245,7 +249,35 @@ class TestExitCodes:
         cfg.write_text("{}\n")
         assert self.emdpo_exit(tmp_path, cfg) == 4
         err = capsys.readouterr().err
-        assert "no finite maximizer: in prompt 'instruction'" in err, err
+        assert ("no finite maximizer: in prompt 'instruction', 'phrase_005' never lose to the "
+                "rest of the prompt (1092 comparisons cross strongly connected components)"
+                ) in err, err
+
+
+# Run in a fresh interpreter: prints the scipy modules loaded after importing
+# the package and running `simulate` and `emdpo` with config argv[1] into argv[2].
+SCIPY_GUARD = """
+import json, sys
+import hetpref
+from hetpref import cli
+cfg, out = sys.argv[1:]
+assert cli.main(["simulate", "--config", cfg, "--out", out]) == 0
+assert cli.main(["emdpo", "--config", cfg, "--dataset", out + "/dataset.jsonl",
+                 "--catalog", out + "/catalog.json", "--out", out]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_package_and_cli_load_no_scipy(tmp_path):
+    """Only the brute-force game oracle, which tests call, needs scipy."""
+    src = str(Path(hetpref.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_GUARD, str(write_config(tmp_path)), str(tmp_path / "run")],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert (tmp_path / "run" / "gamma.csv").is_file()
 
 
 class TestAggregateMethods:

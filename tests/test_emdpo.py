@@ -19,7 +19,7 @@ from hetpref.emdpo import (
 from hetpref.errors import ConfigError
 from hetpref.policy import ScoreEnsemble, ScoreTable, optimal_table_for_type, reward_margin
 from hetpref.rewards import Catalog, Population
-from hetpref.simulate import expected_dataset, simulate_dataset
+from hetpref.simulate import Dataset, PreferenceRecord, expected_dataset, simulate_dataset
 
 
 def line_catalog(theta, rewards, prompt="q"):
@@ -347,3 +347,19 @@ class TestRunEm:
             multi = run_em(ds, catalog, k=2, max_iters=3, init="random_dirichlet", seed=0,
                            restarts=4, on_nonconvergence="warn")
         assert multi.loglik >= single.loglik - 1e-12
+
+    def test_tied_restarts_keep_the_first(self):
+        # Four identical annotators (one type) fit with K = 2: both restarts
+        # reach the same log-likelihood, and rounding leaves restart 1 higher
+        # by 3e-15 with a different eta (type 0: 0.562 in restart 0, 0.464 in 1).
+        catalog = Catalog.build({"p0": [(f"r{i}", [float(i)]) for i in range(4)]})
+        sets = [("r3", "r2", "r1"), ("r2", "r0", "r1"), ("r0", "r1"), ("r2", "r3")]
+        ds = Dataset.from_records(PreferenceRecord(annotator=a, prompt="p0", winner=c[0],
+                                                   rejected=c[1:]) for a in range(4) for c in sets)
+        with pytest.warns(RuntimeWarning, match="no finite maximizer"):
+            state = run_em(ds, catalog, k=2, max_iters=4, init="random_dirichlet", seed=1,
+                           restarts=2, inner_max_iter=25, on_nonconvergence="warn")
+        first, second = (trace[-1]["loglik"] for trace in state.restart_traces)
+        assert first < second <= first + 1e-12 * abs(first)
+        assert state.trace == state.restart_traces[0]
+        assert state.loglik == first

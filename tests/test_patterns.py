@@ -1,6 +1,7 @@
 """The pattern-compressed likelihood and its Newton terms against per-record formulas."""
 
 import re
+import sys
 from unittest import mock
 
 import numpy as np
@@ -8,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.special import logsumexp
 
 from hetpref import emdpo
 from hetpref.emdpo import (
     CompiledRecords,
+    _strong_components,
     _unbounded_cached,
     _unbounded_prompt,
     _unbounded_support,
@@ -295,6 +299,47 @@ def test_memoized_existence_check_equals_fresh(world, data):
         counts = np.bincount(compiled.inverse, weights, minlength=compiled.n_patterns)
         assert (_unbounded_cached(compiled, counts, checked)
                 == _unbounded_prompt(compiled, weights))
+
+
+def same_partition(a, b):
+    """Whether two label arrays group the nodes alike, whatever the label values."""
+    pairs = set(zip(a.tolist(), b.tolist()))
+    return len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
+
+
+@st.composite
+def digraphs(draw):
+    """A node count and edge arrays with duplicate edges, self-loops and, when
+    edges are few, isolated nodes."""
+    n = draw(st.integers(1, 25))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=n)) if edges else []
+    edges += [(v, v) for v in draw(st.lists(node, max_size=3))]
+    src, dst = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    return n, src, dst
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(digraphs())
+def test_strong_components_match_scipy(graph):
+    n, src, dst = graph
+    adjacency = coo_matrix((np.ones(src.size), (src, dst)), shape=(n, n))
+    _, want = connected_components(adjacency, connection="strong")
+    label = _strong_components(n, src, dst)
+    assert label.shape == (n,)
+    assert same_partition(label, want)
+
+
+@pytest.mark.parametrize("cycle", [False, True])
+def test_strong_components_have_no_recursion_limit(cycle):
+    """A search from node 0 goes 20 000 nodes deep on a path i -> i + 1 (one
+    component per node) and on the cycle that closes it (one component)."""
+    n = 20_000
+    assert sys.getrecursionlimit() < n
+    src = np.arange(n if cycle else n - 1)
+    label = _strong_components(n, src, (src + 1) % n)
+    assert np.unique(label).size == (1 if cycle else n)
 
 
 def test_existence_check_reruns_when_support_changes():
