@@ -8,10 +8,10 @@ catalog's flat (prompt, response) order; regrets of all K types, the
 discrepancy matrix and the direct objective and gradient are weighted
 sums or matrix products along that axis. Three aggregators are provided:
 an optimistic-Hedge solver for the affine-mixture matrix game, whose two
-players share one log-weight state vector advanced by one block
-matrix-vector product per iteration; a lightweight loop that alternates
-weighted preference fits with multiplicative weight updates; and direct
-descent on the worst-case objective.
+players share one log-weight state vector advanced, per iteration, by one
+``dot`` on two adjacent trace rows and one for the normalizers; a
+lightweight loop that alternates weighted preference fits with
+multiplicative weight updates; and direct descent on the worst-case objective.
 
 The output policy class is not canonical: the matrix-game solver returns
 mixture weights over the ensemble (a policy in its affine hull), while
@@ -190,15 +190,17 @@ def solve_regret_game(
     Both players use one-step gradient prediction; the returned solution is
     the average of the iterates, and ``value`` is the adversary's best
     response to the averaged mixture weights (an upper bound on the
-    achieved minimax value). Both players share one state vector
-    x = [w; p] of length K + N, kept as log x: one matrix-vector product
-    with the block matrix [[0, -step R'], [step R, 0]] on 2x - x_prev gives
-    both optimistic gradients, and one product with a block-of-ones matrix
-    gives each player's normalizer. The iterates are rows of one buffer that
-    a cumulative sum turns into running averages; the duality gaps come
-    from one matrix product per block of ``GAP_BLOCK`` averaged iterates.
+    achieved minimax value). Both players share one state vector x = [w; p]
+    of length K + N, kept as log x. Each iterate is a row of one buffer, so
+    x_prev and x are two adjacent rows: one ``ndarray.dot`` of [-M | 2M], with
+    M = [[0, -step R'], [step R, 0]], on that flat slice gives both optimistic
+    gradients M(2x - x_prev), and one with a block-of-ones matrix gives each
+    player's normalizer. A cumulative sum turns the rows into running averages;
+    the gaps come from one matrix product per ``GAP_BLOCK`` averaged iterates.
     """
     R = np.asarray(R, dtype=float)
+    if R.ndim != 2 or 0 in R.shape:
+        raise ValueError(f"regret matrix must be 2-D with rows and columns, got shape {R.shape}")
     if not np.all(np.isfinite(R)):
         raise ValueError("regret matrix must be finite")
     if iters < 2:
@@ -221,23 +223,26 @@ def solve_regret_game(
     move = np.zeros((size, size))
     move[:k, k:] = -step * R.T
     move[k:, :k] = step * R
-    ones = np.zeros((size, size))
-    ones[:k, :k] = 1.0
-    ones[k:, k:] = 1.0
+    optimistic = np.hstack([-move, 2.0 * move]).dot  # [x_prev; x] -> move (2x - x_prev)
+    side = np.arange(size) < k
+    normalizers = (side[:, None] == side).astype(float).dot  # each player's sum
 
     log_x = np.concatenate([np.full(k, -np.log(k)), np.full(n_rows, -np.log(n_rows))])
-    x = np.exp(log_x)
-    x_prev = x
-    trace = np.empty((iters, size))
+    # rows 0 and 1 hold x_0, so the first step sees x_prev = x; step t reads
+    # rows t and t + 1 (x_prev, x) as one flat slice and writes row t + 2
+    buf = np.empty((iters + 2, size))
+    buf[:2] = np.exp(log_x)
+    flat = buf.reshape(-1)
+    exp, log = np.exp, np.log
     for t in range(iters):
-        log_x += move @ (2.0 * x - x_prev)
-        x_prev, x = x, trace[t]
-        np.exp(log_x, out=x)
-        z = ones @ x
+        log_x += optimistic(flat[t * size:(t + 2) * size])
+        x = exp(log_x, out=buf[t + 2])
+        z = normalizers(x)
         x /= z
-        log_x -= np.log(z)
+        log_x -= log(z, out=z)
 
     # in place: the iterates become the running averages
+    trace = buf[2:]
     np.cumsum(trace, axis=0, out=trace)
     trace /= np.arange(1, iters + 1)[:, None]
     w_avg_trace, p_avg_trace = trace[:, :k], trace[:, k:]

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -492,7 +494,7 @@ def ref_direct_trace(ensemble, ref, catalog, pw, iters, policy_step, mwu_step):
 def flat_worlds(draw):
     """Multi-prompt catalog, non-uniform reference, weights with zeros, K members."""
     sizes = draw(st.lists(st.integers(2, 5), min_size=1, max_size=4))
-    k = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 6))
     zero = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     catalog = Catalog.build(
@@ -581,7 +583,7 @@ def ref_game_trace(R, iters, step):
 
 @st.composite
 def games(draw):
-    k = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 6))
     cells = draw(st.lists(st.floats(-1.0, 2.0), min_size=(k + 1) * k, max_size=(k + 1) * k))
     step = draw(st.one_of(st.none(), st.floats(1e-3, 0.5)))
     return np.array(cells).reshape(k + 1, k), draw(st.integers(2, 2000)), step
@@ -591,6 +593,7 @@ def games(draw):
 @given(games())
 @example((np.zeros((4, 3)), 500, None))
 @example((np.zeros((3, 2)), 300, 0.2))
+@example((np.array([[0.0, 1.0], [1.0, 0.0], [0.5, -1.0]]), 2, None))
 def test_game_iterates_match_per_iteration_loop(game):
     R, iters, step = game
     sol = solve_regret_game(R, iters=iters, step=step)
@@ -620,6 +623,27 @@ def test_game_log_weights_recover_from_underflow():
     assert dominated[-1] < dominated[999] < dominated[99]
     assert dominated[-1] < 1e-3
     assert sol.value <= float((R @ np.full(2, 0.5)).max())
+
+
+@pytest.mark.parametrize("shape", [(3,), (), (2, 3, 4), (3, 0), (0, 2), (0, 0)])
+def test_game_rejects_misshaped_regret_matrix(shape):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        solve_regret_game(np.zeros(shape), iters=10)
+
+
+def test_game_memory_is_one_trace_row_per_iteration():
+    # the iterate buffer, its running averages and the gap trace take
+    # iters * (2K + 1) floats for K = 3; a wider per-iteration state would
+    # show up here as a multiple of that
+    R = np.arange(12.0).reshape(4, 3) / 11.0
+    iters = 30_000
+    tracemalloc.start()
+    try:
+        solve_regret_game(R, iters=iters)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * iters * (2 * 3 + 1) * 8
 
 
 @pytest.mark.parametrize("step", [0.0, -0.5, np.nan, np.inf, 1e6])
