@@ -182,6 +182,16 @@ class GameSolution:
     iters: int
 
 
+def _checked_regret_matrix(R: np.ndarray) -> np.ndarray:
+    """R as a float array; a ValueError unless it is 2-D with rows and columns, and finite."""
+    R = np.asarray(R, dtype=float)
+    if R.ndim != 2 or 0 in R.shape:
+        raise ValueError(f"regret matrix must be 2-D with rows and columns, got shape {R.shape}")
+    if not np.all(np.isfinite(R)):
+        raise ValueError("regret matrix must be finite")
+    return R
+
+
 def solve_regret_game(
     R: np.ndarray, iters: int, step: float | None = None
 ) -> GameSolution:
@@ -198,11 +208,7 @@ def solve_regret_game(
     player's normalizer. A cumulative sum turns the rows into running averages;
     the gaps come from one matrix product per ``GAP_BLOCK`` averaged iterates.
     """
-    R = np.asarray(R, dtype=float)
-    if R.ndim != 2 or 0 in R.shape:
-        raise ValueError(f"regret matrix must be 2-D with rows and columns, got shape {R.shape}")
-    if not np.all(np.isfinite(R)):
-        raise ValueError("regret matrix must be finite")
+    R = _checked_regret_matrix(R)
     if iters < 2:
         raise ValueError("iters must be >= 2")
     n_rows, k = R.shape
@@ -293,7 +299,7 @@ def brute_force_game(
     """
     from scipy.optimize import linprog
 
-    R = np.asarray(R, dtype=float)
+    R = _checked_regret_matrix(R)
     n_rows, k = R.shape
     if k > 4:
         raise ValueError("brute force oracle supports K <= 4")

@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import argparse
 import copy
-import functools
 import hashlib
 import json
 import math
-import operator
 import sys
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -38,112 +36,81 @@ from .errors import (
     StepSizeError,
 )
 
-# Pipeline-wide tuned defaults (KL coefficient, EM iterations, MWU
-# iterations and learning rate).
-PIPELINE_DEFAULTS = {
-    "kappa": 0.1,
-    "em_max_iters": 5,
-    "mwu_iters": 20,
-    "mwu_step": 0.01,
-}
-
-AGGREGATE_METHODS = ("affine", "lightweight", "direct", "uniform")
 METHOD_ALIASES = {"ae": "affine", "lw": "lightweight", "original": "direct"}
+
+# Every config field: section -> field -> (default, kind). A kind is one of
+# "int>=0", "int>=1", "int>=2": an integer of at least that value;
+# "number>0", "number": a finite number, > 0 or of any sign, and
+# "number>0|null", which may also be null; "theta": a list of finite
+# numbers, not all zero; "ints": a non-empty list of positive integers;
+# "mapping": a mapping or null; a tuple: one of its values; None: unchecked
+# here (Population.from_weights checks the custom preset's thetas and etas).
+# A field whose default is null may be null: the command that needs it says so.
+_SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
+    "population": {
+        "preset": ("mpi", ("mpi", "adversarial", "custom")),
+        "n_phrases": (990, "int>=1"),
+        "phrase_seed": (0, "int>=0"),
+        "theta": (None, "theta"),
+        "n_responses": (4, "int>=2"),
+        "reward_spread": (3.0, "number>0"),
+        "thetas": (None, None),
+        "etas": (None, None),
+        "catalog": (None, "mapping"),
+    },
+    "simulate": {
+        "n": (1500, "int>=1"),
+        "m": (1, "int>=1"),
+        "choice_set_size": (2, "int>=1"),
+        "seed": (0, "int>=0"),
+    },
+    "emdpo": {
+        "k": (2, "int>=1"),
+        "kappa": (0.1, "number>0"),
+        "max_iters": (5, "int>=1"),
+        "tol": (1e-8, "number"),
+        "init": ("kmeans_winner_features", emdpo.INIT_STRATEGIES),
+        "seed": (0, "int>=0"),
+        "restarts": (1, "int>=1"),
+        "grad_tol": (1e-8, "number>0"),
+        "inner_max_iter": (1000, "int>=1"),
+        "on_nonconvergence": ("raise", ("raise", "warn")),
+    },
+    "sweep": {"k_values": ([2, 3, 4, 5, 6], "ints")},
+    "aggregate": {
+        "method": ("affine", ("affine", "lightweight", "direct", "uniform", *METHOD_ALIASES)),
+        "iters": (20, "int>=1"),
+        "step": (0.01, "number>0|null"),
+        "inner_steps": (40, "int>=1"),
+        "policy_step": (0.5, "number>0"),
+        "mwu_step": (0.05, "number>0"),
+    },
+    "identify": {
+        "theta": ([2.0, 0.0], "theta"),
+        "n_values": ([500, 2000, 5000], "ints"),
+        "seed": (0, "int>=0"),
+        "n_responses": (4, "int>=2"),
+        "reward_spread": (3.0, "number>0"),
+        "em": ({}, "mapping"),  # any emdpo field but k
+    },
+    "evaluate": {
+        "eval_n": (1200, "int>=1"),
+        "eval_seed": (1000003, "int>=0"),
+    },
+}
 
 
 def default_config() -> dict:
-    return {
-        "population": {
-            "preset": "mpi",
-            "n_phrases": 990,
-            "phrase_seed": 0,
-            "theta": None,
-            "n_responses": 4,
-            "reward_spread": 3.0,
-            "thetas": None,
-            "etas": None,
-            "catalog": None,
-        },
-        "simulate": {
-            "n": 1500,
-            "m": 1,
-            "choice_set_size": 2,
-            "seed": 0,
-        },
-        "emdpo": {
-            "k": 2,
-            "kappa": PIPELINE_DEFAULTS["kappa"],
-            "max_iters": PIPELINE_DEFAULTS["em_max_iters"],
-            "tol": 1e-8,
-            "init": "kmeans_winner_features",
-            "seed": 0,
-            "restarts": 1,
-            "grad_tol": 1e-8,
-            "inner_max_iter": 1000,
-            "on_nonconvergence": "raise",
-        },
-        "sweep": {"k_values": [2, 3, 4, 5, 6]},
-        "aggregate": {
-            "method": "affine",
-            "iters": PIPELINE_DEFAULTS["mwu_iters"],
-            "step": PIPELINE_DEFAULTS["mwu_step"],
-            "inner_steps": 40,
-            "policy_step": 0.5,
-            "mwu_step": 0.05,
-        },
-        "identify": {
-            "theta": [2.0, 0.0],
-            "n_values": [500, 2000, 5000],
-            "seed": 0,
-            "n_responses": 4,
-            "reward_spread": 3.0,
-            "em": {},
-        },
-        "evaluate": {
-            "eval_n": 1200,
-            "eval_seed": 1000003,
-        },
-    }
+    return copy.deepcopy({section: {field: default for field, (default, _) in rows.items()}
+                          for section, rows in _SCHEMA.items()})
 
 
-_DOMAINS: dict[str, tuple] = {
-    "population.preset": ("mpi", "adversarial", "custom"),
-    "emdpo.init": emdpo.INIT_STRATEGIES,
-    "emdpo.on_nonconvergence": ("raise", "warn"),
-}
-
-# mappings whose keys are not a fixed schema
-_FREE_FORM = {"identify.em", "population.catalog"}
-
-
-def _merge_validated(base: dict, user: Mapping, path: str = "") -> dict:
-    out = copy.deepcopy(base)
-    for key, value in user.items():
-        dotted = f"{path}{key}"
-        if key not in base:
-            raise ConfigError(
-                f"unknown config field {dotted!r}; expected one of "
-                f"{sorted(base.keys())}"
-            )
-        if dotted in _FREE_FORM:
-            if value is not None and not isinstance(value, Mapping):
-                raise ConfigError(f"config field {dotted!r} must be a mapping")
-            out[key] = copy.deepcopy(value)
-        elif isinstance(base[key], dict):
-            if not isinstance(value, Mapping):
-                raise ConfigError(f"config field {dotted!r} must be a mapping")
-            out[key] = _merge_validated(base[key], value, dotted + ".")
-        else:
-            if dotted in _DOMAINS and value not in _DOMAINS[dotted]:
-                raise ConfigError(
-                    f"config field {dotted!r} must be one of {_DOMAINS[dotted]}, "
-                    f"got {value!r}"
-                )
-            out[key] = value
-    return out
+def _unknown(dotted: str, rows: Mapping) -> ConfigError:
+    return ConfigError(f"unknown config field {dotted!r}; expected one of {sorted(rows)}")
 
 
 def load_config(path: str | Path) -> dict:
+    """The defaults overlaid with a YAML file; fields are known, domains and mappings checked."""
     try:
         raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -154,48 +121,82 @@ def load_config(path: str | Path) -> dict:
         raw = {}
     if not isinstance(raw, Mapping):
         raise ConfigError("config root must be a mapping")
-    cfg = _merge_validated(default_config(), raw)
+    cfg = default_config()
+    for section, fields in raw.items():
+        if section not in _SCHEMA:
+            raise _unknown(str(section), _SCHEMA)
+        if not isinstance(fields, Mapping):
+            raise ConfigError(f"config field {section!r} must be a mapping")
+        for field, value in fields.items():
+            dotted = f"{section}.{field}"
+            if field not in _SCHEMA[section]:
+                raise _unknown(dotted, _SCHEMA[section])
+            kind = _SCHEMA[section][field][1]
+            if isinstance(kind, tuple) or kind == "mapping":
+                _check(dotted, value, kind)
+            cfg[section][field] = copy.deepcopy(value)
     if cfg["identify"]["em"] is None:
         cfg["identify"]["em"] = {}
     return cfg
 
 
-def _require_int(cfg: Mapping, dotted: str, minimum: int = 1) -> int:
-    """An integer config field of at least ``minimum``, else a ConfigError."""
-    node = functools.reduce(operator.getitem, dotted.split("."), cfg)
-    if not isinstance(node, int) or isinstance(node, bool) or node < minimum:
-        kind = {0: "a non-negative integer", 1: "a positive integer"}.get(
+def _checked(cfg: Mapping, section: str) -> dict:
+    """Every field of ``section`` checked against its kind: numbers as float, a theta
+    as an array. ``identify.em`` holds any ``emdpo`` field but ``k``."""
+    if section == "identify.em":
+        node = cfg["identify"]["em"]
+        rows = {field: row for field, row in _SCHEMA["emdpo"].items() if field != "k"}
+    else:
+        node, rows = cfg[section], _SCHEMA[section]
+    checked = {}
+    for field, value in node.items():
+        dotted = f"{section}.{field}"
+        if field not in rows:
+            raise _unknown(dotted, rows)
+        default, kind = rows[field]
+        checked[field] = (value if value is None and default is None
+                          else _check(dotted, value, kind))
+    return checked
+
+
+def _is_int(value: Any, minimum: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
+def _check(dotted: str, value: Any, kind: Any) -> Any:
+    """``value`` if it is of ``kind`` (see ``_SCHEMA``), converted; else a ConfigError."""
+    if kind is None or (value is None and kind in ("mapping", "number>0|null")):
+        return value
+    checked, hint = value, ""
+    if isinstance(kind, tuple):
+        ok, what = value in kind, f"one of {kind}"
+    elif kind == "mapping":
+        ok, what = isinstance(value, Mapping), "a mapping"
+    elif kind.startswith("int>="):
+        minimum = int(kind[5:])
+        ok = _is_int(value, minimum)
+        what = {0: "a non-negative integer", 1: "a positive integer"}.get(
             minimum, f"an integer >= {minimum}")
-        raise ConfigError(f"config field {dotted!r} must be {kind}, got {node!r}")
-    return node
-
-
-def _require_number(cfg: Mapping, dotted: str, positive: bool = True,
-                    allow_null: bool = False) -> float | None:
-    """A finite number config field, > 0 if ``positive``; null only where ``allow_null``."""
-    node = functools.reduce(operator.getitem, dotted.split("."), cfg)
-    if node is None and allow_null:
-        return None
-    if (isinstance(node, bool) or not isinstance(node, (int, float))
-            or not (math.isfinite(node) and (node > 0 or not positive))):
-        null = ", or null for the affine solver's automatic step" if allow_null else ""
-        raise ConfigError(f"config field {dotted!r} must be a finite number"
-                          f"{' > 0' if positive else ''}{null}, got {node!r}"
-                          f"{_yaml11_hint(node)}")
-    return float(node)
-
-
-def _require_theta(cfg: Mapping, dotted: str) -> np.ndarray:
-    """An adversarial pair's theta: a list of finite numbers, not all zero."""
-    node = functools.reduce(operator.getitem, dotted.split("."), cfg)
-    try:
-        theta = np.asarray(node, dtype=float)
-    except (TypeError, ValueError):
-        theta = np.empty(0)
-    if theta.ndim != 1 or not np.all(np.isfinite(theta)) or not np.any(theta != 0.0):
-        raise ConfigError(f"config field {dotted!r} must be a list of finite numbers, "
-                          f"not all zero, got {node!r}")
-    return theta
+    elif kind == "ints":
+        ok = isinstance(value, list) and bool(value) and all(_is_int(v, 1) for v in value)
+        what = "a non-empty list of positive integers"
+    elif kind == "theta":
+        try:
+            checked = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            checked = np.empty(0)
+        ok = checked.ndim == 1 and np.all(np.isfinite(checked)) and np.any(checked != 0.0)
+        what = "a list of finite numbers, not all zero"
+    else:
+        ok = (not isinstance(value, bool) and isinstance(value, (int, float))
+              and math.isfinite(value) and (value > 0 or kind == "number"))
+        checked = float(value) if ok else value
+        what = "a finite number" + {"number": "", "number>0": " > 0",
+                                    "number>0|null": " > 0, or null"}[kind]
+        hint = _yaml11_hint(value)
+    if not ok:
+        raise ConfigError(f"config field {dotted!r} must be {what}, got {value!r}{hint}")
+    return checked
 
 
 def _yaml11_hint(node: Any) -> str:
@@ -218,22 +219,18 @@ def _yaml11_hint(node: Any) -> str:
 
 
 def build_population(cfg: Mapping) -> tuple[rewards.Population, rewards.Catalog]:
-    pop_cfg = cfg["population"]
+    pop_cfg = _checked(cfg, "population")
     preset = pop_cfg["preset"]
     if preset == "mpi":
-        n_phrases = _require_int(cfg, "population.n_phrases")
-        seed = _require_int(cfg, "population.phrase_seed", minimum=0)
-        return simulate.make_mpi_population(n_phrases=n_phrases, seed=seed)
+        return simulate.make_mpi_population(n_phrases=pop_cfg["n_phrases"],
+                                            seed=pop_cfg["phrase_seed"])
     if preset == "adversarial":
-        if pop_cfg["theta"] is None:
+        theta = pop_cfg["theta"]
+        if theta is None:
             raise ConfigError("config field 'population.theta' is required for the "
                               "adversarial preset")
-        theta = _require_theta(cfg, "population.theta")
-        catalog = identify.recovery_catalog(
-            theta,
-            n_responses=_require_int(cfg, "population.n_responses", minimum=2),
-            reward_spread=_require_number(cfg, "population.reward_spread"),
-        )
+        catalog = identify.recovery_catalog(theta, n_responses=pop_cfg["n_responses"],
+                                            reward_spread=pop_cfg["reward_spread"])
         return simulate.make_adversarial_pair(theta), catalog
     # custom
     if pop_cfg["thetas"] is None or pop_cfg["etas"] is None:
@@ -275,10 +272,8 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
 
 
 def _write_manifest(out: Path, command: str, cfg: Mapping, inputs: dict, outputs: dict) -> None:
-    _write_json(
-        out / f"manifest_{command}.json",
-        {"command": command, "config": cfg, "inputs": inputs, "outputs": outputs},
-    )
+    _write_json(out / f"manifest_{command}.json",
+                {"command": command, "config": cfg, "inputs": inputs, "outputs": outputs})
 
 
 def _load_catalog(path: Path) -> rewards.Catalog:
@@ -310,18 +305,10 @@ def _read_dataset(path: Path, catalog: rewards.Catalog) -> simulate.Dataset:
 
 def cmd_simulate(cfg: Mapping, out: Path) -> None:
     population, catalog = build_population(cfg)
-    sim = cfg["simulate"]
-    for field in ("n", "m", "choice_set_size"):
-        _require_int(cfg, f"simulate.{field}")
-    _require_int(cfg, "simulate.seed", minimum=0)
-    dataset = simulate.simulate_dataset(
-        catalog,
-        population,
-        n=sim["n"],
-        m=sim["m"],
-        choice_set_size=sim["choice_set_size"],
-        rng_seed=sim["seed"],
-    )
+    sim = _checked(cfg, "simulate")
+    dataset = simulate.simulate_dataset(catalog, population, n=sim["n"], m=sim["m"],
+                                        choice_set_size=sim["choice_set_size"],
+                                        rng_seed=sim["seed"])
     out.mkdir(parents=True, exist_ok=True)
     catalog_path = out / "catalog.json"
     dataset_path = out / "dataset.jsonl"
@@ -337,31 +324,6 @@ def cmd_simulate(cfg: Mapping, out: Path) -> None:
             "seed": sim["seed"],
         },
     )
-
-
-def _em_kwargs(cfg: Mapping, section: str = "emdpo") -> dict:
-    """Checked run_em keyword arguments from every field of ``section`` but ``k``:
-    ``emdpo``, or ``identify.em``, which may hold any of its fields."""
-    kwargs = {}
-    for key, value in functools.reduce(operator.getitem, section.split("."), cfg).items():
-        dotted = f"{section}.{key}"
-        if key in ("kappa", "grad_tol"):
-            value = _require_number(cfg, dotted)
-        elif key == "tol":
-            value = _require_number(cfg, dotted, positive=False)
-        elif key in ("k", "max_iters", "restarts", "inner_max_iter"):
-            value = _require_int(cfg, dotted)
-        elif key == "seed":
-            value = _require_int(cfg, dotted, minimum=0)
-        elif key not in default_config()["emdpo"]:
-            raise ConfigError(f"unknown config field {dotted!r}; expected one of "
-                              f"{sorted(default_config()['emdpo'])}")
-        elif value not in _DOMAINS[f"emdpo.{key}"]:
-            raise ConfigError(f"config field {dotted!r} must be one of "
-                              f"{_DOMAINS[f'emdpo.{key}']}, got {value!r}")
-        kwargs[key] = value
-    kwargs.pop("k", None)
-    return kwargs
 
 
 def _write_em_outputs(out: Path, state: emdpo.EmState, catalog: rewards.Catalog,
@@ -394,8 +356,8 @@ def _write_em_outputs(out: Path, state: emdpo.EmState, catalog: rewards.Catalog,
 def cmd_emdpo(cfg: Mapping, dataset_path: Path, catalog_path: Path, out: Path) -> None:
     catalog = _load_catalog(catalog_path)
     dataset = _read_dataset(dataset_path, catalog)
-    k = _require_int(cfg, "emdpo.k")
-    state = emdpo.run_em(dataset, catalog, k, **_em_kwargs(cfg))
+    em = _checked(cfg, "emdpo")
+    state = emdpo.run_em(dataset, catalog, em.pop("k"), **em)
     out.mkdir(parents=True, exist_ok=True)
     outputs = _write_em_outputs(out, state, catalog, dataset)
     outputs["loglik"] = state.loglik
@@ -413,36 +375,23 @@ def cmd_emdpo(cfg: Mapping, dataset_path: Path, catalog_path: Path, out: Path) -
 def cmd_sweep_k(cfg: Mapping, dataset_path: Path, catalog_path: Path, out: Path) -> None:
     catalog = _load_catalog(catalog_path)
     dataset = _read_dataset(dataset_path, catalog)
-    k_values = cfg["sweep"]["k_values"]
-    if not isinstance(k_values, Sequence) or not k_values:
-        raise ConfigError("config field 'sweep.k_values' must be a non-empty list")
+    k_values = _checked(cfg, "sweep")["k_values"]
+    em = {field: value for field, value in _checked(cfg, "emdpo").items() if field != "k"}
     groups = evaluate.split_by_true_type(evaluate.binarize_records(dataset))
     rows = []
     for k in k_values:
-        if not isinstance(k, int) or k < 1:
-            raise ConfigError(f"config field 'sweep.k_values' must hold positive "
-                              f"integers, got {k!r}")
-        state = emdpo.run_em(dataset, catalog, k, **_em_kwargs(cfg))
-        margins = [
-            evaluate.max_mean_reward_margin(state.ensemble, catalog, g)
-            for _t, g in sorted(groups.items())
-        ]
+        state = emdpo.run_em(dataset, catalog, k, **em)
+        margins = [evaluate.max_mean_reward_margin(state.ensemble, catalog, g)
+                   for _t, g in sorted(groups.items())]
         rows.append([k, state.loglik] + margins)
     out.mkdir(parents=True, exist_ok=True)
     sweep_path = out / "sweep.csv"
-    _write_csv(
-        sweep_path,
-        ["k", "loglik"] + [f"max_mean_margin_group_{t}" for t in sorted(groups)],
-        rows,
-    )
-    _write_manifest(
-        out, "sweep-k", cfg,
-        inputs={
-            "dataset.jsonl": _file_sha256(dataset_path),
-            "catalog.json": _file_sha256(catalog_path),
-        },
-        outputs={"sweep.csv": _file_sha256(sweep_path)},
-    )
+    _write_csv(sweep_path,
+               ["k", "loglik"] + [f"max_mean_margin_group_{t}" for t in sorted(groups)], rows)
+    _write_manifest(out, "sweep-k", cfg,
+                    inputs={"dataset.jsonl": _file_sha256(dataset_path),
+                            "catalog.json": _file_sha256(catalog_path)},
+                    outputs={"sweep.csv": _file_sha256(sweep_path)})
 
 
 def _flatten_trace(trace: Sequence[Mapping]) -> tuple[list[str], list[list]]:
@@ -494,23 +443,18 @@ def cmd_aggregate(cfg: Mapping, ensemble_path: Path, catalog_path: Path, out: Pa
     ensemble = policy.read_ensemble(ensemble_path, catalog)
     ref = policy.ReferencePolicy.uniform(catalog)
     pw = policy.uniform_prompt_weights(catalog)
-    acfg = cfg["aggregate"]
+    acfg = _checked(cfg, "aggregate")
     method = METHOD_ALIASES.get(acfg["method"], acfg["method"])
-    if method not in AGGREGATE_METHODS:
-        raise ConfigError(
-            f"config field 'aggregate.method' must be one of {AGGREGATE_METHODS} "
-            f"(aliases {sorted(METHOD_ALIASES)}), got {acfg['method']!r}"
-        )
-    iters = _require_int(cfg, "aggregate.iters", minimum=2 if method == "affine" else 1)
-    inner_steps = _require_int(cfg, "aggregate.inner_steps")
+    iters, step = acfg["iters"], acfg["step"]
+    if method == "affine" and iters < 2:
+        raise ConfigError(f"config field 'aggregate.iters' must be an integer >= 2 for the "
+                          f"affine method, got {iters!r}")
     # lightweight has no automatic step to fall back on
-    step = _require_number(cfg, "aggregate.step", allow_null=method != "lightweight")
-    policy_step = _require_number(cfg, "aggregate.policy_step")
-    mwu_step = _require_number(cfg, "aggregate.mwu_step")
-    inputs = {
-        "ensemble.json": _file_sha256(ensemble_path),
-        "catalog.json": _file_sha256(catalog_path),
-    }
+    if method == "lightweight" and step is None:
+        raise ConfigError("config field 'aggregate.step' must be a finite number > 0 for "
+                          "the lightweight method, got None")
+    inputs = {"ensemble.json": _file_sha256(ensemble_path),
+              "catalog.json": _file_sha256(catalog_path)}
     outputs: dict = {}
 
     R = agg.regret_matrix(agg.discrepancy_matrix(ensemble, ref, catalog, pw))
@@ -553,14 +497,14 @@ def cmd_aggregate(cfg: Mapping, ensemble_path: Path, catalog_path: Path, out: Pa
             table, trace = agg.minimax_policy_lightweight(
                 dataset, catalog, ensemble, gamma, ref,
                 iters=iters, step=step,
-                inner_steps=inner_steps,
+                inner_steps=acfg["inner_steps"],
                 prompt_weights=pw,
             )
         else:
             try:
                 table, trace = agg.minimax_policy_direct(
                     ensemble, ref, catalog, pw,
-                    iters=iters, policy_step=policy_step, mwu_step=mwu_step,
+                    iters=iters, policy_step=acfg["policy_step"], mwu_step=acfg["mwu_step"],
                 )
             except StepSizeError as exc:
                 raise ConfigError(f"config field 'aggregate.policy_step' is too large, "
@@ -598,17 +542,10 @@ def cmd_aggregate(cfg: Mapping, ensemble_path: Path, catalog_path: Path, out: Pa
 
 
 def cmd_identify(cfg: Mapping, out: Path) -> None:
-    icfg = cfg["identify"]
-    theta = _require_theta(cfg, "identify.theta")
-    seed = _require_int(cfg, "identify.seed", minimum=0)
-    em_config = _em_kwargs(cfg, "identify.em")
-    n_responses = _require_int(cfg, "identify.n_responses", minimum=2)
-    spread = _require_number(cfg, "identify.reward_spread")
-    n_values = icfg["n_values"]
-    if not isinstance(n_values, list) or not all(
-            isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in n_values):
-        raise ConfigError(f"config field 'identify.n_values' must be a list of positive "
-                          f"integers, got {n_values!r}")
+    icfg = _checked(cfg, "identify")
+    em_config = _checked(cfg, "identify.em")
+    theta, seed = icfg["theta"], icfg["seed"]
+    n_responses, spread = icfg["n_responses"], icfg["reward_spread"]
     catalog = identify.recovery_catalog(theta, n_responses, spread)
     population = simulate.make_adversarial_pair(theta)
 
@@ -641,7 +578,7 @@ def cmd_identify(cfg: Mapping, out: Path) -> None:
 
     rows = []
     reports = []
-    for n in n_values:
+    for n in icfg["n_values"]:
         rep3 = identify.ternary_recovery_experiment(
             theta, n=n, seed=seed, em_config=em_config,
             choice_set_size=3, n_responses=n_responses, reward_spread=spread,
@@ -697,11 +634,10 @@ def cmd_evaluate(cfg: Mapping, catalog_path: Path, ensembles: Sequence[tuple[str
             f"  provided catalog: {catalog.content_hash()}\n"
             f"  preset catalog:   {pop_catalog.content_hash()}"
         )
-    ecfg = cfg["evaluate"]
-    eval_n = _require_int(cfg, "evaluate.eval_n")
+    ecfg = _checked(cfg, "evaluate")
     eval_ds = simulate.simulate_dataset(
-        catalog, population, n=eval_n, m=1, choice_set_size=2,
-        rng_seed=_require_int(cfg, "evaluate.eval_seed", minimum=0),
+        catalog, population, n=ecfg["eval_n"], m=1, choice_set_size=2,
+        rng_seed=ecfg["eval_seed"],
     )
     groups = evaluate.split_by_true_type(eval_ds)
     group_ids = sorted(groups)
@@ -753,15 +689,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a dataset from a population preset")
     common(p)
 
-    p = sub.add_parser("emdpo", help="fit the latent-type ensemble")
-    common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--catalog", required=True)
-
-    p = sub.add_parser("sweep-k", help="fit for every k in sweep.k_values")
-    common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--catalog", required=True)
+    for name, text in (("emdpo", "fit the latent-type ensemble"),
+                       ("sweep-k", "fit for every k in sweep.k_values")):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        p.add_argument("--dataset", required=True)
+        p.add_argument("--catalog", required=True)
 
     p = sub.add_parser("aggregate", help="combine the ensemble into one policy")
     common(p)
@@ -776,29 +709,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="margins and accuracies per hidden group")
     common(p)
     p.add_argument("--catalog", required=True)
-    p.add_argument(
-        "--ensemble",
-        action="append",
-        required=True,
-        metavar="LABEL=PATH",
-        help="ensemble file to score, repeatable",
-    )
+    p.add_argument("--ensemble", action="append", required=True, metavar="LABEL=PATH",
+                   help="ensemble file to score, repeatable")
     return parser
 
 
+# the config field --seed overrides, per command; aggregate draws nothing
+_SEED_FIELDS = {"simulate": "simulate.seed", "emdpo": "emdpo.seed", "sweep-k": "emdpo.seed",
+                "identify": "identify.seed", "evaluate": "evaluate.eval_seed"}
+
+
 def _apply_seed_override(cfg: dict, command: str, seed: int | None) -> None:
-    if seed is None:
-        return
-    if seed < 0:
+    if seed is not None and seed < 0:
         raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
-    if command == "simulate":
-        cfg["simulate"]["seed"] = seed
-    elif command in ("emdpo", "sweep-k"):
-        cfg["emdpo"]["seed"] = seed
-    elif command == "identify":
-        cfg["identify"]["seed"] = seed
-    elif command == "evaluate":
-        cfg["evaluate"]["eval_seed"] = seed
+    if seed is not None and command in _SEED_FIELDS:
+        section, field = _SEED_FIELDS[command].split(".")
+        cfg[section][field] = seed
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -826,9 +752,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             ensembles = []
             for entry in args.ensemble:
                 if "=" not in entry:
-                    raise ConfigError(
-                        f"--ensemble expects LABEL=PATH, got {entry!r}"
-                    )
+                    raise ConfigError(f"--ensemble expects LABEL=PATH, got {entry!r}")
                 label, path = entry.split("=", 1)
                 ensembles.append((label, Path(path)))
             cmd_evaluate(cfg, Path(args.catalog), ensembles, out)

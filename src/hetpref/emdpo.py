@@ -525,6 +525,9 @@ def init_responsibilities(
                              else f"annotator {dataset.ids[i]} has true_type {labels[i]}, "
                                   f"not below k={k}")
         return np.eye(k)[labels]
+    if k > n:
+        raise ConfigError(f"k={k} exceeds the dataset's annotator count ({n}); "
+                          f"{strategy} init needs k <= {n}")
     labels, _ = lloyd_kmeans(mean_winner_features(dataset, catalog), k, seed)
     gamma = np.full((n, k), 0.1 / (k - 1))
     gamma[np.arange(n), labels] = 0.9

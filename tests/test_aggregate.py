@@ -625,10 +625,19 @@ def test_game_log_weights_recover_from_underflow():
     assert sol.value <= float((R @ np.full(2, 0.5)).max())
 
 
-@pytest.mark.parametrize("shape", [(3,), (), (2, 3, 4), (3, 0), (0, 2), (0, 0)])
-def test_game_rejects_misshaped_regret_matrix(shape):
+MISSHAPED = [(3,), (), (2, 3, 4), (3, 0), (0, 2), (0, 0)]
+GAMES = {"solve_regret_game": lambda R: solve_regret_game(R, iters=10),
+         "brute_force_game": lambda R: brute_force_game(R, resolution=0.1)}
+
+
+# the solver's cases keep the ids shape0 to shape5
+@pytest.mark.parametrize("game, shape", [
+    pytest.param(game, shape, id=f"{prefix}shape{i}")
+    for prefix, game in (("", "solve_regret_game"), ("brute_force_game-", "brute_force_game"))
+    for i, shape in enumerate(MISSHAPED)])
+def test_game_rejects_misshaped_regret_matrix(game, shape):
     with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
-        solve_regret_game(np.zeros(shape), iters=10)
+        GAMES[game](np.zeros(shape))
 
 
 def test_game_memory_is_one_trace_row_per_iteration():

@@ -10,7 +10,7 @@ import yaml
 
 import hetpref
 from hetpref.aggregate import solve_regret_game
-from hetpref.cli import load_config, main
+from hetpref.cli import _SCHEMA, _check, _checked, default_config, load_config, main
 
 BASE_CONFIG = {
     "population": {
@@ -865,6 +865,7 @@ class TestEmdpoValidation:
         ({"seed": -1}, "identify.em.seed"),
         ({"init": "nope"}, "identify.em.init"),
         ({"on_nonconvergence": "ignore"}, "identify.em.on_nonconvergence"),
+        ({"k": 5}, "identify.em.k"),
     ])
     def test_identify_em_bad_value_is_2(self, tmp_path, capsys, em, field):
         cfg = write_config(tmp_path, {"identify.em": em})
@@ -880,3 +881,105 @@ class TestEmdpoValidation:
                                       "emdpo.max_iters": 2})
         assert main(["emdpo", "--config", str(cfg), "--dataset", str(run / "dataset.jsonl"),
                      "--catalog", str(run / "catalog.json"), "--out", str(tmp_path / "x")]) == 0
+
+
+def fitted_command(command, cfg, run, out):
+    """argv for ``command`` on the shared fitted run, with config ``cfg`` and ``--out out``."""
+    inputs = {
+        "emdpo": ["--dataset", run / "dataset.jsonl", "--catalog", run / "catalog.json"],
+        "sweep-k": ["--dataset", run / "dataset.jsonl", "--catalog", run / "catalog.json"],
+        "aggregate": ["--ensemble", run / "ensemble.json", "--catalog", run / "catalog.json"],
+        "evaluate": ["--catalog", run / "catalog.json", "--ensemble",
+                     f"fit={run / 'ensemble.json'}"],
+    }.get(command, [])
+    return [str(a) for a in [command, "--config", cfg, "--out", out, *inputs]]
+
+
+def assert_config_error(capsys, code, field, out):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and repr(field) in err, err
+    assert not out.exists()
+
+
+class TestSweepValidation:
+    """A bad sweep.k_values exits 2 before any fit, writing nothing."""
+
+    @pytest.mark.parametrize("k_values", [[True, 2], [2, 0], [], 3, ["x"]],
+                             ids=["bool", "late-zero", "empty", "scalar", "string"])
+    def test_bad_k_values_is_2(self, fitted_run, tmp_path, capsys, k_values):
+        _, run = fitted_run
+        cfg = write_config(tmp_path, {"sweep.k_values": k_values})
+        code = main(fitted_command("sweep-k", cfg, run, tmp_path / "x"))
+        assert_config_error(capsys, code, "sweep.k_values", tmp_path / "x")
+
+
+class TestAnnotatorCount:
+    """A k above the dataset's annotator count is a config error naming both, not a crash."""
+
+    @pytest.mark.parametrize("command, overrides, needle", [
+        ("emdpo", {"emdpo.k": 500}, "k=500 exceeds the dataset's annotator count (120)"),
+        ("sweep-k", {"sweep.k_values": [2, 500]},
+         "k=500 exceeds the dataset's annotator count (120)"),
+        ("identify", {"identify.n_values": [1]}, "k=2 exceeds the dataset's annotator count (1)"),
+    ], ids=["emdpo", "sweep-k", "identify"])
+    def test_k_above_annotators_is_2(self, fitted_run, tmp_path, capsys, command, overrides,
+                                     needle):
+        _, run = fitted_run
+        cfg = write_config(tmp_path, overrides)
+        assert main(fitted_command(command, cfg, run, tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and needle in err, err
+        assert not (tmp_path / "x").exists()
+
+
+# the command that reads each config section
+SECTION_COMMAND = {"population": "simulate", "simulate": "simulate", "emdpo": "emdpo",
+                   "sweep": "sweep-k", "aggregate": "aggregate", "identify": "identify",
+                   "identify.em": "identify", "evaluate": "evaluate"}
+
+
+def bad_values(kind):
+    """Values each kind of _SCHEMA must reject."""
+    if isinstance(kind, tuple):
+        return ["no_such_value"]
+    if kind is None:
+        return []
+    if kind.startswith("int>="):
+        return [True, int(kind[5:]) - 1, 1.5]
+    if kind.startswith("number"):
+        return [float("nan"), float("inf"), "abc", True]
+    return {"theta": [[0.0, 0.0]], "ints": [[0], [True]], "mapping": [3]}[kind]
+
+
+SCHEMA_ROWS = [(section, field, kind) for section, rows in _SCHEMA.items()
+               for field, (_default, kind) in rows.items()]
+SCHEMA_ROWS += [("identify.em", field, kind) for section, field, kind in SCHEMA_ROWS
+                if section == "emdpo" and field != "k"]
+
+
+@pytest.mark.parametrize("section, field, value", [
+    pytest.param(section, field, value, id=f"{section}.{field}={value!r}")
+    for section, field, kind in SCHEMA_ROWS for value in bad_values(kind)])
+def test_every_schema_field_rejects_bad_values(fitted_run, tmp_path, capsys, section, field,
+                                               value):
+    _, run = fitted_run
+    dotted = f"{section}.{field}"
+    if section == "identify.em":
+        cfg = write_config(tmp_path, {"identify.em": {field: value}})
+    else:
+        cfg = write_config(tmp_path, {dotted: value})
+    code = main(fitted_command(SECTION_COMMAND[section], cfg, run, tmp_path / "x"))
+    assert_config_error(capsys, code, dotted, tmp_path / "x")
+
+
+@pytest.mark.parametrize("section", list(_SCHEMA) + ["identify.em"])
+def test_every_default_passes_its_kind(section):
+    rows = _SCHEMA["emdpo" if section == "identify.em" else section]
+    for field, (default, kind) in rows.items():
+        if default is not None:
+            _check(f"{section}.{field}", default, kind)
+    cfg = default_config()
+    if section == "identify.em":
+        cfg["identify"]["em"] = {f: d for f, (d, _k) in rows.items() if f != "k"}
+    _checked(cfg, section)
