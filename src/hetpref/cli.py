@@ -304,8 +304,8 @@ def _read_dataset(path: Path, catalog: rewards.Catalog) -> simulate.Dataset:
 
 
 def cmd_simulate(cfg: Mapping, out: Path) -> None:
-    population, catalog = build_population(cfg)
     sim = _checked(cfg, "simulate")
+    population, catalog = build_population(cfg)
     dataset = simulate.simulate_dataset(catalog, population, n=sim["n"], m=sim["m"],
                                         choice_set_size=sim["choice_set_size"],
                                         rng_seed=sim["seed"])
@@ -354,9 +354,9 @@ def _write_em_outputs(out: Path, state: emdpo.EmState, catalog: rewards.Catalog,
 
 
 def cmd_emdpo(cfg: Mapping, dataset_path: Path, catalog_path: Path, out: Path) -> None:
+    em = _checked(cfg, "emdpo")
     catalog = _load_catalog(catalog_path)
     dataset = _read_dataset(dataset_path, catalog)
-    em = _checked(cfg, "emdpo")
     state = emdpo.run_em(dataset, catalog, em.pop("k"), **em)
     out.mkdir(parents=True, exist_ok=True)
     outputs = _write_em_outputs(out, state, catalog, dataset)
@@ -373,10 +373,10 @@ def cmd_emdpo(cfg: Mapping, dataset_path: Path, catalog_path: Path, out: Path) -
 
 
 def cmd_sweep_k(cfg: Mapping, dataset_path: Path, catalog_path: Path, out: Path) -> None:
-    catalog = _load_catalog(catalog_path)
-    dataset = _read_dataset(dataset_path, catalog)
     k_values = _checked(cfg, "sweep")["k_values"]
     em = {field: value for field, value in _checked(cfg, "emdpo").items() if field != "k"}
+    catalog = _load_catalog(catalog_path)
+    dataset = _read_dataset(dataset_path, catalog)
     groups = evaluate.split_by_true_type(evaluate.binarize_records(dataset))
     rows = []
     for k in k_values:
@@ -439,10 +439,6 @@ def _read_gamma(path: Path, annotators: Sequence[int], k: int) -> np.ndarray:
 
 def cmd_aggregate(cfg: Mapping, ensemble_path: Path, catalog_path: Path, out: Path,
                   dataset_path: Path | None = None, gamma_path: Path | None = None) -> None:
-    catalog = _load_catalog(catalog_path)
-    ensemble = policy.read_ensemble(ensemble_path, catalog)
-    ref = policy.ReferencePolicy.uniform(catalog)
-    pw = policy.uniform_prompt_weights(catalog)
     acfg = _checked(cfg, "aggregate")
     method = METHOD_ALIASES.get(acfg["method"], acfg["method"])
     iters, step = acfg["iters"], acfg["step"]
@@ -453,6 +449,10 @@ def cmd_aggregate(cfg: Mapping, ensemble_path: Path, catalog_path: Path, out: Pa
     if method == "lightweight" and step is None:
         raise ConfigError("config field 'aggregate.step' must be a finite number > 0 for "
                           "the lightweight method, got None")
+    catalog = _load_catalog(catalog_path)
+    ensemble = policy.read_ensemble(ensemble_path, catalog)
+    ref = policy.ReferencePolicy.uniform(catalog)
+    pw = policy.uniform_prompt_weights(catalog)
     inputs = {"ensemble.json": _file_sha256(ensemble_path),
               "catalog.json": _file_sha256(catalog_path)}
     outputs: dict = {}
@@ -626,15 +626,15 @@ def cmd_identify(cfg: Mapping, out: Path) -> None:
 
 def cmd_evaluate(cfg: Mapping, catalog_path: Path, ensembles: Sequence[tuple[str, Path]],
                  out: Path) -> None:
-    catalog = _load_catalog(catalog_path)
+    ecfg = _checked(cfg, "evaluate")
     population, pop_catalog = build_population(cfg)
+    catalog = _load_catalog(catalog_path)
     if pop_catalog.content_hash() != catalog.content_hash():
         raise HashMismatchError(
             "evaluation population preset does not rebuild the provided catalog:\n"
             f"  provided catalog: {catalog.content_hash()}\n"
             f"  preset catalog:   {pop_catalog.content_hash()}"
         )
-    ecfg = _checked(cfg, "evaluate")
     eval_ds = simulate.simulate_dataset(
         catalog, population, n=ecfg["eval_n"], m=1, choice_set_size=2,
         rng_seed=ecfg["eval_seed"],

@@ -10,16 +10,15 @@ binary comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Mapping, Sequence
+from dataclasses import asdict, dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .emdpo import run_em
-from .errors import RankError
+from .emdpo import mixture_loglik, run_em
+from .errors import ConfigError, RankError
 from .policy import ScoreEnsemble, ScoreTable, optimal_table_for_type
-from .rewards import Catalog, Population, exact_choice_weights, softmax
+from .rewards import Catalog, Population, choice_weights
 from .simulate import Dataset, make_adversarial_pair, row_groups, simulate_dataset
 
 __all__ = [
@@ -36,60 +35,50 @@ __all__ = [
 def verify_binary_flatness(catalog: Catalog, theta: np.ndarray) -> float:
     """Max |p - 1/2| of the adversarial mixture over every binary pair."""
     population = make_adversarial_pair(theta)
-    worst = 0.0
-    for prompt in catalog.prompts:
-        rewards = catalog.features(prompt) @ population.thetas.T  # (responses, K)
-        pairs = np.array(list(combinations(range(len(rewards)), 2)))
-        # each pair's (2, K) rewards; the softmax runs over the pair
-        p = softmax(rewards[pairs], axis=1)[:, 0] @ population.etas
-        worst = max(worst, float(np.abs(p - 0.5).max()))
-    return worst
+    p = _winner_weights(catalog, population, catalog.choice_sets(2))
+    return float(np.abs(p[:, 0] - 0.5).max())
+
+
+def _winner_weights(catalog: Catalog, mixture: Population | ScoreEnsemble,
+                    sets: np.ndarray) -> np.ndarray:
+    """Winner distributions of flat choice sets under a population or a fitted ensemble."""
+    if isinstance(mixture, Population):
+        return choice_weights(catalog.flat_features[sets] @ mixture.thetas.T, mixture.etas)
+    scores = np.stack([catalog.flatten(t.scores) for t in mixture.tables], axis=1)
+    return choice_weights(scores[sets], mixture.eta)
 
 
 def expected_record_loglik(
     dataset: Dataset,
     catalog: Catalog,
     truth: Population,
-    model: Callable[[str, tuple[str, ...]], np.ndarray],
+    model: Population | ScoreEnsemble,
 ) -> float:
-    """Average over records of E_{winner ~ truth}[log model(winner | set)].
+    """Average over records of E_{winner ~ truth}[log P_model(winner | set)].
 
     The expectation replaces the sampled winner with the exact winner
     distribution, giving the infinite-data (per-record cross entropy) form
-    of the log-likelihood for the given choice sets. ``model`` is called
-    once per distinct choice set, with the responses sorted by name.
+    of the log-likelihood for the given choice sets. Per set size, the
+    distinct choice sets, each with its responses sorted by name, go
+    through :func:`~hetpref.rewards.choice_weights` once for the truth and
+    once for the model.
     """
+    flat = dataset.catalog_index(catalog)
+    by_name = np.array(sorted(range(len(dataset.vocab)), key=dataset.vocab.__getitem__),
+                       dtype=np.intp)
+    rank = np.empty_like(by_name)
+    rank[by_name] = np.arange(by_name.size)
     values = np.empty(dataset.rows.size)
     for recs, sets in dataset.sets_by_size():
-        sets = np.sort(sets, axis=1)
+        sets = np.sort(rank[sets], axis=1)
         group, first = row_groups(sets)
-        per_set = []
-        for row in sets[first].tolist():
-            prompt = dataset.vocab[row[0]][0]
-            cset = tuple(sorted(dataset.vocab[v][1] for v in row))
-            p_true = exact_choice_weights(catalog, truth, prompt, cset)
-            p_model = np.asarray(model(prompt, cset), dtype=float)
-            per_set.append(float(p_true @ np.log(p_model)))
-        values[recs] = np.array(per_set)[group]
+        sets = flat[by_name[sets[first]]]
+        p = _winner_weights(catalog, truth, sets)
+        logq = np.log(_winner_weights(catalog, model, sets))
+        # one dot per set, summed in name order
+        values[recs] = (p[:, None, :] @ logq[:, :, None])[:, 0, 0][group]
     # np.cumsum adds in record order, as the running sum it replaces did
     return float(np.cumsum(values)[-1] / values.size)
-
-
-def _mixture_model(catalog: Catalog, mixture: Population | ScoreEnsemble):
-    """Winner distribution over a choice set under a population or a fitted ensemble."""
-    if isinstance(mixture, Population):
-        scores = {p: catalog.features(p) @ mixture.thetas.T for p in catalog.prompts}
-        eta = mixture.etas
-    else:
-        scores = {p: np.stack([t.scores[p] for t in mixture.tables], axis=1)
-                  for p in catalog.prompts}
-        eta = mixture.eta
-
-    def model(prompt: str, cset: tuple[str, ...]) -> np.ndarray:
-        idx = [catalog.response_index(prompt, y) for y in cset]
-        return softmax(scores[prompt][idx], axis=0) @ eta  # (set, K) @ (K,)
-
-    return model
 
 
 def binary_likelihood_flatness(
@@ -103,10 +92,7 @@ def binary_likelihood_flatness(
     On purely binary adversarial data every candidate that is flat on pairs
     scores identically; a single ternary record already separates them.
     """
-    values = [
-        expected_record_loglik(dataset, catalog, truth, _mixture_model(catalog, c))
-        for c in candidates
-    ]
+    values = [expected_record_loglik(dataset, catalog, truth, c) for c in candidates]
     return float(max(values) - min(values))
 
 
@@ -165,24 +151,13 @@ class RecoveryReport:
     choice_set_size: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "eta_error": list(self.eta_error),
-            "margin_correlation": self.margin_correlation,
-            "loglik_true": self.loglik_true,
-            "loglik_fit": self.loglik_fit,
-            "expected_loglik_fit": self.expected_loglik_fit,
-            "expected_loglik_null": self.expected_loglik_null,
-            "permutation": list(self.permutation),
-            "n": self.n,
-            "seed": self.seed,
-            "choice_set_size": self.choice_set_size,
-        }
+        return asdict(self)
 
 
 def _all_margins(table: ScoreTable, catalog: Catalog) -> np.ndarray:
     """s(y1) - s(y2) for every response pair, y1 listed first, prompt by prompt."""
-    pairs = [(s, np.triu_indices(len(s), 1)) for s in map(table.scores.get, catalog.prompts)]
-    return np.concatenate([s[i] - s[j] for s, (i, j) in pairs])
+    pairs = catalog.flatten(table.scores)[catalog.choice_sets(2)]
+    return pairs[:, 0] - pairs[:, 1]
 
 
 def ternary_recovery_experiment(
@@ -203,6 +178,8 @@ def ternary_recovery_experiment(
     binary sets the fitted model cannot beat the coin-flip predictor in
     expectation, whatever the sample size.
     """
+    if em_config and "k" in em_config:
+        raise ConfigError("em_config must not set 'k': the experiment fits two types")
     theta = np.asarray(theta, dtype=float)
     if catalog is None:
         catalog = recovery_catalog(theta, n_responses, reward_spread)
@@ -210,66 +187,33 @@ def ternary_recovery_experiment(
     dataset = simulate_dataset(
         catalog, population, n=n, m=1, choice_set_size=choice_set_size, rng_seed=seed
     )
-
-    config = {
-        "kappa": 0.1,
-        "max_iters": 80,
-        "tol": 1e-10,
-        "init": "kmeans_winner_features",
-        "seed": seed,
-        "restarts": 1,
-    }
-    if em_config:
-        config.update(em_config)
-    config.pop("k", None)
+    config = {"kappa": 0.1, "max_iters": 80, "tol": 1e-10, "init": "kmeans_winner_features",
+              "seed": seed, "restarts": 1, **(em_config or {})}
     state = run_em(dataset, catalog, k=2, **config)
 
     kappa = state.ensemble.kappa
-    true_tables = [
-        optimal_table_for_type(catalog, t.theta, kappa) for t in population.types
-    ]
+    true_tables = [optimal_table_for_type(catalog, t.theta, kappa) for t in population.types]
     true_margins = [_all_margins(t, catalog) for t in true_tables]
     fit_margins = [_all_margins(t, catalog) for t in state.ensemble.tables]
 
     def match_cost(perm):
-        return sum(
-            float(np.abs(fit_margins[j] - true_margins[i]).sum())
-            for i, j in enumerate(perm)
-        )
+        return sum(float(np.abs(fit_margins[j] - true_margins[i]).sum())
+                   for i, j in enumerate(perm))
 
     perm = min(((0, 1), (1, 0)), key=match_cost)
     stacked_fit = np.concatenate([fit_margins[j] for j in perm])
     stacked_true = np.concatenate(true_margins)
     denom = stacked_fit.std() * stacked_true.std()
-    corr = (
-        float(np.corrcoef(stacked_fit, stacked_true)[0, 1]) if denom > 0 else 0.0
-    )
-    eta_err = tuple(
-        abs(float(state.ensemble.eta[j]) - 0.5) for j in perm
-    )
-
-    from .emdpo import mixture_loglik
+    corr = float(np.corrcoef(stacked_fit, stacked_true)[0, 1]) if denom > 0 else 0.0
 
     true_ensemble = ScoreEnsemble(tables=tuple(true_tables), eta=np.array([0.5, 0.5]))
-    loglik_true = mixture_loglik(dataset, catalog, true_ensemble)
-    loglik_fit = state.loglik
-
     null = Population.from_weights([np.zeros_like(theta)], [1.0])
-    exp_fit = expected_record_loglik(
-        dataset, catalog, population, _mixture_model(catalog, state.ensemble)
-    )
-    exp_null = expected_record_loglik(
-        dataset, catalog, population, _mixture_model(catalog, null)
-    )
     return RecoveryReport(
-        eta_error=eta_err,
+        eta_error=tuple(abs(float(state.ensemble.eta[j]) - 0.5) for j in perm),
         margin_correlation=corr,
-        loglik_true=loglik_true,
-        loglik_fit=loglik_fit,
-        expected_loglik_fit=exp_fit,
-        expected_loglik_null=exp_null,
-        permutation=perm,
-        n=n,
-        seed=seed,
-        choice_set_size=choice_set_size,
+        loglik_true=mixture_loglik(dataset, catalog, true_ensemble),
+        loglik_fit=state.loglik,
+        expected_loglik_fit=expected_record_loglik(dataset, catalog, population, state.ensemble),
+        expected_loglik_null=expected_record_loglik(dataset, catalog, population, null),
+        permutation=perm, n=n, seed=seed, choice_set_size=choice_set_size,
     )

@@ -7,6 +7,10 @@ d-dimensional feature vector per (prompt, response). Rewards are linear,
 mixture thereof. Every softmax in the package is one of the two kernels
 here: :func:`softmax_lse` along an axis, and :func:`segment_log_softmax`
 over the prompt blocks of a flat array laid out by :attr:`Catalog.offsets`.
+Every exact winner distribution is :func:`choice_weights`, the mixture
+kernel over :func:`softmax`: per-type scores of a batch of choice sets
+(gathered from :attr:`Catalog.flat_features` by :meth:`Catalog.choice_sets`
+indices, then multiplied) in, one distribution per set out.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, combinations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -30,6 +35,7 @@ __all__ = [
     "choice_prob",
     "mixture_choice_prob",
     "exact_choice_weights",
+    "choice_weights",
     "check_choice_set",
     "softmax",
     "softmax_lse",
@@ -55,6 +61,12 @@ def softmax_lse(scores: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndar
 def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax (max subtraction)."""
     return softmax_lse(scores, axis)[0]
+
+
+def choice_weights(scores: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """(n, L) winner distributions of n choice sets from their (n, L, K)
+    per-type scores, mixed by the (K,) type weights ``eta``."""
+    return softmax(scores, axis=1) @ eta
 
 
 def segment_log_softmax(logits: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -171,6 +183,21 @@ class Catalog:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def flat_features(self) -> np.ndarray:
+        """(size, d) features of every (prompt, response) in the flat order; read-only."""
+        out = np.concatenate([self._features[p] for p in self.prompts])
+        out.setflags(write=False)
+        return out
+
+    def choice_sets(self, size: int) -> np.ndarray:
+        """(sets, size) flat indices of every choice set of ``size`` responses,
+        prompt by prompt, each prompt's in ``itertools.combinations`` order."""
+        bounds = self.offsets.tolist()
+        per_prompt = (combinations(range(s, e), size) for s, e in zip(bounds, bounds[1:]))
+        return np.fromiter(chain.from_iterable(chain.from_iterable(per_prompt)),
+                           dtype=np.intp).reshape(-1, size)
+
     def flatten(self, per_prompt: Mapping[str, np.ndarray]) -> np.ndarray:
         """Per-prompt arrays (aligned with :meth:`responses`) joined in the flat order."""
         return np.concatenate([np.asarray(per_prompt[p], dtype=float) for p in self.prompts])
@@ -258,6 +285,13 @@ class Population:
             )
         )
 
+    @classmethod
+    def of(cls, theta_or_population: np.ndarray | Population) -> Population:
+        """A population as is; a bare theta as one type of weight 1."""
+        if isinstance(theta_or_population, Population):
+            return theta_or_population
+        return cls.from_weights([theta_or_population], [1.0])
+
     @property
     def k(self) -> int:
         return len(self.types)
@@ -288,11 +322,8 @@ def exact_choice_weights(
     """Full winner distribution over a choice set (softmax or mixture thereof)."""
     check_choice_set(choice_set)
     idx = [catalog.response_index(prompt, y) for y in choice_set]
-    feats = catalog.features(prompt)[idx]
-    if isinstance(theta_or_population, Population):
-        pop = theta_or_population
-        return softmax(feats @ pop.thetas.T, axis=0) @ pop.etas  # (set, K) @ (K,)
-    return softmax(feats @ np.asarray(theta_or_population, dtype=float))
+    pop = Population.of(theta_or_population)
+    return choice_weights(catalog.features(prompt)[idx][None] @ pop.thetas.T, pop.etas)[0]
 
 
 def choice_prob(

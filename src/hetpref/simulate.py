@@ -28,7 +28,7 @@ import numpy as np
 
 from ._streams import Streams
 from .errors import ConfigError, DegeneratePopulationError, InputError
-from .rewards import Catalog, Population, exact_choice_weights, softmax
+from .rewards import Catalog, Population, choice_weights, softmax
 
 __all__ = [
     "PreferenceRecord",
@@ -350,22 +350,25 @@ def simulate_dataset(
     probs = softmax(rewards[flat, np.repeat(z, m)[:, None]], axis=1)
     below = np.cumsum(probs, axis=1) <= winner_u[:, None]
     w = np.minimum(below.sum(axis=1), choice_set_size - 1)
-    # Winner first, then the rest of the set in draw order.
-    col = np.arange(choice_set_size)
-    col = col - (col <= w[:, None])
-    col[:, 0] = w
+    # a Python int seed, so that write_dataset can encode numpy-integer arguments
+    return _flat_dataset(catalog, flat, w, z, m, int(rng_seed) if _is_int(rng_seed) else rng_seed)
+
+
+def _flat_dataset(catalog: Catalog, sets: np.ndarray, winner: np.ndarray,
+                  true_type: np.ndarray, m: int, seed: Any = None) -> Dataset:
+    """n = ``true_type.size`` annotators with m records each. Record r offers
+    row r of the (n * m, L) flat catalog indices ``sets``: its ``winner[r]``-th
+    entry first, then the rest of the set in order."""
+    n, size = true_type.size, sets.shape[1]
+    col = np.arange(size)
+    col = col - (col <= winner[:, None])
+    col[:, 0] = winner
     return Dataset(
-        ids=np.arange(n, dtype=np.int64),
-        true_type=z.astype(np.int64),
-        rows=np.repeat(np.arange(n), m),
-        offsets=np.arange(n * m + 1) * choice_set_size,
-        items=np.take_along_axis(flat, col, axis=1).ravel(),
-        vocab=tuple((p, r) for p in prompt_ids for r in catalog.responses(p)),
-        catalog_hash=catalog.content_hash(),
-        # Python ints, so that write_dataset can encode numpy-integer arguments
-        seed=int(rng_seed) if _is_int(rng_seed) else rng_seed,
-        m=int(m),
-        choice_set_size=int(choice_set_size),
+        ids=np.arange(n, dtype=np.int64), true_type=true_type.astype(np.int64),
+        rows=np.repeat(np.arange(n), m), offsets=np.arange(len(sets) + 1) * size,
+        items=np.take_along_axis(sets, col, axis=1).ravel(),
+        vocab=tuple((p, r) for p in catalog.prompts for r in catalog.responses(p)),
+        catalog_hash=catalog.content_hash(), seed=seed, m=int(m), choice_set_size=int(size),
     )
 
 
@@ -373,34 +376,28 @@ def expected_dataset(
     catalog: Catalog,
     theta_or_population: np.ndarray | Population,
     choice_set_size: int,
-) -> tuple[list[PreferenceRecord], np.ndarray]:
+) -> tuple[Dataset, np.ndarray]:
     """Infinite-data surrogate: every choice set with every winner, weighted.
 
-    Enumerates all choice sets of the given size per prompt and emits one
-    record per possible winner, weighted by prompt probability (uniform),
-    set probability (uniform) and the exact winner probability. Feeding
-    these weighted records to the preference-table fitter reproduces the
+    Each prompt's choice sets of the given size, in ``itertools.combinations``
+    order, give one record per possible winner: the winner first, then the
+    rest of the set in order, each record on its own annotator row. A
+    record's weight is its prompt probability (uniform) times its set
+    probability (uniform) times the exact winner probability. Feeding the
+    weighted records to the preference-table fitter reproduces the
     population-level optimum without sampling noise.
     """
-    from itertools import combinations
-
-    records: list[PreferenceRecord] = []
-    weights: list[float] = []
-    n_prompts = len(catalog.prompts)
-    i = 0
-    for prompt in catalog.prompts:
-        rids = catalog.responses(prompt)
-        sets = list(combinations(rids, choice_set_size))
-        for s in sets:
-            probs = exact_choice_weights(catalog, theta_or_population, prompt, s)
-            for j, winner in enumerate(s):
-                rejected = tuple(y for y in s if y != winner)
-                records.append(
-                    PreferenceRecord(annotator=i, prompt=prompt, winner=winner, rejected=rejected)
-                )
-                weights.append(float(probs[j]) / (len(sets) * n_prompts))
-                i += 1
-    return records, np.asarray(weights)
+    if not _is_int(choice_set_size) or choice_set_size < 2:
+        raise ConfigError(f"choice_set_size must be an integer >= 2, got {choice_set_size!r}")
+    population = Population.of(theta_or_population)
+    sets = catalog.choice_sets(choice_set_size)
+    probs = choice_weights(catalog.flat_features[sets] @ population.thetas.T, population.etas)
+    prompt = np.searchsorted(catalog.offsets, sets[:, 0], side="right") - 1
+    n_sets = np.bincount(prompt, minlength=len(catalog.prompts))
+    dataset = _flat_dataset(catalog, np.repeat(sets, choice_set_size, axis=0),
+                            np.tile(np.arange(choice_set_size), len(sets)),
+                            np.full(probs.size, -1), 1)
+    return dataset, (probs / (n_sets[prompt, None] * len(catalog.prompts))).ravel()
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:

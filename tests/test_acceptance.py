@@ -145,10 +145,10 @@ def test_criterion_4_dpo_population_consistency():
         {f"p{j}": [(f"r{i}", rng.normal(size=3)) for i in range(5)] for j in range(2)}
     )
     theta = rng.normal(size=3)
-    records, weights = expected_dataset(catalog, theta, choice_set_size=2)
+    dataset, weights = expected_dataset(catalog, theta, choice_set_size=2)
     from hetpref.emdpo import CompiledRecords, fit_preference_table
 
-    compiled = CompiledRecords.from_records(records, catalog)
+    compiled = CompiledRecords.from_dataset(dataset, catalog)
     table, grad_norm = fit_preference_table(compiled, weights, kappa=1.0)
     worst = 0.0
     for prompt in catalog.prompts:

@@ -902,6 +902,36 @@ def assert_config_error(capsys, code, field, out):
     assert not out.exists()
 
 
+class TestConfigBeforeInputs:
+    """Each command checks its own config sections before it reads an input or
+    builds a population, so a config fault is named even when an input is bad too."""
+
+    def test_simulate_checks_before_building_population(self, tmp_path, capsys, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("population built before the simulate section was checked")
+
+        monkeypatch.setattr("hetpref.simulate.make_mpi_population", build)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("simulate: {n: 0}\n")
+        out = tmp_path / "x"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert_config_error(capsys, code, "simulate.n", out)
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("emdpo", "emdpo.k", 0),
+        ("sweep-k", "sweep.k_values", []),
+        ("sweep-k", "emdpo.kappa", 0),
+        ("aggregate", "aggregate.iters", 0),
+        ("evaluate", "evaluate.eval_n", 0),
+    ])
+    def test_config_fault_named_before_missing_input(self, tmp_path, capsys, command, field,
+                                                     value):
+        cfg = write_config(tmp_path, {field: value})
+        out = tmp_path / "x"
+        code = main(fitted_command(command, cfg, tmp_path / "missing", out))
+        assert_config_error(capsys, code, field, out)
+
+
 class TestSweepValidation:
     """A bad sweep.k_values exits 2 before any fit, writing nothing."""
 

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from hetpref.emdpo import CompiledRecords, mean_winner_features
 from hetpref.errors import InputError
 from hetpref.evaluate import accuracy, binarize_records, mean_margin, split_by_true_type
-from hetpref.identify import _mixture_model, expected_record_loglik
+from hetpref.identify import expected_record_loglik
 from hetpref.policy import ScoreEnsemble, ScoreTable, reward_margin
-from hetpref.rewards import Catalog, Population, exact_choice_weights
+from hetpref.rewards import Catalog, Population, exact_choice_weights, softmax
 from hetpref.simulate import AnnotatorData, Dataset, PreferenceRecord, read_dataset, write_dataset
 
 
@@ -103,6 +103,23 @@ def reference_mean_winner_features(dataset, catalog):
     feats = np.concatenate([catalog.features(p) for p in catalog.prompts])[win]
     sums = [np.bincount(rows, feats[:, j], minlength=dataset.n) for j in range(catalog.d)]
     return np.column_stack(sums) / sizes[:, None]
+
+
+def reference_mixture_model(catalog, mixture):
+    """The callable model the library took before it scored sets in batches."""
+    if isinstance(mixture, Population):
+        scores = {p: catalog.features(p) @ mixture.thetas.T for p in catalog.prompts}
+        eta = mixture.etas
+    else:
+        scores = {p: np.stack([t.scores[p] for t in mixture.tables], axis=1)
+                  for p in catalog.prompts}
+        eta = mixture.eta
+
+    def model(prompt, cset):
+        idx = [catalog.response_index(prompt, y) for y in cset]
+        return softmax(scores[prompt][idx], axis=0) @ eta  # (set, K) @ (K,)
+
+    return model
 
 
 def reference_expected_record_loglik(dataset, catalog, truth, model):
@@ -212,8 +229,8 @@ def test_gathers_equal_record_loops(world, seed):
         ((margins > 0).sum() + 0.5 * (margins == 0).sum()) / len(margins))
     truth = Population.from_weights(rng.normal(size=(2, 2)), [0.3, 0.7])
     for mixture in (truth, ScoreEnsemble(tables=tuple(tables), eta=np.array([0.4, 0.6]))):
-        model = _mixture_model(catalog, mixture)
-        assert expected_record_loglik(dataset, catalog, truth, model) == \
+        model = reference_mixture_model(catalog, mixture)
+        assert expected_record_loglik(dataset, catalog, truth, mixture) == \
             reference_expected_record_loglik(dataset, catalog, truth, model)
 
 

@@ -144,8 +144,8 @@ class TestMStepPolicy:
                 ]
             }
         )
-        records, weights = expected_dataset(catalog, theta, choice_set_size=2)
-        compiled = CompiledRecords.from_records(records, catalog)
+        dataset, weights = expected_dataset(catalog, theta, choice_set_size=2)
+        compiled = CompiledRecords.from_dataset(dataset, catalog)
         table, grad_norm = fit_preference_table(compiled, weights, kappa=1.0)
         assert grad_norm <= 1e-8
         feats = catalog.features("q")

@@ -181,8 +181,8 @@ class TestVanillaDpo:
     def test_homogeneous_consistency_population_level(self, eval_world):
         # infinite-data route: fitted margins match the generating rewards
         catalog, theta, _p, _d = eval_world
-        records, weights = expected_dataset(catalog, theta, choice_set_size=2)
-        compiled = CompiledRecords.from_records(records, catalog)
+        dataset, weights = expected_dataset(catalog, theta, choice_set_size=2)
+        compiled = CompiledRecords.from_dataset(dataset, catalog)
         table, _ = fit_preference_table(compiled, weights, kappa=0.1)
         for prompt in catalog.prompts:
             rids = catalog.responses(prompt)
@@ -199,8 +199,8 @@ class TestVanillaDpo:
         catalog = Catalog.build(
             {"q": [("a", [0.0, 0.0]), ("b", [0.5, 0.5]), ("c", [1.0, -0.5]), ("d", [1.5, 1.0])]}
         )
-        records, weights = expected_dataset(catalog, pop, choice_set_size=2)
-        compiled = CompiledRecords.from_records(records, catalog)
+        dataset, weights = expected_dataset(catalog, pop, choice_set_size=2)
+        compiled = CompiledRecords.from_dataset(dataset, catalog)
         table, _ = fit_preference_table(compiled, weights, kappa=0.1)
         margins = [
             abs(reward_margin(table, catalog, "q", "a", r)) for r in ("b", "c", "d")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hetpref.errors import RankError
+from hetpref.errors import ConfigError, RankError
 from hetpref.identify import (
     binary_likelihood_flatness,
     expected_record_loglik,
@@ -11,11 +11,7 @@ from hetpref.identify import (
     verify_binary_flatness,
 )
 from hetpref.rewards import Catalog, Population, mixture_choice_prob
-from hetpref.simulate import (
-    exact_choice_weights,
-    make_adversarial_pair,
-    simulate_dataset,
-)
+from hetpref.simulate import make_adversarial_pair, simulate_dataset
 
 
 @pytest.fixture(scope="module")
@@ -91,14 +87,9 @@ class TestLikelihoodFlatness:
         truth = make_adversarial_pair(theta)
         ds = simulate_dataset(catalog, truth, n=100, m=1, choice_set_size=3, rng_seed=4)
 
-        def model_of(population):
-            def model(prompt, cset):
-                return exact_choice_weights(catalog, population, prompt, cset)
-            return model
-
         null = Population.from_weights([np.zeros(2)], [1.0])
-        ll_true = expected_record_loglik(ds, catalog, truth, model_of(truth))
-        ll_null = expected_record_loglik(ds, catalog, truth, model_of(null))
+        ll_true = expected_record_loglik(ds, catalog, truth, truth)
+        ll_null = expected_record_loglik(ds, catalog, truth, null)
         assert ll_true - ll_null >= 0.01
 
 
@@ -152,3 +143,9 @@ class TestTernaryRecovery:
         assert doc["n"] == 400
         assert 0.0 <= doc["margin_correlation"] <= 1.0
         assert len(doc["eta_error"]) == 2
+
+    def test_k_in_em_config_rejected(self):
+        # the experiment always fits two types; a k would be silently ignored
+        with pytest.raises(ConfigError, match="'k'"):
+            ternary_recovery_experiment(np.array([2.0, 0.0]), n=50, seed=0,
+                                        em_config={"k": 5})

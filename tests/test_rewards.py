@@ -21,6 +21,7 @@ from hetpref.rewards import (
     Catalog,
     Population,
     choice_prob,
+    choice_weights,
     exact_choice_weights,
     mixture_choice_prob,
     pairwise_prob,
@@ -334,3 +335,40 @@ class TestKernelContract:
                 p = mixture_choice_prob(catalog, population, prompt, [y1, y2], y1)
                 worst = max(worst, abs(p - 0.5))
         assert verify_binary_flatness(catalog, theta) == worst
+
+
+@st.composite
+def kernel_worlds(draw):
+    """Up to 3 prompts of 2-11 responses, d <= 8 features and a K <= 3 population."""
+    d, k = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    vec = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=d, max_size=d)
+    spread = draw(st.floats(0.1, 5.0))
+    entries = {}
+    for j in range(draw(st.integers(1, 3))):
+        entries[f"q{j}"] = [(f"r{i}", np.array(draw(vec)) * spread)
+                            for i in range(draw(st.integers(2, 11)))]
+    thetas = np.array(draw(st.lists(vec, min_size=k, max_size=k))) * draw(st.floats(0.1, 4.0))
+    etas = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    return Catalog.build(entries), Population.from_weights(thetas, etas / etas.sum())
+
+
+class TestChoiceKernel:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(kernel_worlds(), st.integers(2, 11))
+    def test_batch_rows_equal_single_sets(self, world, size):
+        catalog, population = world
+        sets = catalog.choice_sets(size)
+        want = [start + np.array(list(combinations(range(len(catalog.responses(p))), size)),
+                                 dtype=np.intp).reshape(-1, size)
+                for p, start in zip(catalog.prompts, catalog.offsets)]
+        assert np.array_equal(sets, np.concatenate(want))
+        names = [(p, y) for p in catalog.prompts for y in catalog.responses(p)]
+        for mixture in (population, population.thetas[0]):
+            pop = Population.of(mixture)
+            got = choice_weights(catalog.flat_features[sets] @ pop.thetas.T, pop.etas)
+            assert got.shape == sets.shape
+            for row, s in zip(got, sets.tolist()):
+                cset = [names[i][1] for i in s]
+                assert np.array_equal(row, exact_choice_weights(catalog, mixture, names[s[0]][0],
+                                                                cset))
+

@@ -9,12 +9,18 @@ from scipy.stats import chi2
 from hetpref._streams import Streams
 from hetpref.errors import ConfigError, DegeneratePopulationError
 from hetpref.identify import recovery_catalog
-from hetpref.rewards import Catalog, Population, pairwise_prob, reward, softmax
+from hetpref.rewards import (
+    Catalog,
+    Population,
+    exact_choice_weights,
+    pairwise_prob,
+    reward,
+    softmax,
+)
 from hetpref.simulate import (
     AnnotatorData,
     PreferenceRecord,
     _canonical_type_order,
-    exact_choice_weights,
     expected_dataset,
     make_adversarial_pair,
     make_mpi_population,
@@ -198,7 +204,49 @@ class TestExactChoiceWeights:
         np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-12)
 
 
+def reference_expected_dataset(catalog, theta_or_population, choice_set_size):
+    """The record-list construction expected_dataset made before it built columns."""
+    from itertools import combinations
+
+    records: list[PreferenceRecord] = []
+    weights: list[float] = []
+    n_prompts = len(catalog.prompts)
+    i = 0
+    for prompt in catalog.prompts:
+        rids = catalog.responses(prompt)
+        sets = list(combinations(rids, choice_set_size))
+        for s in sets:
+            probs = exact_choice_weights(catalog, theta_or_population, prompt, s)
+            for j, winner in enumerate(s):
+                rejected = tuple(y for y in s if y != winner)
+                records.append(
+                    PreferenceRecord(annotator=i, prompt=prompt, winner=winner, rejected=rejected)
+                )
+                weights.append(float(probs[j]) / (len(sets) * n_prompts))
+                i += 1
+    return records, np.asarray(weights)
+
+
 class TestExpectedDataset:
+    def test_equals_record_list_reference(self, small_world):
+        rng = np.random.default_rng(11)
+        wide = Catalog.build({f"q{j}": [(f"r{i}", rng.normal(size=8)) for i in range(r)]
+                              for j, r in enumerate((4, 9, 6))})
+        for catalog, population in (small_world, (wide, Population.from_weights(
+                rng.normal(size=(3, 8)), [0.2, 0.5, 0.3]))):
+            smallest = min(len(catalog.responses(p)) for p in catalog.prompts)
+            for mixture in (population, population.thetas[1]):
+                for size in range(2, smallest + 1):
+                    dataset, weights = expected_dataset(catalog, mixture, size)
+                    records, want = reference_expected_dataset(catalog, mixture, size)
+                    assert dataset.records() == records
+                    assert np.array_equal(weights, want)
+
+    def test_set_size_below_two_rejected(self, small_world):
+        catalog, population = small_world
+        with pytest.raises(ConfigError, match="choice_set_size"):
+            expected_dataset(catalog, population, choice_set_size=1)
+
     def test_weights_sum_to_one(self, small_world):
         catalog, population = small_world
         _records, weights = expected_dataset(catalog, population, choice_set_size=2)
@@ -206,7 +254,8 @@ class TestExpectedDataset:
 
     def test_records_cover_all_winners(self):
         cat = Catalog.build({"p": [("a", [1.0]), ("b", [0.0]), ("c", [-1.0])]})
-        records, weights = expected_dataset(cat, np.array([1.0]), choice_set_size=3)
+        dataset, weights = expected_dataset(cat, np.array([1.0]), choice_set_size=3)
+        records = dataset.records()
         assert len(records) == 3
         assert {r.winner for r in records} == {"a", "b", "c"}
 
