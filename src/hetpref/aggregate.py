@@ -22,6 +22,7 @@ whose deployment story fits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Mapping, Sequence
@@ -61,6 +62,10 @@ GAP_BLOCK = 4096
 # Largest per-iteration move of a normalized log-weight for which exp neither
 # overflows nor takes a player's largest weight below the normal range.
 _MAX_LOG_MOVE = 600.0
+# Vertex systems brute_force_game may solve: every (K+1) x K game up to K = 8.
+_MAX_VERTICES = 25_000
+# Rounding allowed below zero in a vertex's w before it counts as off the simplex.
+_VERTEX_TOL = 1e-9
 
 
 class _FlatEnsemble:
@@ -271,63 +276,41 @@ def solve_regret_game(
     )
 
 
-def _simplex_grid(k: int, n: int) -> np.ndarray:
-    """All weight vectors with denominator n on the (k-1)-simplex, in lexicographic order.
+def brute_force_game(R: np.ndarray) -> tuple[float, np.ndarray]:
+    """Exact game value min_w max_i (Rw)_i, by enumerating the vertices of its LP.
 
-    Stars and bars: each choice of k-1 bar slots among n+k-1 is one vector,
-    whose parts are the gaps between consecutive bars.
+    The LP min v s.t. Rw <= v, w >= 0, sum w = 1 attains its optimum at a
+    vertex, where K of its n + K inequalities hold with equality next to
+    sum w = 1. Every such (K+1) x (K+1) system is solved in one batch.
+    Singular systems are dropped first: ties and duplicated columns make
+    many, and one singular member makes a stacked solve raise. They are the
+    ones whose ``slogdet`` sign is 0, which, unlike ``det``, cannot underflow
+    or overflow at extreme scales of R. Each solution with w >= 0 is a point
+    of the simplex, and the best of them is the value.
+    Shapes with more than ``_MAX_VERTICES`` systems raise a ValueError.
     """
-    if k == 1:
-        return np.ones((1, 1))
-    bars = np.fromiter(
-        chain.from_iterable(combinations(range(n + k - 1), k - 1)), dtype=np.intp
-    ).reshape(-1, k - 1)
-    edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, n + k - 1))
-    return (np.diff(edges, axis=1) - 1) / n
-
-
-def brute_force_game(
-    R: np.ndarray, resolution: float = 1e-3
-) -> tuple[float, np.ndarray]:
-    """Independent oracle for the game value: simplex grid plus an exact LP.
-
-    The grid (full resolution for K <= 3, coarser for K = 4) brackets the
-    optimum of the convex piecewise-linear objective max_k (Rw)_k; the
-    exact minimizer comes from a linear program. Local pattern search
-    stalls at the kinks of this objective, so the LP replaces it as the
-    refinement step, and the grid value stays as a consistency check.
-    """
-    from scipy.optimize import linprog
-
     R = _checked_regret_matrix(R)
     n_rows, k = R.shape
-    if k > 4:
-        raise ValueError("brute force oracle supports K <= 4")
-    n = int(round(1.0 / resolution)) if k <= 3 else 40
-    grid = _simplex_grid(k, n)
-    grid_value = float((R @ grid.T).max(axis=0).min())
-
-    # min v  s.t.  Rw <= v,  sum w = 1,  w >= 0
-    c = np.zeros(k + 1)
-    c[-1] = 1.0
-    a_ub = np.hstack([R, -np.ones((n_rows, 1))])
-    a_eq = np.zeros((1, k + 1))
-    a_eq[0, :k] = 1.0
-    res = linprog(
-        c, A_ub=a_ub, b_ub=np.zeros(n_rows), A_eq=a_eq, b_eq=[1.0],
-        bounds=[(0, None)] * k + [(None, None)],
-    )
-    if not res.success:
-        raise RuntimeError(f"LP refinement failed: {res.message}")
-    w = np.clip(res.x[:k], 0.0, None)
-    w /= w.sum()
-    value = float((R @ w).max())
-    slack = 2.0 * float(np.abs(R).max()) * k / n + 1e-9
-    if not (value <= grid_value + 1e-9 and grid_value - value <= slack):
-        raise RuntimeError(
-            f"grid value {grid_value} and LP value {value} are inconsistent"
-        )
-    return value, w
+    count = math.comb(n_rows + k, k)
+    if count > _MAX_VERTICES:
+        raise ValueError(f"brute force oracle would solve C(n + K, K) = {count} systems for a "
+                         f"regret matrix of shape {R.shape}; at most {_MAX_VERTICES} are allowed")
+    # each inequality as an equality on (w, v): (Rw)_i - v = 0 or w_j = 0
+    rows = np.block([[R, -np.ones((n_rows, 1))], [np.eye(k), np.zeros((k, 1))]])
+    active = np.fromiter(chain.from_iterable(combinations(range(n_rows + k), k)),
+                         dtype=np.intp, count=count * k).reshape(count, k)
+    systems = np.zeros((count, k + 1, k + 1))
+    systems[:, :k] = rows[active]
+    systems[:, k, :k] = 1.0
+    systems = systems[np.linalg.slogdet(systems)[0] != 0.0]
+    rhs = np.zeros((k + 1, 1))
+    rhs[k] = 1.0
+    w = np.linalg.solve(systems, rhs)[:, :k, 0]
+    # a vertex's w is nonnegative up to rounding; off-simplex solutions go
+    w = np.clip(w[w.min(axis=1) >= -_VERTEX_TOL], 0.0, None)
+    w /= w.sum(axis=1, keepdims=True)
+    w_star = w[np.argmin((w @ R.T).max(axis=1))].copy()
+    return float((R @ w_star).max()), w_star
 
 
 def uniform_mixture(ensemble: ScoreEnsemble) -> np.ndarray:

@@ -124,12 +124,11 @@ class CompiledRecords:
             h0 = hstart[members[0]]
             self.groups.append((slice(h0, h0 + members.size * r * r),
                                 starts[members][:, None] + np.arange(r)))
-        self.hess_pos, self.eyes = [], []
+        self.hess_pos = []
         for _, idx in self.blocks:
             own = self.prompt_of[idx[0]]
             loc = idx - starts[own]
             self.hess_pos.append(hstart[own] + loc[:, None, :] * sizes[own] + loc[None, :, :])
-            self.eyes.append(np.eye(len(idx))[:, :, None])
 
     @classmethod
     def from_dataset(cls, dataset: Dataset, catalog: Catalog) -> "CompiledRecords":
@@ -152,7 +151,7 @@ class CompiledRecords:
         val = np.zeros(len(self.catalog.prompts))
         grad = np.zeros(self.size)
         hess = np.zeros(self.hess_size)
-        for (span, idx), pos, eye in zip(self.blocks, self.hess_pos, self.eyes):
+        for (span, idx), pos in zip(self.blocks, self.hess_pos):
             c = weights[span]
             s = x[idx]
             p, lse = softmax_lse(s, axis=0)
@@ -160,7 +159,10 @@ class CompiledRecords:
             val += np.bincount(self.prompt_of[idx[0]], c * (s[0] - lse), minlength=val.size)
             grad += np.bincount(idx[0], c, minlength=self.size)
             grad -= np.bincount(idx.ravel(), cp.ravel(), minlength=self.size)
-            pairs = cp[:, None, :] * (eye - p[None, :, :])
+            # c p_i (delta_ij - p_j): -c p_i p_j everywhere, then the diagonal,
+            # rows i * (L + 1) of the (L * L, patterns) view, set to c p_i (1 - p_i)
+            pairs = cp[:, None, :] * -p[None, :, :]
+            pairs.reshape(-1, p.shape[1])[::len(idx) + 1] = cp * (1.0 - p)
             hess += np.bincount(pos.ravel(), pairs.ravel(), minlength=self.hess_size)
         return val, grad, hess
 
@@ -399,26 +401,15 @@ def m_step_policy(
     "raise" (default) or "warn". The warn mode still returns the best
     iterate found, which never scores worse than the warm start.
     """
-    tables, _ = _m_step_policy_impl(
-        CompiledRecords.from_dataset(dataset, catalog), gamma, kappa,
-        init_tables, grad_tol, max_iter, on_nonconvergence,
-    )
-    return tables
-
-
-def _m_step_policy_impl(compiled: CompiledRecords, gamma: np.ndarray, kappa: float,
-                        init_tables: Sequence[ScoreTable] | None, grad_tol: float,
-                        max_iter: int, on_nonconvergence: str
-                        ) -> tuple[list[ScoreTable], list[float]]:
-    """:func:`_fit_types` on the pattern counts of (n_rows, K) posteriors ``gamma``."""
+    compiled = CompiledRecords.from_dataset(dataset, catalog)
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape[0] != compiled.n_rows:
         raise ValueError("gamma must have one row per annotator")
     x = (np.zeros((gamma.shape[1], compiled.size)) if init_tables is None
-         else np.stack([compiled.catalog.flatten(t.scores) for t in init_tables]))
+         else np.stack([catalog.flatten(t.scores) for t in init_tables]))
     counts = compiled.pattern_counts(compiled.profile_mass(gamma))
-    norms = _fit_types(compiled, counts, x, grad_tol, max_iter, on_nonconvergence, {})
-    return [ScoreTable(kappa=kappa, scores=compiled.catalog.split(row)) for row in x], norms
+    _fit_types(compiled, counts, x, grad_tol, max_iter, on_nonconvergence, {})
+    return [ScoreTable(kappa=kappa, scores=catalog.split(row)) for row in x]
 
 
 def _fit_types(compiled: CompiledRecords, counts: np.ndarray, x: np.ndarray, grad_tol: float,

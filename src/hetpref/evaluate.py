@@ -12,13 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 from .aggregate import regrets_of_policy
-from .emdpo import (
-    CompiledRecords,
-    _m_step_policy_impl,
-    lloyd_kmeans,
-    mean_winner_features,
-    run_em,
-)
+from .emdpo import lloyd_kmeans, m_step_policy, mean_winner_features, run_em
 from .errors import InputError
 from .policy import ReferencePolicy, ScoreEnsemble, ScoreTable
 from .rewards import Catalog
@@ -99,10 +93,8 @@ def run_cluster_dpo(
     """Hard k-means on mean winner features, then one independent fit per cluster."""
     labels, _ = lloyd_kmeans(mean_winner_features(dataset, catalog), k, seed)
     members = np.eye(k)[labels]
-    tables, _ = _m_step_policy_impl(
-        CompiledRecords.from_dataset(dataset, catalog), members, kappa, None,
-        grad_tol, max_iter, on_nonconvergence,
-    )
+    tables = m_step_policy(dataset, catalog, members, kappa, None, grad_tol, max_iter,
+                           on_nonconvergence)
     return ScoreEnsemble(tables=tuple(tables), eta=members.mean(axis=0))
 
 

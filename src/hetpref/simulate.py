@@ -284,6 +284,15 @@ def _canonical_type_order(population: Population) -> np.ndarray:
     return np.array(sorted(range(len(keys)), key=lambda i: keys[i]), dtype=int)
 
 
+def _check_sets_fit(catalog: Catalog, choice_set_size: int) -> None:
+    """ConfigError naming the first prompt with fewer responses than the set size."""
+    for p in catalog.prompts:
+        if choice_set_size > len(catalog.responses(p)):
+            raise ConfigError(
+                f"choice_set_size {choice_set_size} exceeds responses of prompt {p!r}"
+            )
+
+
 def simulate_dataset(
     catalog: Catalog,
     population: Population,
@@ -315,11 +324,7 @@ def simulate_dataset(
         raise ConfigError("n and m must be >= 1")
     if choice_set_size < 2:
         raise ConfigError("choice_set_size must be >= 2")
-    for p in catalog.prompts:
-        if choice_set_size > len(catalog.responses(p)):
-            raise ConfigError(
-                f"choice_set_size {choice_set_size} exceeds responses of prompt {p!r}"
-            )
+    _check_sets_fit(catalog, choice_set_size)
 
     prompt_ids = catalog.prompts
     sizes = np.diff(catalog.offsets)
@@ -389,6 +394,7 @@ def expected_dataset(
     """
     if not _is_int(choice_set_size) or choice_set_size < 2:
         raise ConfigError(f"choice_set_size must be an integer >= 2, got {choice_set_size!r}")
+    _check_sets_fit(catalog, choice_set_size)
     population = Population.of(theta_or_population)
     sets = catalog.choice_sets(choice_set_size)
     probs = choice_weights(catalog.flat_features[sets] @ population.thetas.T, population.etas)

@@ -207,7 +207,7 @@ def test_criterion_6_game_solver_vs_brute_force():
         k = 2 + trial % 3  # K in {2, 3, 4}
         R = rng.uniform(0.0, 2.0, size=(k + 1, k))
         sol = solve_regret_game(R, iters=100_000)
-        brute, _w = brute_force_game(R, resolution=1e-3)
+        brute, _w = brute_force_game(R)
         diffs.append(abs(sol.value - brute))
         if sol.gap_trace[10_000 - 1] < sol.gap_trace[100 - 1]:
             gap_improved += 1

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy.optimize import linprog
 from scipy.special import logsumexp
 
 from hetpref.aggregate import (
-    _simplex_grid,
+    _MAX_VERTICES,
     brute_force_game,
     discrepancy_matrix,
     minimax_policy_direct,
@@ -179,7 +180,7 @@ class TestSolveRegretGame:
             k = int(rng.integers(2, 5))
             R = rng.uniform(0, 2, size=(k + 1, k))
             sol = solve_regret_game(R, iters=100_000)
-            brute, _w = brute_force_game(R, resolution=1e-3)
+            brute, _w = brute_force_game(R)
             lp = lp_game_value(R)
             assert abs(brute - lp) <= 2e-5
             assert abs(sol.value - brute) <= 1e-3
@@ -207,31 +208,25 @@ class TestSolveRegretGame:
             solve_regret_game(np.array([[np.inf, 0.0]]), iters=10)
 
 
-def recursive_simplex_grid(k, n):
-    """The recursive enumeration the stars-and-bars grid replaced."""
-    if k == 1:
-        return np.ones((1, 1))
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + [remaining])
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v, slots - 1)
-
-    rec([], n, k)
-    return np.asarray(out, dtype=float) / n
+@st.composite
+def oracle_games(draw):
+    # K up to 8 with up to K + 1 rows; some entries rounded to one decimal
+    # (ties), some games with a duplicated column. Entries are multiples of
+    # 1e-3 before scaling: the HiGHS reference zeroes constraint entries
+    # below 1e-9, so smaller nonzero ones would test the reference instead.
+    k = draw(st.integers(1, 8))
+    n_rows = draw(st.integers(1, k + 1))
+    cells = draw(st.lists(st.integers(-1000, 2000), min_size=n_rows * k,
+                          max_size=n_rows * k))
+    R = np.array(cells).reshape(n_rows, k) / 1000 * draw(st.sampled_from([1.0, 1e-3, 50.0]))
+    if draw(st.booleans()):
+        R = np.round(R, 1)
+    if k > 1 and draw(st.booleans()):
+        R[:, draw(st.integers(1, k - 1))] = R[:, 0]
+    return R
 
 
 class TestBruteForce:
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    @pytest.mark.parametrize("n", [1, 2, 7, 40])
-    def test_simplex_grid_matches_recursion(self, k, n):
-        grid = _simplex_grid(k, n)
-        assert grid.dtype == np.float64
-        assert np.array_equal(grid, recursive_simplex_grid(k, n))
-
     def test_matches_lp_all_k(self):
         rng = np.random.default_rng(11)
         for k in (1, 2, 3, 4):
@@ -239,6 +234,37 @@ class TestBruteForce:
             value, w = brute_force_game(R)
             assert abs(value - lp_game_value(R)) <= 5e-5
             assert abs(w.sum() - 1.0) <= 1e-9
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(oracle_games())
+    @example(np.zeros((3, 2)))
+    @example(np.array([[1.0, 1.0], [0.0, 2.0], [2.0, 0.0]]))
+    @example(np.tile([[0.5], [1.5], [-1.0]], (1, 8)))
+    def test_exact_against_lp(self, R):
+        value, w = brute_force_game(R)
+        assert abs(value - lp_game_value(R)) <= 1e-12 * max(1.0, float(np.abs(R).max()))
+        assert w.shape == (R.shape[1],) and np.all(w >= 0.0)
+        assert abs(w.sum() - 1.0) <= 1e-12
+        assert float((R @ w).max()) == value
+
+    @pytest.mark.parametrize("scale", [2.0 ** -600, 2.0 ** 600])
+    def test_extreme_scale_without_warnings(self, scale):
+        # a det of these systems would underflow to 0 or overflow to inf
+        R = np.random.default_rng(4).uniform(-1.0, 2.0, size=(9, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, w = brute_force_game(R * scale)
+        want, want_w = brute_force_game(R)
+        assert abs(value / scale - want) <= 1e-12 and np.abs(w - want_w).max() <= 1e-12
+
+    def test_k8_game_within_cap_and_k9_rejected(self):
+        R = np.random.default_rng(3).uniform(0.0, 2.0, size=(9, 8))
+        assert math.comb(17, 8) <= _MAX_VERTICES < math.comb(19, 9)
+        assert abs(brute_force_game(R)[0] - lp_game_value(R)) <= 2e-12
+        msg = re.escape(f"C(n + K, K) = {math.comb(19, 9)} systems for a regret matrix "
+                        "of shape (10, 9)")
+        with pytest.raises(ValueError, match=msg):
+            brute_force_game(np.zeros((10, 9)))
 
 
 def symmetric_two_type_setup(seed=0):
@@ -627,7 +653,7 @@ def test_game_log_weights_recover_from_underflow():
 
 MISSHAPED = [(3,), (), (2, 3, 4), (3, 0), (0, 2), (0, 0)]
 GAMES = {"solve_regret_game": lambda R: solve_regret_game(R, iters=10),
-         "brute_force_game": lambda R: brute_force_game(R, resolution=0.1)}
+         "brute_force_game": brute_force_game}
 
 
 # the solver's cases keep the ids shape0 to shape5

@@ -254,22 +254,30 @@ class TestExitCodes:
                 ) in err, err
 
 
-# Run in a fresh interpreter: prints the scipy modules loaded after importing
-# the package and running `simulate` and `emdpo` with config argv[1] into argv[2].
+# Run in a fresh interpreter with scipy unimportable: imports the package, runs
+# `simulate`, `emdpo` and the affine `aggregate` with config argv[1] into
+# argv[2], solves a 3 x 2 game with the brute-force oracle, and prints the
+# scipy modules loaded.
 SCIPY_GUARD = """
 import json, sys
+sys.modules["scipy"] = None
 import hetpref
 from hetpref import cli
 cfg, out = sys.argv[1:]
 assert cli.main(["simulate", "--config", cfg, "--out", out]) == 0
 assert cli.main(["emdpo", "--config", cfg, "--dataset", out + "/dataset.jsonl",
                  "--catalog", out + "/catalog.json", "--out", out]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+assert cli.main(["aggregate", "--config", cfg, "--ensemble", out + "/ensemble.json",
+                 "--catalog", out + "/catalog.json", "--out", out + "/agg"]) == 0
+value, w = hetpref.brute_force_game([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+assert value == 0.5 and abs(w.sum() - 1.0) <= 1e-12, (value, w)
+print(json.dumps(sorted(m for m, mod in sys.modules.items()
+                        if mod is not None and m.split(".")[0] == "scipy")))
 """
 
 
 def test_package_and_cli_load_no_scipy(tmp_path):
-    """Only the brute-force game oracle, which tests call, needs scipy."""
+    """The package, the CLI and the brute-force game oracle run without scipy."""
     src = str(Path(hetpref.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
@@ -278,6 +286,8 @@ def test_package_and_cli_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
     assert (tmp_path / "run" / "gamma.csv").is_file()
+    assert "per_group_regrets" in json.loads(
+        (tmp_path / "run" / "agg" / "aggregate_report.json").read_text())
 
 
 class TestAggregateMethods:

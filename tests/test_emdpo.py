@@ -278,7 +278,7 @@ class TestRunEm:
     def test_degenerate_k2_on_single_type(self):
         # jittered near-uniform init on single-type data: the two tables
         # either agree or one cluster collapses
-        from hetpref.emdpo import _e_step_compiled, _m_step_policy_impl
+        from hetpref.emdpo import _e_step_compiled
 
         theta = np.array([1.0, 0.5])
         catalog = line_catalog(theta, [0.0, 0.8, 1.6, 2.4])
@@ -293,7 +293,7 @@ class TestRunEm:
         lls = []
         for _ in range(12):
             eta = m_step_eta(gamma)
-            tables, _n = _m_step_policy_impl(compiled, gamma, 0.1, tables, 1e-8, 1000, "raise")
+            tables = m_step_policy(ds, catalog, gamma, 0.1, tables, 1e-8, 1000, "raise")
             ens = ScoreEnsemble(tables=tuple(tables), eta=eta)
             gamma, ll = _e_step_compiled(compiled, ens)
             lls.append(ll)
@@ -311,16 +311,14 @@ class TestRunEm:
         ds = simulate_dataset(catalog, population, n=35, m=3, choice_set_size=2, rng_seed=15)
 
         def run_with(gamma0):
-            from hetpref.emdpo import _e_step_compiled, _m_step_policy_impl
+            from hetpref.emdpo import _e_step_compiled
 
             compiled = CompiledRecords.from_dataset(ds, catalog)
             gamma = gamma0
             tables = None
             for _ in range(4):
                 eta = m_step_eta(gamma)
-                tables, _n = _m_step_policy_impl(
-                    compiled, gamma, 0.1, tables, 1e-8, 1000, "raise"
-                )
+                tables = m_step_policy(ds, catalog, gamma, 0.1, tables, 1e-8, 1000, "raise")
                 ens = ScoreEnsemble(tables=tuple(tables), eta=eta)
                 gamma, _ll = _e_step_compiled(compiled, ens)
             return ens

@@ -24,7 +24,7 @@ from hetpref.emdpo import (
 )
 from hetpref.identify import recovery_catalog
 from hetpref.policy import ScoreTable, gauge_fix
-from hetpref.rewards import Catalog
+from hetpref.rewards import Catalog, Population, softmax_lse
 from hetpref.simulate import PreferenceRecord, make_adversarial_pair, simulate_dataset
 
 
@@ -128,6 +128,29 @@ def test_compressed_likelihood_matches_per_record_reference(world):
         for rec, (lp, _, _) in zip(records, terms_k):
             want[rows[rec.annotator], k] += lp
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * len(records))
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 6])
+def test_newton_hessian_equals_identity_product(size):
+    # newton_terms writes the diagonal of c p_i (delta_ij - p_j) into the
+    # products -c p_i p_j; the sum must equal the product with an identity
+    # matrix bit for bit
+    rng = np.random.default_rng(size)
+    catalog = Catalog.build({f"p{j}": [(f"r{i}", rng.normal(size=2)) for i in range(7)]
+                             for j in range(2)})
+    population = Population.from_weights([rng.normal(size=2)], [1.0])
+    ds = simulate_dataset(catalog, population, n=40, m=3, choice_set_size=size, rng_seed=size)
+    compiled = CompiledRecords.from_dataset(ds, catalog)
+    x = 3.0 * rng.normal(size=compiled.size)
+    counts = rng.uniform(0.5, 2.0, size=compiled.n_patterns)
+    want = np.zeros(compiled.hess_size)
+    for (span, idx), pos in zip(compiled.blocks, compiled.hess_pos):
+        assert len(idx) == size
+        p = softmax_lse(x[idx], axis=0)[0]
+        cp = counts[span] * p
+        pairs = cp[:, None, :] * (np.eye(size)[:, :, None] - p[None, :, :])
+        want += np.bincount(pos.ravel(), pairs.ravel(), minlength=compiled.hess_size)
+    assert np.array_equal(compiled.newton_terms(x, counts)[2], want)
 
 
 def with_all_pairs(catalog, records, weights):

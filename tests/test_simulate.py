@@ -247,6 +247,14 @@ class TestExpectedDataset:
         with pytest.raises(ConfigError, match="choice_set_size"):
             expected_dataset(catalog, population, choice_set_size=1)
 
+    def test_prompt_smaller_than_set_rejected(self):
+        # a prompt with fewer responses than the set size has no choice set;
+        # leaving it out would make the weights sum to 0.5 here
+        cat = Catalog.build({"a": [(r, [float(i)]) for i, r in enumerate("xyz")],
+                             "b": [(r, [float(i)]) for i, r in enumerate("vwxyz")]})
+        with pytest.raises(ConfigError, match="choice_set_size 4 exceeds responses of prompt 'a'"):
+            expected_dataset(cat, np.array([1.0]), 4)
+
     def test_weights_sum_to_one(self, small_world):
         catalog, population = small_world
         _records, weights = expected_dataset(catalog, population, choice_set_size=2)
