@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .emdpo import CompiledRecords, fit_preference_table
+from .emdpo import CompiledRecords, _checked_gamma, fit_preference_table
 from .errors import StepSizeError
 from .policy import (
     ReferencePolicy,
@@ -332,38 +332,29 @@ def minimax_policy_lightweight(
 ) -> tuple[ScoreTable, list[dict]]:
     """Alternate weighted preference fits with multiplicative weight updates.
 
-    Per round: collapse the per-type posteriors through the current
-    adversary weights into one weight per annotator, run a bounded number
-    of ascent steps of the weighted preference fit (warm-started), evaluate
-    every type's exact regret of the current table, then update the
+    Per round: mix the per-type pattern counts (each type's posterior mass
+    on each pattern) by the current adversary weights, run a bounded number
+    of Newton steps of the weighted preference fit (warm-started), evaluate
+    every type's exact regret of the current scores, then update the
     adversary weights multiplicatively by those regrets.
     """
     if kappa is None:
         kappa = ensemble.kappa
     pw = uniform_prompt_weights(catalog) if prompt_weights is None else prompt_weights
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (dataset.n, ensemble.k):
-        raise ValueError("gamma must be n x K for this dataset/ensemble")
+    gamma = _checked_gamma(gamma, dataset.n, ensemble.k)
 
     compiled = CompiledRecords.from_dataset(dataset, catalog)
     flat = _FlatEnsemble(ensemble, ref, catalog, pw)
+    base = compiled.pattern_counts(compiled.profile_mass(gamma))
 
     k = ensemble.k
     w = np.full(k, 1.0 / k)
     log_w = np.log(w)
-    table = ScoreTable.zeros(catalog, kappa)
+    x = np.zeros(compiled.size)
     trace: list[dict] = []
     for t in range(1, iters + 1):
-        annotator_w = gamma @ w
-        table, _ = fit_preference_table(
-            compiled,
-            annotator_w[compiled.record_rows],
-            kappa,
-            init_table=table,
-            grad_tol=1e-10,
-            max_iter=inner_steps,
-        )
-        regrets = flat.regrets(table)
+        x, _ = fit_preference_table(compiled, w @ base, x, grad_tol=1e-10, max_iter=inner_steps)
+        regrets = flat.own - flat.weighted_scores @ np.exp(flat.log_policy(x, kappa))
         log_w = log_w + step * regrets
         w, lse = softmax_lse(log_w)
         log_w -= lse
@@ -375,7 +366,7 @@ def minimax_policy_lightweight(
                 "max_regret": float(regrets.max()),
             }
         )
-    return table, trace
+    return gauge_fix(ScoreTable(kappa=kappa, scores=catalog.split(x))), trace
 
 
 def minimax_policy_direct(

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, InputError
-from .policy import ScoreEnsemble, ScoreTable, gauge_fix
+from .policy import ScoreEnsemble, ScoreTable
 from .rewards import Catalog, softmax_lse
 from .simulate import Dataset, PreferenceRecord, row_groups
 
@@ -197,40 +197,23 @@ def _bin_sums(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
                        minlength=size * k).reshape(size, k)
 
 
-def fit_preference_table(
-    compiled: CompiledRecords,
-    record_weights: np.ndarray,
-    kappa: float,
-    init_table: ScoreTable | None = None,
-    grad_tol: float = 1e-8,
-    max_iter: int = 1000,
-) -> tuple[ScoreTable, float]:
-    """Maximize the weighted multi-item preference log-likelihood over a table.
-
-    :func:`_newton_fit` on the record weights summed onto patterns, from
-    ``init_table`` or zeros. Returns the gauge-fixed table and the final
-    gradient max norm.
-    """
-    record_weights = np.asarray(record_weights, dtype=float)
-    if record_weights.shape != (compiled.n_records,):
-        raise ValueError("one weight per record required")
-    counts = np.bincount(compiled.inverse, record_weights, minlength=compiled.n_patterns)
-    x = (np.zeros(compiled.size) if init_table is None
-         else compiled.catalog.flatten(init_table.scores))
-    x, grad_norm = _newton_fit(compiled, counts, x, grad_tol, max_iter)
-    return gauge_fix(ScoreTable(kappa=kappa, scores=compiled.catalog.split(x))), grad_norm
-
-
-def _newton_fit(compiled: CompiledRecords, counts: np.ndarray, x: np.ndarray,
-                grad_tol: float, max_iter: int) -> tuple[np.ndarray, float]:
+def fit_preference_table(compiled: CompiledRecords, counts: np.ndarray, x: np.ndarray, *,
+                         grad_tol: float = 1e-8, max_iter: int = 1000
+                         ) -> tuple[np.ndarray, float]:
     """Fit flat scores ``x`` to pattern ``counts``; the new scores and gradient max norm.
 
-    Each of at most ``max_iter`` iterations takes a damped Newton step in
-    every prompt whose gradient exceeds ``grad_tol / 2``, caps its largest
+    The package's one preference fit; EM's M-step and the lightweight
+    aggregator both call it. ``counts`` holds one weight per pattern (see
+    ``inverse``) and ``x`` the (size,) warm start. Each of at most
+    ``max_iter`` iterations takes a damped Newton step in every prompt
+    whose gradient exceeds ``grad_tol / 2``, caps its largest
     entry at 4 and halves it until that prompt's objective does not fall:
     warm starts never lose objective value, so a capped run is still a
     valid generalized M-step. The scores are not gauge-fixed.
     """
+    if np.shape(counts) != (compiled.n_patterns,) or np.shape(x) != (compiled.size,):
+        raise ValueError(f"need {compiled.n_patterns} pattern counts and {compiled.size} scores, "
+                         f"got shapes {np.shape(counts)} and {np.shape(x)}")
     starts, sizes = compiled.catalog.offsets[:-1], np.diff(compiled.catalog.offsets)
     val, grad, hess = compiled.newton_terms(x, counts)
     stuck = np.zeros(len(sizes), dtype=bool)
@@ -262,12 +245,6 @@ def _newton_fit(compiled: CompiledRecords, counts: np.ndarray, x: np.ndarray,
         x = x + step
         val, grad, hess = terms
     return x, float(np.abs(grad).max())
-
-
-def _unbounded_prompt(compiled: CompiledRecords, record_weights: np.ndarray) -> str | None:
-    """Why the fit with ``record_weights`` has no finite maximizer, or None."""
-    counts = np.bincount(compiled.inverse, record_weights, minlength=compiled.n_patterns)
-    return _unbounded_support(compiled, counts > 0)
 
 
 def _unbounded_cached(compiled: CompiledRecords, counts: np.ndarray,
@@ -402,14 +379,26 @@ def m_step_policy(
     iterate found, which never scores worse than the warm start.
     """
     compiled = CompiledRecords.from_dataset(dataset, catalog)
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape[0] != compiled.n_rows:
-        raise ValueError("gamma must have one row per annotator")
+    gamma = _checked_gamma(gamma, compiled.n_rows)
     x = (np.zeros((gamma.shape[1], compiled.size)) if init_tables is None
          else np.stack([catalog.flatten(t.scores) for t in init_tables]))
     counts = compiled.pattern_counts(compiled.profile_mass(gamma))
     _fit_types(compiled, counts, x, grad_tol, max_iter, on_nonconvergence, {})
     return [ScoreTable(kappa=kappa, scores=catalog.split(row)) for row in x]
+
+
+def _checked_gamma(gamma: np.ndarray, n_rows: int, k: int | None = None) -> np.ndarray:
+    """(n_rows, K) posteriors as floats; a ValueError unless finite and non-negative.
+
+    Rows need not sum to 1: a fit depends on its weights only up to scale.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.ndim != 2 or gamma.shape[0] != n_rows or k not in (None, gamma.shape[1]):
+        raise ValueError(f"gamma must be {n_rows} x {'K' if k is None else k} "
+                         f"(one row per annotator), got shape {gamma.shape}")
+    if not np.all(np.isfinite(gamma)) or np.any(gamma < 0.0):
+        raise ValueError("gamma must be finite and non-negative")
+    return gamma
 
 
 def _fit_types(compiled: CompiledRecords, counts: np.ndarray, x: np.ndarray, grad_tol: float,
@@ -418,8 +407,8 @@ def _fit_types(compiled: CompiledRecords, counts: np.ndarray, x: np.ndarray, gra
     """Fit row k of (K, size) scores ``x`` to ``counts[k]`` in place; the gradient norms.
 
     A type without posterior mass keeps its scores; the others are checked
-    (:func:`_unbounded_cached`), then fit by :func:`_newton_fit`. Every row
-    ends gauge-fixed.
+    (:func:`_unbounded_cached`), then fit by :func:`fit_preference_table`.
+    Every row ends gauge-fixed.
     """
     if on_nonconvergence not in ("raise", "warn"):
         raise ValueError("on_nonconvergence must be 'raise' or 'warn'")
@@ -439,7 +428,8 @@ def _fit_types(compiled: CompiledRecords, counts: np.ndarray, x: np.ndarray, gra
         unbounded = _unbounded_cached(compiled, c, checked)
         if unbounded is not None:
             fail(f"policy M-step for type {k}: {unbounded}")
-        x[k], grad_norm = _newton_fit(compiled, c, x[k], grad_tol, max_iter)
+        x[k], grad_norm = fit_preference_table(compiled, c, x[k], grad_tol=grad_tol,
+                                               max_iter=max_iter)
         if grad_norm > grad_tol:
             fail(f"policy M-step for type {k} stopped at gradient norm "
                  f"{grad_norm:.3e} > {grad_tol:.1e}")

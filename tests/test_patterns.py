@@ -18,14 +18,13 @@ from hetpref.emdpo import (
     CompiledRecords,
     _strong_components,
     _unbounded_cached,
-    _unbounded_prompt,
     _unbounded_support,
-    fit_preference_table,
 )
 from hetpref.identify import recovery_catalog
 from hetpref.policy import ScoreTable, gauge_fix
 from hetpref.rewards import Catalog, Population, softmax_lse
 from hetpref.simulate import PreferenceRecord, make_adversarial_pair, simulate_dataset
+from reference import fit_record_weights, record_counts
 
 
 def reference_terms(catalog, records, x):
@@ -171,11 +170,11 @@ def test_duplicated_record_equals_doubled_weight(world, data):
     i = data.draw(st.integers(0, len(records) - 1))
     doubled = weights.copy()
     doubled[i] *= 2.0
-    table_dup, norm_dup = fit_preference_table(
+    table_dup, norm_dup = fit_record_weights(
         CompiledRecords.from_records(records + [records[i]], catalog),
         np.append(weights, weights[i]), kappa=1.0,
     )
-    table_dbl, norm_dbl = fit_preference_table(
+    table_dbl, norm_dbl = fit_record_weights(
         CompiledRecords.from_records(records, catalog), doubled, kappa=1.0
     )
     assert max(norm_dup, norm_dbl) <= 1e-8
@@ -252,9 +251,9 @@ def test_newton_matches_former_solver(world):
     counts = np.bincount(compiled.inverse, weights, minlength=compiled.n_patterns)
     start = compiled.newton_terms(x, counts)[0]
     for max_iter in (1, 2, 1000):
-        table, norm = fit_preference_table(compiled, weights, kappa=1.0,
-                                           init_table=split_scores(catalog, x),
-                                           max_iter=max_iter)
+        table, norm = fit_record_weights(compiled, weights, kappa=1.0,
+                                         init_table=split_scores(catalog, x),
+                                         max_iter=max_iter)
         val = compiled.newton_terms(catalog.flatten(table.scores), counts)[0]
         assert np.all(val >= start - 1e-12 * np.maximum(1.0, np.abs(start)))
     want_x, want_norm = reference_fit(catalog, records, weights, x)
@@ -296,7 +295,8 @@ def test_existence_check_matches_ford_oracle(world, data):
     weights = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0]),
                                           min_size=len(records), max_size=len(records))))
     bad = ford_violations(catalog, records, weights)
-    msg = _unbounded_prompt(CompiledRecords.from_records(records, catalog), weights)
+    compiled = CompiledRecords.from_records(records, catalog)
+    msg = _unbounded_support(compiled, record_counts(compiled, weights) > 0)
     assert (msg is None) == (not bad), (msg, bad)
     if msg is None:
         return
@@ -321,7 +321,7 @@ def test_memoized_existence_check_equals_fresh(world, data):
                                               min_size=len(records), max_size=len(records))))
         counts = np.bincount(compiled.inverse, weights, minlength=compiled.n_patterns)
         assert (_unbounded_cached(compiled, counts, checked)
-                == _unbounded_prompt(compiled, weights))
+                == _unbounded_support(compiled, record_counts(compiled, weights) > 0))
 
 
 def same_partition(a, b):
@@ -376,6 +376,6 @@ def test_existence_check_reruns_when_support_changes():
         answers = [_unbounded_cached(compiled, np.bincount(compiled.inverse, w), checked)
                    for w in (positive, 3 * positive, cut, positive)]
     assert answers[:2] == [None, None] and answers[3] is None
-    assert answers[2] == _unbounded_prompt(compiled, cut)
+    assert answers[2] == _unbounded_support(compiled, record_counts(compiled, cut) > 0)
     assert answers[2].startswith("no finite maximizer: in prompt 'q', 'r0' never lose")
     assert check.call_count == 2  # one check per distinct support

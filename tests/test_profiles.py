@@ -10,20 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hetpref.aggregate import minimax_policy_lightweight
 from hetpref.emdpo import (
     INIT_STRATEGIES,
     CompiledRecords,
     _e_step_compiled,
     _unbounded_cached,
-    _unbounded_prompt,
-    fit_preference_table,
+    _unbounded_support,
     init_responsibilities,
     mean_winner_features,
     run_em,
 )
-from hetpref.policy import ScoreEnsemble, ScoreTable, gauge_fix
+from hetpref.policy import ReferencePolicy, ScoreEnsemble, ScoreTable, gauge_fix
 from hetpref.rewards import Catalog, softmax_lse
 from hetpref.simulate import Dataset, PreferenceRecord
+from reference import fit_record_weights, minimax_policy_lightweight_by_records, record_counts
 
 
 def reference_logliks(compiled, tables):
@@ -145,8 +146,8 @@ def reference_m_step(compiled, gamma, kappa, tables, grad_tol, max_iter):
                                  else ScoreTable.zeros(compiled.catalog, kappa)))
             norms.append(0.0)
             continue
-        table, norm = fit_preference_table(compiled, weights, kappa, init_table=init,
-                                           grad_tol=grad_tol, max_iter=max_iter)
+        table, norm = fit_record_weights(compiled, weights, kappa, init_table=init,
+                                         grad_tol=grad_tol, max_iter=max_iter)
         out.append(table)
         norms.append(norm)
     return out, norms
@@ -259,6 +260,32 @@ def test_profile_pattern_counts_equal_record_weight_counts(world, k, data):
             assert np.array_equal(counts[j] > 0, want > 0)
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(em_worlds(well_posed=True), st.integers(1, 3), st.data())
+def test_lightweight_equals_record_weight_reference(world, k, data):
+    """Mixing per-type pattern counts, in place of one weight per record,
+    and fitting flat scores move the lightweight aggregator's table and
+    trace regrets only in the last bits: both agree with the former loop to
+    1e-9 (rtol and atol). Every fit here has a finite maximizer."""
+    catalog, dataset, _ = world
+    size = int(catalog.offsets[-1])
+    tables = tuple(ScoreTable(kappa=0.1, scores=catalog.split(np.array(data.draw(st.lists(
+        st.floats(-4.0, 4.0), min_size=size, max_size=size))))) for _ in range(k))
+    ensemble = ScoreEnsemble(tables=tables, eta=np.full(k, 1.0 / k))
+    args = (dataset, catalog, ensemble, draw_gamma(data, dataset.n, k),
+            ReferencePolicy.uniform(catalog))
+    kwargs = dict(iters=data.draw(st.integers(1, 6)), step=data.draw(st.sampled_from([0.01, 1.0])),
+                  inner_steps=data.draw(st.sampled_from([1, 3, 40])))
+    table, trace = minimax_policy_lightweight(*args, **kwargs)
+    want_table, want_trace = minimax_policy_lightweight_by_records(*args, **kwargs)
+    np.testing.assert_allclose(catalog.flatten(table.scores), catalog.flatten(want_table.scores),
+                               rtol=1e-9, atol=1e-9)
+    assert [row["iteration"] for row in trace] == [row["iteration"] for row in want_trace]
+    for key in ("regrets", "w", "max_regret"):
+        np.testing.assert_allclose([row[key] for row in trace], [row[key] for row in want_trace],
+                                   rtol=1e-9, atol=1e-9)
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(em_worlds(), st.integers(1, 4), st.data())
 def test_grouped_gauge_fix_equals_gauge_fix(world, k, data):
@@ -306,7 +333,8 @@ def test_support_cached_existence_check_equals_fresh(world, k, data):
         counts = compiled.pattern_counts(compiled.profile_mass(gamma))
         for j in range(k):
             assert (_unbounded_cached(compiled, counts[j], checked)
-                    == _unbounded_prompt(compiled, gamma[compiled.record_rows, j]))
+                    == _unbounded_support(
+                        compiled, record_counts(compiled, gamma[compiled.record_rows, j]) > 0))
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
