@@ -1,15 +1,6 @@
 """Desk-scale laboratory for preference alignment under latent annotator heterogeneity."""
 
-from .rewards import (
-    Catalog,
-    LatentType,
-    Population,
-    reward,
-    pairwise_prob,
-    choice_prob,
-    mixture_choice_prob,
-    exact_choice_weights,
-)
+from .rewards import Catalog, LatentType, Population
 from .simulate import (
     AnnotatorData,
     Dataset,
@@ -26,22 +17,16 @@ from .policy import (
     ScoreEnsemble,
     ScoreTable,
     gauge_fix,
-    kl_to_ref,
-    mixture_policy_probs,
-    multi_item_pref_prob,
     optimal_table_for_type,
     policy_probs,
     read_ensemble,
-    reward_margin,
     uniform_prompt_weights,
     write_ensemble,
 )
 from .emdpo import (
     EmState,
-    e_step,
     fit_preference_table,
     init_responsibilities,
-    m_step_eta,
     m_step_policy,
     mixture_loglik,
     run_em,

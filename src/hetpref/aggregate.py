@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -54,7 +54,6 @@ __all__ = [
     "minimax_policy_lightweight",
     "minimax_policy_direct",
     "uniform_mixture",
-    "policy_distributions",
 ]
 
 # Averaged iterates per duality-gap matrix product; keeps the temporaries small.
@@ -94,7 +93,8 @@ class _FlatEnsemble:
         return segment_log_softmax(self.log_ref + scores / kappa, self.catalog.offsets)
 
     def distribution(self, policy) -> np.ndarray:
-        """Flat response distribution of any policy flavor (see policy_distributions)."""
+        """Flat response distribution of a free score table, a reference policy,
+        an explicit map of distributions, or mixture weights over the ensemble."""
         if isinstance(policy, ScoreTable):
             return np.exp(self.log_policy(self.catalog.flatten(policy.scores), policy.kappa))
         if isinstance(policy, ReferencePolicy):
@@ -106,21 +106,6 @@ class _FlatEnsemble:
     def regrets(self, policy) -> np.ndarray:
         """Every type's regret of ``policy``: own expected score minus the policy's."""
         return self.own - self.weighted_scores @ self.distribution(policy)
-
-
-def policy_distributions(
-    policy: ScoreTable | Sequence[float] | Mapping[str, np.ndarray] | ReferencePolicy,
-    ensemble: ScoreEnsemble,
-    ref: ReferencePolicy,
-    catalog: Catalog,
-) -> dict[str, np.ndarray]:
-    """Materialize per-prompt response distributions for any policy flavor.
-
-    Accepts a free score table, mixture weights over the ensemble, an
-    explicit map of distributions, or a reference policy.
-    """
-    flat = _FlatEnsemble(ensemble, ref, catalog, uniform_prompt_weights(catalog))
-    return catalog.split(flat.distribution(policy))
 
 
 def regrets_of_policy(

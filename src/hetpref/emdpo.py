@@ -32,8 +32,6 @@ __all__ = [
     "CompiledRecords",
     "EmState",
     "EmptyClusterWarning",
-    "e_step",
-    "m_step_eta",
     "m_step_policy",
     "mixture_loglik",
     "init_responsibilities",
@@ -325,11 +323,6 @@ def _strong_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return np.array(label, dtype=np.intp)
 
 
-def e_step(dataset: Dataset, catalog: Catalog, ensemble: ScoreEnsemble) -> np.ndarray:
-    """Posterior over types per annotator, computed with log-sum-exp."""
-    return _e_step_compiled(CompiledRecords.from_dataset(dataset, catalog), ensemble)[0]
-
-
 def _e_step_compiled(compiled: CompiledRecords, ensemble: ScoreEnsemble
                      ) -> tuple[np.ndarray, float]:
     """(n_rows, K) posteriors and the observed-data log-likelihood."""
@@ -348,16 +341,6 @@ def _e_step(compiled: CompiledRecords, x: np.ndarray, eta: np.ndarray
     if not np.all(np.isfinite(norm)):
         raise ArithmeticError("zero mixture likelihood for some annotator")
     return gamma, norm
-
-
-def m_step_eta(gamma: np.ndarray) -> np.ndarray:
-    """Closed-form mixture-weight update: column means of the posteriors."""
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.ndim != 2:
-        raise ValueError("responsibilities must be an n x K matrix")
-    if np.any(gamma < 0) or np.any(np.abs(gamma.sum(axis=1) - 1.0) > ROW_SUM_ATOL):
-        raise ValueError("every responsibility row must lie on the simplex")
-    return gamma.mean(axis=0)
 
 
 def m_step_policy(
@@ -380,6 +363,8 @@ def m_step_policy(
     """
     compiled = CompiledRecords.from_dataset(dataset, catalog)
     gamma = _checked_gamma(gamma, compiled.n_rows)
+    if init_tables is not None and len(init_tables) != gamma.shape[1]:
+        raise ValueError(f"{len(init_tables)} init tables for {gamma.shape[1]} gamma columns")
     x = (np.zeros((gamma.shape[1], compiled.size)) if init_tables is None
          else np.stack([catalog.flatten(t.scores) for t in init_tables]))
     counts = compiled.pattern_counts(compiled.profile_mass(gamma))

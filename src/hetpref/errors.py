@@ -9,10 +9,6 @@ class CatalogKeyError(HetprefError, KeyError):
     """Unknown prompt or response id."""
 
 
-class InvalidChoiceError(HetprefError, ValueError):
-    """A choice-set precondition was violated (duplicate pair, chosen not in set, ...)."""
-
-
 class DegeneratePopulationError(HetprefError, ValueError):
     """A population construction would produce indistinguishable types."""
 

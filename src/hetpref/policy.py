@@ -17,12 +17,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .errors import InputError
-from .rewards import SIMPLEX_ATOL, Catalog, check_choice_set, segment_log_softmax, softmax
+from .rewards import SIMPLEX_ATOL, Catalog, softmax
 
 __all__ = [
     "ReferencePolicy",
@@ -31,10 +31,6 @@ __all__ = [
     "gauge_fix",
     "policy_probs",
     "optimal_table_for_type",
-    "multi_item_pref_prob",
-    "reward_margin",
-    "kl_to_ref",
-    "mixture_policy_probs",
     "uniform_prompt_weights",
     "write_ensemble",
     "read_ensemble",
@@ -88,12 +84,6 @@ class ScoreTable:
             s.setflags(write=False)
             self.scores[prompt] = s
 
-    @classmethod
-    def zeros(cls, catalog: Catalog, kappa: float) -> "ScoreTable":
-        return cls(
-            kappa=kappa,
-            scores={p: np.zeros(len(catalog.responses(p))) for p in catalog.prompts},
-        )
 
 
 def gauge_fix(table: ScoreTable) -> ScoreTable:
@@ -160,30 +150,6 @@ def optimal_table_for_type(catalog: Catalog, theta: np.ndarray, kappa: float) ->
     return ScoreTable(kappa=kappa, scores=scores)
 
 
-def multi_item_pref_prob(
-    table: ScoreTable,
-    catalog: Catalog,
-    prompt: str,
-    winner: str,
-    rejected: Sequence[str],
-) -> float:
-    """P(winner beats the rejected set): softmax of scores over the comparison set."""
-    cset = (winner, *rejected)
-    check_choice_set(cset)
-    idx = [catalog.response_index(prompt, y) for y in cset]
-    return float(softmax(table.scores[prompt][idx])[0])
-
-
-def reward_margin(
-    table: ScoreTable, catalog: Catalog, prompt: str, winner: str, loser: str
-) -> float:
-    """Implicit-reward margin s(x, winner) - s(x, loser)."""
-    s = table.scores[prompt]
-    return float(
-        s[catalog.response_index(prompt, winner)] - s[catalog.response_index(prompt, loser)]
-    )
-
-
 def uniform_prompt_weights(catalog: Catalog) -> np.ndarray:
     return np.full(len(catalog.prompts), 1.0 / len(catalog.prompts))
 
@@ -198,21 +164,6 @@ def _flat_prompt_weights(catalog: Catalog, prompt_weights: np.ndarray) -> np.nda
     return np.repeat(w, np.diff(catalog.offsets))
 
 
-def kl_to_ref(
-    table: ScoreTable,
-    ref: ReferencePolicy,
-    catalog: Catalog,
-    prompt_weights: np.ndarray,
-) -> float:
-    """kappa-scaled KL of the table's policy from the reference, exact enumeration."""
-    w = _flat_prompt_weights(catalog, prompt_weights)
-    log_ref = np.log(catalog.flatten(ref.probs))
-    log_pi = segment_log_softmax(
-        log_ref + catalog.flatten(table.scores) / table.kappa, catalog.offsets
-    )
-    return table.kappa * float(np.sum(w * np.exp(log_pi) * (log_pi - log_ref)))
-
-
 def _check_mixture_weights(ensemble: ScoreEnsemble, weights) -> np.ndarray:
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (ensemble.k,):
@@ -220,17 +171,6 @@ def _check_mixture_weights(ensemble: ScoreEnsemble, weights) -> np.ndarray:
     if np.any(weights < 0) or abs(weights.sum() - 1.0) > SIMPLEX_ATOL:
         raise ValueError("weights must lie on the simplex")
     return weights
-
-
-def mixture_policy_probs(
-    ensemble: ScoreEnsemble,
-    weights: np.ndarray,
-    ref: ReferencePolicy,
-    prompt: str,
-) -> np.ndarray:
-    """Convex combination of the member policies' distributions."""
-    members = np.stack([policy_probs(t, ref, prompt) for t in ensemble.tables])
-    return _check_mixture_weights(ensemble, weights) @ members
 
 
 def ensemble_to_json_dict(ensemble: ScoreEnsemble, catalog: Catalog) -> dict:
@@ -243,11 +183,16 @@ def ensemble_to_json_dict(ensemble: ScoreEnsemble, catalog: Catalog) -> dict:
 def ensemble_from_json_dict(doc: Mapping, catalog: Catalog) -> ScoreEnsemble:
     kappa = float(doc["kappa"])
     tables = []
-    for tdoc in doc["tables"]:
+    for i, tdoc in enumerate(doc["tables"]):
+        unknown = [repr(p) for p in sorted(set(tdoc).difference(catalog.prompts))]
         scores = {}
         for p in catalog.prompts:
             per = tdoc[p]
+            unknown += [f"{r!r} under {p!r}"
+                        for r in sorted(set(per).difference(catalog.responses(p)))]
             scores[p] = np.array([per[r] for r in catalog.responses(p)], dtype=float)
+        if unknown:
+            raise ValueError(f"table {i} names ids not in the catalog: {', '.join(unknown)}")
         table = ScoreTable(kappa=kappa, scores=scores)
         if not is_gauge_fixed(table):
             raise ValueError("serialized table violates the canonical gauge")

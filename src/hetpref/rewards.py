@@ -24,19 +24,13 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CatalogKeyError, InvalidChoiceError
+from .errors import CatalogKeyError
 
 __all__ = [
     "Catalog",
     "LatentType",
     "Population",
-    "reward",
-    "pairwise_prob",
-    "choice_prob",
-    "mixture_choice_prob",
-    "exact_choice_weights",
     "choice_weights",
-    "check_choice_set",
     "softmax",
     "softmax_lse",
     "segment_log_softmax",
@@ -79,13 +73,6 @@ def segment_log_softmax(logits: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     shifted = logits - np.repeat(np.maximum.reduceat(logits, starts, axis=-1), sizes, axis=-1)
     lse = np.log(np.add.reduceat(np.exp(shifted), starts, axis=-1))
     return shifted - np.repeat(lse, sizes, axis=-1)
-
-
-def check_choice_set(choice_set: Sequence[str]) -> None:
-    """A choice set holds at least 2 distinct responses, else InvalidChoiceError."""
-    if len(choice_set) < 2 or len(set(choice_set)) != len(choice_set):
-        raise InvalidChoiceError(
-            f"choice set must hold >= 2 distinct responses, got {list(choice_set)!r}")
 
 
 @dataclass(frozen=True)
@@ -304,55 +291,3 @@ class Population:
     def thetas(self) -> np.ndarray:
         return np.stack([t.theta for t in self.types])
 
-
-def reward(catalog: Catalog, theta: np.ndarray, prompt: str, response: str) -> float:
-    """Linear reward theta @ psi(prompt, response)."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (catalog.d,):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({catalog.d},)")
-    return float(theta @ catalog.feature(prompt, response))
-
-
-def exact_choice_weights(
-    catalog: Catalog,
-    theta_or_population: np.ndarray | Population,
-    prompt: str,
-    choice_set: Sequence[str],
-) -> np.ndarray:
-    """Full winner distribution over a choice set (softmax or mixture thereof)."""
-    check_choice_set(choice_set)
-    idx = [catalog.response_index(prompt, y) for y in choice_set]
-    pop = Population.of(theta_or_population)
-    return choice_weights(catalog.features(prompt)[idx][None] @ pop.thetas.T, pop.etas)[0]
-
-
-def choice_prob(
-    catalog: Catalog,
-    theta: np.ndarray | Population,
-    prompt: str,
-    choice_set: Sequence[str],
-    chosen: str,
-) -> float:
-    """P(chosen is top pick among choice_set) under theta, or a population's mixture."""
-    if chosen not in choice_set:
-        raise InvalidChoiceError(f"chosen {chosen!r} not in choice set")
-    probs = exact_choice_weights(catalog, theta, prompt, choice_set)
-    return float(probs[list(choice_set).index(chosen)])
-
-
-def pairwise_prob(
-    catalog: Catalog, theta: np.ndarray, prompt: str, y1: str, y2: str
-) -> float:
-    """P(y1 beats y2) = sigmoid of the reward difference."""
-    return choice_prob(catalog, theta, prompt, (y1, y2), y1)
-
-
-def mixture_choice_prob(
-    catalog: Catalog,
-    population: Population,
-    prompt: str,
-    choice_set: Sequence[str],
-    chosen: str,
-) -> float:
-    """Population-level choice probability: eta-weighted average over types."""
-    return choice_prob(catalog, population, prompt, choice_set, chosen)

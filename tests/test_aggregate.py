@@ -16,7 +16,6 @@ from hetpref.aggregate import (
     discrepancy_matrix,
     minimax_policy_direct,
     minimax_policy_lightweight,
-    policy_distributions,
     regret_matrix,
     regret_of_policy,
     solve_regret_game,
@@ -29,13 +28,12 @@ from hetpref.policy import (
     ReferencePolicy,
     ScoreEnsemble,
     ScoreTable,
-    kl_to_ref,
     optimal_table_for_type,
     uniform_prompt_weights,
 )
 from hetpref.rewards import Catalog, Population
 from hetpref.simulate import simulate_dataset
-from reference import record_counts
+from reference import kl_to_ref, policy_distributions, record_counts, zero_table
 
 
 def lp_game_value(R):
@@ -117,7 +115,7 @@ class TestDiscrepancyMatrix:
     def test_zero_ensemble(self, world):
         catalog, _e, ref, pw = world
         zeros = ScoreEnsemble(
-            tables=tuple(ScoreTable.zeros(catalog, 0.1) for _ in range(2)),
+            tables=tuple(zero_table(catalog, 0.1) for _ in range(2)),
             eta=np.array([0.5, 0.5]),
         )
         L = discrepancy_matrix(zeros, ref, catalog, pw)

@@ -122,10 +122,10 @@ class TestPipeline:
     def test_report_regrets_match_evaluate_metric(self, tmp_path):
         import numpy as np
 
-        from hetpref.aggregate import policy_distributions
         from hetpref.evaluate import max_regret
         from hetpref.policy import ReferencePolicy, read_ensemble, uniform_prompt_weights
         from hetpref.rewards import Catalog
+        from reference import policy_distributions
 
         cfg = write_config(tmp_path)
         out = tmp_path / "run"
@@ -646,6 +646,23 @@ class TestMalformedJson:
         path = self.write(tmp_path, "ensemble.json", '{"kappa": 0.1}')
         code = self.read_ensemble(fitted_run, tmp_path, command, path)
         self.check(capsys, code, "ensemble.json", "KeyError", "'tables'")
+
+    @pytest.mark.parametrize("command", ["aggregate", "evaluate"])
+    @pytest.mark.parametrize("unknown", ["response", "prompt"])
+    def test_ensemble_ids_not_in_catalog(self, fitted_run, tmp_path, capsys, command, unknown):
+        # an id the catalog lacks must not be dropped without a word
+        doc = json.loads((fitted_run[1] / "ensemble.json").read_text())
+        table = doc["tables"][0]
+        if unknown == "response":
+            prompt = next(iter(table))
+            table[prompt]["bogus"] = 0.0
+            needle = f"'bogus' under {prompt!r}"
+        else:
+            table["nope"] = {}
+            needle = "'nope'"
+        path = self.write(tmp_path, "ensemble.json", json.dumps(doc))
+        code = self.read_ensemble(fitted_run, tmp_path, command, path)
+        self.check(capsys, code, "ensemble.json", "table 0 names ids not in the catalog", needle)
 
 
 class TestSeedValidation:

@@ -16,9 +16,10 @@ from hetpref.emdpo import CompiledRecords, mean_winner_features
 from hetpref.errors import InputError
 from hetpref.evaluate import accuracy, binarize_records, mean_margin, split_by_true_type
 from hetpref.identify import expected_record_loglik
-from hetpref.policy import ScoreEnsemble, ScoreTable, reward_margin
-from hetpref.rewards import Catalog, Population, exact_choice_weights, softmax
+from hetpref.policy import ScoreEnsemble, ScoreTable
+from hetpref.rewards import Catalog, Population, softmax
 from hetpref.simulate import AnnotatorData, Dataset, PreferenceRecord, read_dataset, write_dataset
+from reference import exact_choice_weights, reward_margin
 
 
 def reference_compile(catalog, records):

@@ -8,11 +8,9 @@ from hetpref import aggregate, emdpo, evaluate
 from hetpref.emdpo import (
     CompiledRecords,
     EmptyClusterWarning,
-    e_step,
     fit_preference_table,
     init_responsibilities,
     lloyd_kmeans,
-    m_step_eta,
     m_step_policy,
     mixture_loglik,
     run_em,
@@ -24,7 +22,6 @@ from hetpref.policy import (
     ScoreEnsemble,
     ScoreTable,
     optimal_table_for_type,
-    reward_margin,
 )
 from hetpref.rewards import Catalog, Population
 from hetpref.simulate import (
@@ -34,7 +31,7 @@ from hetpref.simulate import (
     make_adversarial_pair,
     simulate_dataset,
 )
-from reference import fit_record_weights
+from reference import e_step, fit_record_weights, m_step_eta, reward_margin, zero_table
 
 
 def line_catalog(theta, rewards, prompt="q"):
@@ -95,7 +92,7 @@ class TestEStep:
         cat = Catalog.build({"q": [("w", [1.0]), ("l", [0.0])]})
         ds = dataset_from_records(cat, [[("q", "w", ["l"])]])
         t1 = ScoreTable(kappa=1.0, scores={"q": np.array([math.log(3) / 2, -math.log(3) / 2])})
-        t2 = ScoreTable.zeros(cat, kappa=1.0)
+        t2 = zero_table(cat, kappa=1.0)
         ens = ScoreEnsemble(tables=(t1, t2), eta=np.array([0.5, 0.5]))
         gamma = e_step(ds, cat, ens)
         np.testing.assert_allclose(gamma, [[0.6, 0.4]], atol=1e-12)
@@ -186,7 +183,7 @@ class TestMixtureLoglik:
     def test_single_binary_record_flat_table(self):
         cat = Catalog.build({"q": [("w", [1.0]), ("l", [0.0])]})
         ds = dataset_from_records(cat, [[("q", "w", ["l"])]])
-        ens = ScoreEnsemble(tables=(ScoreTable.zeros(cat, 1.0),), eta=np.array([1.0]))
+        ens = ScoreEnsemble(tables=(zero_table(cat, 1.0),), eta=np.array([1.0]))
         assert mixture_loglik(ds, cat, ens) == pytest.approx(math.log(0.5), abs=1e-15)
 
     def test_permutation_invariance(self, mixed_world):
@@ -205,7 +202,7 @@ class TestMixtureLoglik:
             optimal_table_for_type(catalog, t.theta, 0.1) for t in population.types
         )
         ens = ScoreEnsemble(tables=tables, eta=population.etas)
-        from hetpref.policy import multi_item_pref_prob
+        from reference import multi_item_pref_prob
 
         manual = 0.0
         for a in ds.annotators:
@@ -433,6 +430,15 @@ class TestOneFitKernel:
         aggregate.minimax_policy_lightweight(ds, catalog, fitted.ensemble, fitted.gamma,
                                              ReferencePolicy.uniform(catalog), iters=5)
         assert calls == [1e-10] * 5
+
+    @pytest.mark.parametrize("k, n_init", [(2, 3), (3, 2)])
+    def test_init_tables_must_match_gamma_columns(self, adversarial_fit, k, n_init):
+        # an extra table would come back unfitted, a missing one end in IndexError
+        catalog, ds, fitted = adversarial_fit
+        init = [fitted.ensemble.tables[0]] * n_init
+        with pytest.raises(ValueError, match=f"{n_init} init tables for {k} gamma columns"):
+            m_step_policy(ds, catalog, np.full((ds.n, k), 1 / k), kappa=0.1,
+                          init_tables=init, on_nonconvergence="warn")
 
     @pytest.mark.parametrize("fault", ["nan_row", "negated_column"])
     @pytest.mark.parametrize("method", ["m_step_policy", "lightweight"])

@@ -14,9 +14,7 @@ from hetpref.evaluate import (
 from hetpref.policy import (
     ReferencePolicy,
     ScoreEnsemble,
-    ScoreTable,
     optimal_table_for_type,
-    reward_margin,
     uniform_prompt_weights,
 )
 from hetpref.rewards import Catalog, Population
@@ -27,7 +25,7 @@ from hetpref.simulate import (
     make_adversarial_pair,
     simulate_dataset,
 )
-from reference import fit_record_weights
+from reference import fit_record_weights, reward_margin, zero_table
 
 
 @pytest.fixture(scope="module")
@@ -68,12 +66,12 @@ def argmax_dataset(catalog, theta, n_pairs=60, seed=0):
 class TestMargins:
     def test_zero_table(self, eval_world):
         catalog, _t, _p, dataset = eval_world
-        ens = ScoreEnsemble(tables=(ScoreTable.zeros(catalog, 0.1),), eta=np.array([1.0]))
+        ens = ScoreEnsemble(tables=(zero_table(catalog, 0.1),), eta=np.array([1.0]))
         assert max_mean_reward_margin(ens, catalog, dataset) == 0.0
 
     def test_monotone_in_ensemble_inclusion(self, eval_world):
         catalog, theta, _p, dataset = eval_world
-        weak = ScoreTable.zeros(catalog, 0.1)
+        weak = zero_table(catalog, 0.1)
         strong = optimal_table_for_type(catalog, theta, 0.1)
         small = ScoreEnsemble(tables=(weak,), eta=np.array([1.0]))
         big = ScoreEnsemble(tables=(weak, strong), eta=np.array([0.5, 0.5]))
@@ -109,7 +107,7 @@ class TestMargins:
 class TestAccuracy:
     def test_zero_table_is_chance(self, eval_world):
         catalog, _t, _p, dataset = eval_world
-        assert accuracy(ScoreTable.zeros(catalog, 0.1), catalog, dataset) == 0.5
+        assert accuracy(zero_table(catalog, 0.1), catalog, dataset) == 0.5
 
     def test_perfect_on_noiseless_winners(self, eval_world):
         catalog, theta, _p, _d = eval_world
@@ -163,7 +161,7 @@ class TestMaxRegret:
         ens = ScoreEnsemble(tables=tuple(tables), eta=np.full(3, 1 / 3))
         perm = [2, 0, 1]
         ens_p = ScoreEnsemble(tables=tuple(tables[i] for i in perm), eta=np.full(3, 1 / 3))
-        candidate = ScoreTable.zeros(catalog, 0.1)
+        candidate = zero_table(catalog, 0.1)
         assert max_regret(candidate, ens, ref, catalog, pw) == pytest.approx(
             max_regret(candidate, ens_p, ref, catalog, pw), abs=1e-12
         )

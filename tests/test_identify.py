@@ -10,8 +10,9 @@ from hetpref.identify import (
     ternary_recovery_experiment,
     verify_binary_flatness,
 )
-from hetpref.rewards import Catalog, Population, mixture_choice_prob
+from hetpref.rewards import Catalog, Population
 from hetpref.simulate import make_adversarial_pair, simulate_dataset
+from reference import mixture_choice_prob
 
 
 @pytest.fixture(scope="module")

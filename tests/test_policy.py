@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from hetpref.errors import InvalidChoiceError
 from hetpref.policy import (
     ReferencePolicy,
     ScoreEnsemble,
@@ -11,15 +10,20 @@ from hetpref.policy import (
     ensemble_from_json_dict,
     ensemble_to_json_dict,
     gauge_fix,
+    optimal_table_for_type,
+    policy_probs,
+    uniform_prompt_weights,
+)
+from hetpref.rewards import Catalog
+from reference import (
+    InvalidChoiceError,
+    choice_prob,
     kl_to_ref,
     mixture_policy_probs,
     multi_item_pref_prob,
-    optimal_table_for_type,
-    policy_probs,
     reward_margin,
-    uniform_prompt_weights,
+    zero_table,
 )
-from hetpref.rewards import Catalog, choice_prob
 
 
 @pytest.fixture
@@ -47,7 +51,7 @@ def random_table(catalog, rng, kappa=1.0, scale=1.0):
 
 class TestPolicyProbs:
     def test_zero_scores_reproduce_reference(self, two_prompt_catalog):
-        table = ScoreTable.zeros(two_prompt_catalog, kappa=0.1)
+        table = zero_table(two_prompt_catalog, kappa=0.1)
         rng = np.random.default_rng(2)
         raw = rng.uniform(0.1, 1.0, size=4)
         ref = ReferencePolicy(probs={"p0": raw / raw.sum(), "p1": np.full(3, 1 / 3)})
@@ -120,7 +124,7 @@ class TestOptimalTable:
 
 class TestMultiItemPrefProb:
     def test_equal_scores(self, two_prompt_catalog):
-        table = ScoreTable.zeros(two_prompt_catalog, kappa=1.0)
+        table = zero_table(two_prompt_catalog, kappa=1.0)
         p = multi_item_pref_prob(table, two_prompt_catalog, "p0", "r1", ["r0", "r2"])
         assert p == pytest.approx(1 / 3, abs=1e-15)
 
@@ -142,7 +146,7 @@ class TestMultiItemPrefProb:
             assert abs(a - b) <= 1e-12
 
     def test_empty_rejected_rejected(self, two_prompt_catalog):
-        table = ScoreTable.zeros(two_prompt_catalog, kappa=1.0)
+        table = zero_table(two_prompt_catalog, kappa=1.0)
         # empty, holding the winner, or holding a duplicate
         for rejected in ([], ["r0"], ["r1", "r1"]):
             with pytest.raises(InvalidChoiceError):
@@ -170,7 +174,7 @@ class TestRewardMargin:
 
 class TestKl:
     def test_zero_table(self, two_prompt_catalog):
-        table = ScoreTable.zeros(two_prompt_catalog, kappa=0.1)
+        table = zero_table(two_prompt_catalog, kappa=0.1)
         ref = ReferencePolicy.uniform(two_prompt_catalog)
         w = uniform_prompt_weights(two_prompt_catalog)
         assert kl_to_ref(table, ref, two_prompt_catalog, w) == 0.0

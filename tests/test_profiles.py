@@ -24,7 +24,12 @@ from hetpref.emdpo import (
 from hetpref.policy import ReferencePolicy, ScoreEnsemble, ScoreTable, gauge_fix
 from hetpref.rewards import Catalog, softmax_lse
 from hetpref.simulate import Dataset, PreferenceRecord
-from reference import fit_record_weights, minimax_policy_lightweight_by_records, record_counts
+from reference import (
+    fit_record_weights,
+    minimax_policy_lightweight_by_records,
+    record_counts,
+    zero_table,
+)
 
 
 def reference_logliks(compiled, tables):
@@ -143,7 +148,7 @@ def reference_m_step(compiled, gamma, kappa, tables, grad_tol, max_iter):
         weights = gamma[compiled.record_rows, k]
         if weights.sum() <= 0.0:
             out.append(gauge_fix(init if init is not None
-                                 else ScoreTable.zeros(compiled.catalog, kappa)))
+                                 else zero_table(compiled.catalog, kappa)))
             norms.append(0.0)
             continue
         table, norm = fit_record_weights(compiled, weights, kappa, init_table=init,

@@ -7,30 +7,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from hetpref.errors import CatalogKeyError, InvalidChoiceError
+from hetpref.errors import CatalogKeyError
 from hetpref.identify import verify_binary_flatness
-from hetpref.policy import (
-    ReferencePolicy,
-    ScoreEnsemble,
-    ScoreTable,
-    mixture_policy_probs,
-    multi_item_pref_prob,
-    policy_probs,
-)
+from hetpref.policy import ReferencePolicy, ScoreEnsemble, ScoreTable, policy_probs
 from hetpref.rewards import (
     Catalog,
     Population,
-    choice_prob,
     choice_weights,
-    exact_choice_weights,
-    mixture_choice_prob,
-    pairwise_prob,
-    reward,
     segment_log_softmax,
     softmax,
     softmax_lse,
 )
 from hetpref.simulate import make_adversarial_pair
+from reference import (
+    InvalidChoiceError,
+    choice_prob,
+    exact_choice_weights,
+    mixture_choice_prob,
+    mixture_policy_probs,
+    multi_item_pref_prob,
+    pairwise_prob,
+    reward,
+)
 
 
 def catalog_from_rewards(theta, rewards_per_response):

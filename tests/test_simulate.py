@@ -9,14 +9,7 @@ from scipy.stats import chi2
 from hetpref._streams import Streams
 from hetpref.errors import ConfigError, DegeneratePopulationError
 from hetpref.identify import recovery_catalog
-from hetpref.rewards import (
-    Catalog,
-    Population,
-    exact_choice_weights,
-    pairwise_prob,
-    reward,
-    softmax,
-)
+from hetpref.rewards import Catalog, Population, softmax
 from hetpref.simulate import (
     AnnotatorData,
     PreferenceRecord,
@@ -28,6 +21,7 @@ from hetpref.simulate import (
     simulate_dataset,
     write_dataset,
 )
+from reference import exact_choice_weights, pairwise_prob, reward
 
 
 @pytest.fixture(scope="module")
