@@ -8,10 +8,12 @@ catalog's flat (prompt, response) order; regrets of all K types, the
 discrepancy matrix and the direct objective and gradient are weighted
 sums or matrix products along that axis. Three aggregators are provided:
 an optimistic-Hedge solver for the affine-mixture matrix game, whose two
-players share one log-weight state vector advanced, per iteration, by one
-``dot`` on two adjacent trace rows and one for the normalizers; a
-lightweight loop that alternates weighted preference fits with
-multiplicative weight updates; and direct descent on the worst-case objective.
+players share one state vector advanced, per iteration, by four numpy
+calls (a ``dot`` on the last two iterates and the log-weights, which ride
+one buffer row ahead, an ``exp``, a ``dot`` for the normalizers and a
+``divide``); a lightweight loop that alternates weighted preference fits
+with multiplicative weight updates; and direct descent on the worst-case
+objective.
 
 The output policy class is not canonical: the matrix-game solver returns
 mixture weights over the ensemble (a policy in its affine hull), while
@@ -24,10 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
-from typing import Mapping
+from itertools import chain, combinations, cycle
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .emdpo import CompiledRecords, _checked_gamma, fit_preference_table
 from .errors import StepSizeError
@@ -58,9 +60,12 @@ __all__ = [
 
 # Averaged iterates per duality-gap matrix product; keeps the temporaries small.
 GAP_BLOCK = 4096
-# Largest per-iteration move of a normalized log-weight for which exp neither
-# overflows nor takes a player's largest weight below the normal range.
+# Largest move of a log-weight between two normalizations for which exp
+# neither overflows nor takes a player's largest weight below the normal range.
 _MAX_LOG_MOVE = 600.0
+# Most game iterations between two normalizations of the log-weights; more
+# would only let rounding grow with their drift.
+_SHIFT_BLOCK = 64
 # Vertex systems brute_force_game may solve: every (K+1) x K game up to K = 8.
 _MAX_VERTICES = 25_000
 # Rounding allowed below zero in a vertex's w before it counts as off the simplex.
@@ -93,15 +98,14 @@ class _FlatEnsemble:
         return segment_log_softmax(self.log_ref + scores / kappa, self.catalog.offsets)
 
     def distribution(self, policy) -> np.ndarray:
-        """Flat response distribution of a free score table, a reference policy,
-        an explicit map of distributions, or mixture weights over the ensemble."""
+        """Flat response distribution of a free score table or of mixture
+        weights over the ensemble."""
         if isinstance(policy, ScoreTable):
             return np.exp(self.log_policy(self.catalog.flatten(policy.scores), policy.kappa))
-        if isinstance(policy, ReferencePolicy):
-            return self.catalog.flatten(policy.probs)
-        if isinstance(policy, Mapping):
-            return self.catalog.flatten(policy)
-        return _check_mixture_weights(self.ensemble, policy) @ self.pi
+        if isinstance(policy, (np.ndarray, list, tuple)):
+            return _check_mixture_weights(self.ensemble, policy) @ self.pi
+        raise TypeError(f"policy must be a ScoreTable or mixture weights over the ensemble, "
+                        f"got {type(policy).__name__}")
 
     def regrets(self, policy) -> np.ndarray:
         """Every type's regret of ``policy``: own expected score minus the policy's."""
@@ -115,7 +119,8 @@ def regrets_of_policy(
     catalog: Catalog,
     prompt_weights: np.ndarray,
 ) -> np.ndarray:
-    """Every type's regret of one policy, in ensemble order."""
+    """Every type's regret of one policy (a score table or mixture weights over
+    the ensemble), in ensemble order."""
     return _FlatEnsemble(ensemble, ref, catalog, prompt_weights).regrets(policy)
 
 
@@ -191,11 +196,16 @@ def solve_regret_game(
     the average of the iterates, and ``value`` is the adversary's best
     response to the averaged mixture weights (an upper bound on the
     achieved minimax value). Both players share one state vector x = [w; p]
-    of length K + N, kept as log x. Each iterate is a row of one buffer, so
-    x_prev and x are two adjacent rows: one ``ndarray.dot`` of [-M | 2M], with
-    M = [[0, -step R'], [step R, 0]], on that flat slice gives both optimistic
-    gradients M(2x - x_prev), and one with a block-of-ones matrix gives each
-    player's normalizer. A cumulative sum turns the rows into running averages;
+    of length K + N. Each iterate is a row of one buffer, and the
+    log-weights u (log x up to a shift per player) ride one row ahead, so
+    x_prev, x and u are three adjacent rows. One ``ndarray.dot`` of
+    [-M | 2M | I], with M = [[0, -step R'], [step R, 0]], on that flat window
+    writes the next log-weights u + M(2x - x_prev) to the row after it; exp
+    of those overwrites u, and one ``dot`` with a block-of-ones matrix gives
+    each player's normalizer to divide by. Each player's u is shifted by
+    minus the log of its normalizer once per block of iterations, short
+    enough that u drifts by at most ``_MAX_LOG_MOVE`` in between, so exp
+    stays in range. A cumulative sum turns the rows into running averages;
     the gaps come from one matrix product per ``GAP_BLOCK`` averaged iterates.
     """
     R = _checked_regret_matrix(R)
@@ -209,36 +219,46 @@ def solve_regret_game(
         raise ValueError(f"step must be finite and > 0, got {step!r}")
     # |2x - x_prev|_1 <= 3 per player, so a log-weight moves by at most
     # 3 * step * scale per iteration; beyond _MAX_LOG_MOVE exp could
-    # overflow, or all of one player's weights underflow to zero
-    if 3.0 * step * scale > _MAX_LOG_MOVE:
+    # overflow, or all of one player's weights underflow to zero, even if
+    # the log-weights were normalized on every iteration
+    max_move = 3.0 * step * scale
+    if max_move > _MAX_LOG_MOVE:
         raise ValueError(f"step {step!r} is too large for a regret matrix of scale "
-                         f"{scale!r}: log-weights could move by {3.0 * step * scale:.3g} "
+                         f"{scale!r}: log-weights could move by {max_move:.3g} "
                          f"per iteration (at most {_MAX_LOG_MOVE:g})")
 
     size = k + n_rows
     move = np.zeros((size, size))
     move[:k, k:] = -step * R.T
     move[k:, :k] = step * R
-    optimistic = np.hstack([-move, 2.0 * move]).dot  # [x_prev; x] -> move (2x - x_prev)
+    # [x_prev; x; u] -> u + move (2x - x_prev): the next unnormalized log-weights
+    optimistic = np.hstack([-move, 2.0 * move, np.eye(size)]).dot
     side = np.arange(size) < k
     normalizers = (side[:, None] == side).astype(float).dot  # each player's sum
+    # u drifts from log x by at most max_move per iteration between shifts
+    # (below a move of 1 the cap binds, and _MAX_LOG_MOVE / max_move may be inf)
+    every = min(_SHIFT_BLOCK, int(_MAX_LOG_MOVE / max(max_move, 1.0)))
+    shifts = cycle([False] * (every - 1) + [True])
 
-    log_x = np.concatenate([np.full(k, -np.log(k)), np.full(n_rows, -np.log(n_rows))])
-    # rows 0 and 1 hold x_0, so the first step sees x_prev = x; step t reads
-    # rows t and t + 1 (x_prev, x) as one flat slice and writes row t + 2
-    buf = np.empty((iters + 2, size))
-    buf[:2] = np.exp(log_x)
-    flat = buf.reshape(-1)
-    exp, log = np.exp, np.log
-    for t in range(iters):
-        log_x += optimistic(flat[t * size:(t + 2) * size])
-        x = exp(log_x, out=buf[t + 2])
-        z = normalizers(x)
-        x /= z
-        log_x -= log(z, out=z)
+    # rows 0 and 1 hold x_0, so the first step sees x_prev = x, and row 2
+    # holds u_0 = log x_0; step t reads rows t to t + 2 (x_prev, x, u) as one
+    # window, writes u_{t+1} to row t + 3 and x_{t+1} = exp(u_{t+1}) / z over u_t
+    buf = np.empty((iters + 3, size))
+    buf[2] = np.concatenate([np.full(k, -np.log(k)), np.full(n_rows, -np.log(n_rows))])
+    buf[:2] = np.exp(buf[2])
+    windows = sliding_window_view(buf.reshape(-1), 3 * size)[::size]
+    z = np.empty(size)
+    exp, divide, log = np.exp, np.divide, np.log
+    for window, x, u, shift in zip(windows, buf[2:], buf[3:], shifts):
+        optimistic(window, out=u)
+        exp(u, out=x)
+        normalizers(x, out=z)
+        divide(x, z, out=x)
+        if shift:
+            u -= log(z, out=z)
 
     # in place: the iterates become the running averages
-    trace = buf[2:]
+    trace = buf[2:-1]
     np.cumsum(trace, axis=0, out=trace)
     trace /= np.arange(1, iters + 1)[:, None]
     w_avg_trace, p_avg_trace = trace[:, :k], trace[:, k:]

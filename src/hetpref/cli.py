@@ -466,6 +466,9 @@ def cmd_aggregate(cfg: Mapping, ensemble_path: Path, catalog_path: Path, out: Pa
             sol = agg.solve_regret_game(R, iters=iters, step=step)
         except ValueError as exc:  # R is finite, so the step is at fault
             raise ConfigError(f"config field 'aggregate.step': {exc}") from None
+        except MemoryError as exc:  # the iterate buffer holds one row per iteration
+            raise ConfigError(f"config field 'aggregate.iters' is too large: {iters} game "
+                              f"iterations do not fit in memory ({exc})") from None
         columns = np.column_stack([sol.w_avg_trace, sol.p_avg_trace, sol.gap_trace])
         csvs["game_trace.csv"] = (
             ["iteration"] + [f"w_{j}" for j in range(ensemble.k)]

@@ -6,7 +6,7 @@ tests check the current code against, or a helper that only tests call
 and eta update of a whole dataset, a zero table).
 """
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -227,16 +227,13 @@ def mixture_policy_probs(
 
 # Former aggregate.py.
 def policy_distributions(
-    policy: ScoreTable | Sequence[float] | Mapping[str, np.ndarray] | ReferencePolicy,
+    policy: ScoreTable | Sequence[float],
     ensemble: ScoreEnsemble,
     ref: ReferencePolicy,
     catalog: Catalog,
 ) -> dict[str, np.ndarray]:
-    """Materialize per-prompt response distributions for any policy flavor.
-
-    Accepts a free score table, mixture weights over the ensemble, an
-    explicit map of distributions, or a reference policy.
-    """
+    """Materialize per-prompt response distributions of a free score table
+    or of mixture weights over the ensemble."""
     flat = _FlatEnsemble(ensemble, ref, catalog, uniform_prompt_weights(catalog))
     return catalog.split(flat.distribution(policy))
 

@@ -48,7 +48,6 @@ from hetpref.simulate import expected_dataset, simulate_dataset
 from reference import (
     mixture_policy_probs,
     multi_item_pref_prob,
-    policy_distributions,
     reward_margin,
 )
 
@@ -262,10 +261,9 @@ def test_criterion_7_regret_ordering_four_groups():
             iters=60, step=0.3, inner_steps=10,
         )
     ensemble = state.ensemble
-    uniform_dists = policy_distributions(uniform_mixture(ensemble), ensemble, ref, catalog)
     r_minimax = max_regret(minimax_table, ensemble, ref, catalog, pw)
     r_vanilla = max_regret(vanilla, ensemble, ref, catalog, pw)
-    r_uniform = max_regret(uniform_dists, ensemble, ref, catalog, pw)
+    r_uniform = max_regret(uniform_mixture(ensemble), ensemble, ref, catalog, pw)
     report(
         "criterion 7 (worst-case regret ordering, 4 groups)",
         r_minimax <= 0.9 * r_vanilla and r_vanilla <= r_uniform,

@@ -86,9 +86,17 @@ class TestRegretOfPolicy:
         table = ScoreTable(kappa=1.0, scores={"p": s})
         ens = ScoreEnsemble(tables=(table,), eta=np.array([1.0]))
         ref = ReferencePolicy.uniform(cat)
-        r = regret_of_policy(ref, ens, ref, cat, np.array([1.0]), 0)
+        # a zero-score table is the reference policy
+        r = regret_of_policy(zero_table(cat, 1.0), ens, ref, cat, np.array([1.0]), 0)
         assert r == pytest.approx(math.log(3) / 4, abs=1e-12)
         assert r == pytest.approx(0.2747, abs=1e-4)
+
+    def test_rejects_other_policy_kinds(self, world):
+        # a reference policy is a zero-score table; explicit distributions are not taken
+        catalog, ensemble, ref, pw = world
+        for policy in (ref, dict(ref.probs), "uniform"):
+            with pytest.raises(TypeError, match="ScoreTable or mixture weights"):
+                regret_of_policy(policy, ensemble, ref, catalog, pw, 0)
 
     def test_affine_in_mixture_weights(self, world):
         catalog, ensemble, ref, pw = world
@@ -427,10 +435,6 @@ def ref_policy_probs(table, ref, prompt):
 def ref_distributions(policy, ensemble, ref, catalog):
     if isinstance(policy, ScoreTable):
         return {p: ref_policy_probs(policy, ref, p) for p in catalog.prompts}
-    if isinstance(policy, ReferencePolicy):
-        return dict(policy.probs)
-    if isinstance(policy, dict):
-        return {p: np.asarray(policy[p], dtype=float) for p in catalog.prompts}
     return {
         p: sum(wk * ref_policy_probs(t, ref, p) for wk, t in zip(policy, ensemble.tables))
         for p in catalog.prompts
@@ -545,8 +549,6 @@ def flat_worlds(draw):
         ScoreTable(kappa=kappa, scores={p: rng.normal(size=r)
                                         for p, r in zip(catalog.prompts, sizes)}),
         rng.dirichlet(np.ones(k)),
-        {p: rng.dirichlet(np.ones(r)) for p, r in zip(catalog.prompts, sizes)},
-        ReferencePolicy({p: rng.dirichlet(np.ones(r)) for p, r in zip(catalog.prompts, sizes)}),
     ]
     return catalog, ensemble, ref, pw, candidates
 
@@ -620,6 +622,15 @@ def games(draw):
 @example((np.zeros((4, 3)), 500, None))
 @example((np.zeros((3, 2)), 300, 0.2))
 @example((np.array([[0.0, 1.0], [1.0, 0.0], [0.5, -1.0]]), 2, None))
+# 3 * step * scale at the _MAX_LOG_MOVE bound: the log-weights are shifted on every iteration
+@example((np.array([[0.0, 1.0], [1.0, 0.0], [0.5, -1.0]]), 50, 200.0))
+# ends 36 iterations into the second block of 64
+@example((np.array([[0.0, 1.0], [1.0, 0.0], [0.5, -1.0]]), 100, None))
+# unshifted, every log-weight moves by at least 13.5 per iteration, past exp's
+# range (709) within 53 iterations: a block of 64 would overflow, 13 does not
+@example((np.array([[1.0, 0.9], [0.9, 1.0], [1.0, 1.0]]), 200, 15.0))
+# 3 * step * scale is subnormal, so _MAX_LOG_MOVE over it overflows to inf
+@example((np.full((2, 1), 1e-30), 5, 1e-290))
 def test_game_iterates_match_per_iteration_loop(game):
     R, iters, step = game
     sol = solve_regret_game(R, iters=iters, step=step)

@@ -125,7 +125,6 @@ class TestPipeline:
         from hetpref.evaluate import max_regret
         from hetpref.policy import ReferencePolicy, read_ensemble, uniform_prompt_weights
         from hetpref.rewards import Catalog
-        from reference import policy_distributions
 
         cfg = write_config(tmp_path)
         out = tmp_path / "run"
@@ -136,9 +135,8 @@ class TestPipeline:
         ref = ReferencePolicy.uniform(catalog)
         pw = uniform_prompt_weights(catalog)
         w = np.asarray(report["solution"]["w"])
-        dists = policy_distributions(w, ensemble, ref, catalog)
         assert report["max_regret"] == pytest.approx(
-            max_regret(dists, ensemble, ref, catalog, pw), abs=1e-10
+            max_regret(w, ensemble, ref, catalog, pw), abs=1e-10
         )
 
     def test_manifest_hash_chain(self, tmp_path):
@@ -737,6 +735,15 @@ class TestAggregateValidation:
         assert self.aggregate(fitted_run, tmp_path, overrides) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and repr(field) in err, err
+        assert not (tmp_path / "x").exists()
+
+    def test_unallocatable_iters_is_2(self, fitted_run, tmp_path, capsys):
+        # 10**14 iterations of 5 floats are 3.55 PiB, beyond a 48-bit address
+        # space: the iterate buffer's allocation fails before any is made
+        assert self.aggregate(fitted_run, tmp_path, {"aggregate.iters": 10**14}) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'aggregate.iters'" in err, err
+        assert "3.55 PiB" in err, err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("overrides", [
