@@ -19,8 +19,9 @@ import hashlib
 import json
 import math
 import sys
+from itertools import islice
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -37,6 +38,8 @@ from .errors import (
 )
 
 METHOD_ALIASES = {"ae": "affine", "lw": "lightweight", "original": "direct"}
+# Rows a CSV writer formats before each write, so no file is built whole in memory.
+CSV_CHUNK_ROWS = 1024
 
 # Every config field: section -> field -> (default, kind). A kind is one of
 # "int>=0", "int>=1", "int>=2": an integer of at least that value;
@@ -258,17 +261,22 @@ def build_population(cfg: Mapping) -> tuple[rewards.Population, rewards.Catalog]
 
 
 def _file_sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    with path.open("rb") as f:
+        return hashlib.file_digest(f, "sha256").hexdigest()
 
 
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    # str(float) is the shortest round-trip form, the same as repr
-    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``rows`` under ``header``, formatting and writing CSV_CHUNK_ROWS rows at a time."""
+    rows = iter(rows)
+    with path.open("w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
+            # str(float) is the shortest round-trip form, the same as repr
+            f.write("".join([",".join(map(str, row)) + "\n" for row in chunk]))
 
 
 def _write_manifest(out: Path, command: str, cfg: Mapping, inputs: dict, outputs: dict) -> None:

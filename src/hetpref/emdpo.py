@@ -12,13 +12,17 @@ component of its prompt's comparison digraph (Ford 1957; Hunter 2004). The
 policy M-step checks that condition first, finding the components with
 Tarjan's algorithm (Tarjan 1972), then runs one solver per type:
 damped Newton on per-prompt Hessian blocks, prompts of equal response
-count solved as one batch.
+count solved as one batch. Under the Luce choice model a pattern's softmax
+depends only on its choice set, so the solver works on distinct sets: each
+fit folds its pattern counts into set totals and winner counts, and builds
+the Hessian only before it takes a step.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -60,10 +64,17 @@ class CompiledRecords:
     ``inverse`` maps each record to its pattern and ``record_rows`` to its
     annotator's row. A block's scores ``x[idx]`` have one pattern per
     column, so its softmax runs along axis 0 and row 0 is the winner's.
-    Each prompt's negated Hessian is an r x r block of one flat buffer;
-    entry ``(hslice, cols)`` of ``groups`` is the (G, r, r) run of the G
-    prompts with r responses and their flat score indices; ``hess_pos``
-    places the (L, L, P) pattern pairs of each block in the buffer.
+
+    The fit works on distinct choice sets (a pattern's indices, sorted).
+    ``winner`` holds each pattern's winner and ``set_of`` its set; per set
+    size, entry ``(span, members, own, upper)`` of ``set_blocks`` holds the
+    sets numbered in ``span`` as an (L, S) matrix of flat indices, their
+    prompts and the (L(L-1)/2, S) places of their upper pairs i < j in the
+    Hessian buffer. Each prompt's negated Hessian is an r x r block of that
+    flat buffer; entry ``(hslice, cols)`` of ``groups`` is the (G, r, r)
+    run of the G prompts with r responses and their flat score indices.
+    ``hess_rows`` and ``hess_diag`` hold each block row's first and diagonal
+    places, in buffer order.
 
     EM runs on weighted *profiles*: annotators with the same ordered sequence
     of pattern ids (the order fixes the rounding of a log-likelihood sum)
@@ -117,20 +128,47 @@ class CompiledRecords:
         hstart[by_size] = np.cumsum(sizes[by_size] ** 2) - sizes[by_size] ** 2
         self.hess_size = int((sizes ** 2).sum())
         self.groups: list[tuple[slice, np.ndarray]] = []
+        rows, diag = [], []
         for r in np.unique(sizes):
             members = by_size[sizes[by_size] == r]
             h0 = hstart[members[0]]
             self.groups.append((slice(h0, h0 + members.size * r * r),
                                 starts[members][:, None] + np.arange(r)))
-        self.hess_pos = []
-        for _, idx in self.blocks:
-            own = self.prompt_of[idx[0]]
-            loc = idx - starts[own]
-            self.hess_pos.append(hstart[own] + loc[:, None, :] * sizes[own] + loc[None, :, :])
+            row = np.arange(members.size * r)
+            rows.append(h0 + r * row)
+            diag.append(h0 + r * row + row % r)
+        # groups follow each other in the buffer, so these cover it in order
+        self.hess_rows, self.hess_diag = np.concatenate(rows), np.concatenate(diag)
+        # Distinct choice sets: a pattern's indices sorted, numbered by first
+        # occurrence within each set size.
+        self.winner = np.empty(self.n_patterns, dtype=np.intp)
+        self.set_of = np.empty(self.n_patterns, dtype=np.intp)
+        self.set_blocks: list[tuple[slice, np.ndarray, np.ndarray, np.ndarray]] = []
+        for span, idx in self.blocks:
+            self.winner[span] = idx[0]
+            members = np.sort(idx, axis=0)
+            group, first = row_groups(members.T)
+            rank = np.empty_like(first)
+            rank[np.argsort(first)] = np.arange(first.size)
+            s0 = self.set_blocks[-1][0].stop if self.set_blocks else 0
+            self.set_of[span] = s0 + rank[group]
+            members = members[:, np.sort(first)].copy()
+            own = self.prompt_of[members[0]]
+            loc = members - starts[own]
+            i, j = _upper_pairs(len(members))
+            upper = hstart[own] + loc[i] * sizes[own] + loc[j]
+            self.set_blocks.append((slice(s0, s0 + first.size), members, own, upper))
+        self.n_sets = self.set_blocks[-1][0].stop if self.set_blocks else 0
 
     @classmethod
     def from_dataset(cls, dataset: Dataset, catalog: Catalog) -> "CompiledRecords":
-        return cls(catalog, dataset)
+        """The compile of ``dataset`` against ``catalog``, built once per pair of
+        objects and kept by the dataset."""
+        # keyed by id: the compile holds its catalog, so the id is not reused
+        compiled = dataset._compiled.get(id(catalog))
+        if compiled is None:
+            compiled = dataset._compiled[id(catalog)] = cls(catalog, dataset)
+        return compiled
 
     @classmethod
     def from_records(cls, records: Sequence[PreferenceRecord], catalog: Catalog
@@ -138,31 +176,51 @@ class CompiledRecords:
         """Records in any order; one row per annotator in order of first appearance."""
         return cls(catalog, Dataset.from_records(records))
 
-    def newton_terms(self, x: np.ndarray, weights: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Weighted log-likelihood per prompt, its gradient and negated Hessian.
+    def set_totals(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Pattern ``counts`` folded into each choice set's total and each
+        response's winner count."""
+        return (np.bincount(self.set_of, counts, minlength=self.n_sets),
+                np.bincount(self.winner, counts, minlength=self.size))
 
-        ``weights`` holds one multiplicity per pattern (see ``inverse``).
-        The negated Hessian is the sum over patterns of c (diag(p) - p p^T),
-        returned as the flat buffer laid out by ``groups``.
+    def set_terms(self, x: np.ndarray, totals: np.ndarray, wins: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """Weighted log-likelihood per prompt, its gradient and each block's softmax.
+
+        With set totals C and winner counts w from :meth:`set_totals`, the
+        value is w.x - sum C lse and the gradient w - sum C p: a Luce
+        choice's softmax depends on its set, not on the winner.
         """
-        val = np.zeros(len(self.catalog.prompts))
-        grad = np.zeros(self.size)
-        hess = np.zeros(self.hess_size)
-        for (span, idx), pos in zip(self.blocks, self.hess_pos):
-            c = weights[span]
-            s = x[idx]
-            p, lse = softmax_lse(s, axis=0)
-            cp = c * p
-            val += np.bincount(self.prompt_of[idx[0]], c * (s[0] - lse), minlength=val.size)
-            grad += np.bincount(idx[0], c, minlength=self.size)
-            grad -= np.bincount(idx.ravel(), cp.ravel(), minlength=self.size)
-            # c p_i (delta_ij - p_j): -c p_i p_j everywhere, then the diagonal,
-            # rows i * (L + 1) of the (L * L, patterns) view, set to c p_i (1 - p_i)
-            pairs = cp[:, None, :] * -p[None, :, :]
-            pairs.reshape(-1, p.shape[1])[::len(idx) + 1] = cp * (1.0 - p)
-            hess += np.bincount(pos.ravel(), pairs.ravel(), minlength=self.hess_size)
-        return val, grad, hess
+        val = np.bincount(self.prompt_of, wins * x, minlength=len(self.catalog.prompts))
+        grad = wins.copy()
+        probs = []
+        for span, members, own, _ in self.set_blocks:
+            c = totals[span]
+            p, lse = softmax_lse(x[members], axis=0)
+            val -= np.bincount(own, c * lse, minlength=val.size)
+            grad -= np.bincount(members.ravel(), (c * p).ravel(), minlength=self.size)
+            probs.append(p)
+        return val, grad, probs
+
+    def neg_hessian(self, totals: np.ndarray, probs: list[np.ndarray]) -> np.ndarray:
+        """The negated Hessian, the sum over sets of C (diag(p) - p p^T), as
+        per-prompt (r, r) blocks of the flat buffer laid out by ``groups``.
+
+        Only the upper pairs C p_i p_j are scattered; the buffer is then
+        symmetrized and each diagonal entry set to its row's off-diagonal
+        sum, as the rows of diag(p) - p p^T sum to zero.
+        """
+        pairs = np.zeros(self.hess_size)
+        for (span, members, _, upper), p in zip(self.set_blocks, probs):
+            i, j = _upper_pairs(len(members))
+            pairs += np.bincount(upper.ravel(), (totals[span] * p[i] * p[j]).ravel(),
+                                 minlength=self.hess_size)
+        for hslice, cols in self.groups:
+            r = cols.shape[1]
+            half = pairs[hslice].reshape(-1, r, r)
+            half += half.transpose(0, 2, 1)  # numpy buffers the overlapping operand
+        hess = -pairs
+        hess[self.hess_diag] = np.add.reduceat(pairs, self.hess_rows)
+        return hess
 
     def profile_mass(self, gamma: np.ndarray) -> np.ndarray:
         """(n_profiles, K) sums of (n_rows, K) posteriors over each profile's rows."""
@@ -188,6 +246,16 @@ class CompiledRecords:
             x[:, cols] = s - s.mean(axis=-1, keepdims=True)
 
 
+@cache
+def _upper_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices i < j of the upper triangle of a size x size
+    matrix, read-only as every caller shares them."""
+    pairs = np.triu_indices(size, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
 def _bin_sums(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     """(size, K) sums of the (len(index), K) ``values`` by row ``index``, in row order."""
     k = values.shape[1]
@@ -202,7 +270,9 @@ def fit_preference_table(compiled: CompiledRecords, counts: np.ndarray, x: np.nd
 
     The package's one preference fit; EM's M-step and the lightweight
     aggregator both call it. ``counts`` holds one weight per pattern (see
-    ``inverse``) and ``x`` the (size,) warm start. Each of at most
+    ``inverse``) and ``x`` the (size,) warm start; they are folded once into
+    per-set totals (:meth:`CompiledRecords.set_totals`), and the negated
+    Hessian is built only when a step follows. Each of at most
     ``max_iter`` iterations takes a damped Newton step in every prompt
     whose gradient exceeds ``grad_tol / 2``, caps its largest
     entry at 4 and halves it until that prompt's objective does not fall:
@@ -213,12 +283,14 @@ def fit_preference_table(compiled: CompiledRecords, counts: np.ndarray, x: np.nd
         raise ValueError(f"need {compiled.n_patterns} pattern counts and {compiled.size} scores, "
                          f"got shapes {np.shape(counts)} and {np.shape(x)}")
     starts, sizes = compiled.catalog.offsets[:-1], np.diff(compiled.catalog.offsets)
-    val, grad, hess = compiled.newton_terms(x, counts)
+    totals, wins = compiled.set_totals(counts)
+    val, grad, probs = compiled.set_terms(x, totals, wins)
     stuck = np.zeros(len(sizes), dtype=bool)
     for _ in range(max_iter):
         active = (np.maximum.reduceat(np.abs(grad), starts) > grad_tol * 0.5) & ~stuck
         if not active.any():
             break
+        hess = compiled.neg_hessian(totals, probs)
         step = np.empty(compiled.size)
         for hslice, cols in compiled.groups:
             g, r = cols.shape
@@ -230,7 +302,7 @@ def fit_preference_table(compiled: CompiledRecords, counts: np.ndarray, x: np.nd
         step *= np.repeat(np.where(active, 4.0 / np.maximum(longest, 4.0), 0.0), sizes)
         floor = val - 1e-13 * np.maximum(1.0, np.abs(val))
         for _bt in range(30):
-            terms = compiled.newton_terms(x + step, counts)
+            terms = compiled.set_terms(x + step, totals, wins)
             worse = terms[0] < floor
             if not worse.any():
                 break
@@ -239,9 +311,9 @@ def fit_preference_table(compiled: CompiledRecords, counts: np.ndarray, x: np.nd
             # A prompt whose step fails 30 halvings stops where it is.
             stuck |= worse
             step[np.repeat(worse, sizes)] = 0.0
-            terms = compiled.newton_terms(x + step, counts)
+            terms = compiled.set_terms(x + step, totals, wins)
         x = x + step
-        val, grad, hess = terms
+        val, grad, probs = terms
     return x, float(np.abs(grad).max())
 
 
@@ -368,7 +440,7 @@ def m_step_policy(
     x = (np.zeros((gamma.shape[1], compiled.size)) if init_tables is None
          else np.stack([catalog.flatten(t.scores) for t in init_tables]))
     counts = compiled.pattern_counts(compiled.profile_mass(gamma))
-    _fit_types(compiled, counts, x, grad_tol, max_iter, on_nonconvergence, {})
+    _fit_types(compiled, counts, x, grad_tol, max_iter, on_nonconvergence, {}, set())
     return [ScoreTable(kappa=kappa, scores=catalog.split(row)) for row in x]
 
 
@@ -387,13 +459,14 @@ def _checked_gamma(gamma: np.ndarray, n_rows: int, k: int | None = None) -> np.n
 
 
 def _fit_types(compiled: CompiledRecords, counts: np.ndarray, x: np.ndarray, grad_tol: float,
-               max_iter: int, on_nonconvergence: str, checked: dict[bytes, str | None]
-               ) -> list[float]:
+               max_iter: int, on_nonconvergence: str, checked: dict[bytes, str | None],
+               warned: set[str]) -> list[float]:
     """Fit row k of (K, size) scores ``x`` to ``counts[k]`` in place; the gradient norms.
 
     A type without posterior mass keeps its scores; the others are checked
     (:func:`_unbounded_cached`), then fit by :func:`fit_preference_table`.
-    Every row ends gauge-fixed.
+    In warn mode an existence-check message already in ``warned`` is not
+    repeated. Every row ends gauge-fixed.
     """
     if on_nonconvergence not in ("raise", "warn"):
         raise ValueError("on_nonconvergence must be 'raise' or 'warn'")
@@ -412,7 +485,10 @@ def _fit_types(compiled: CompiledRecords, counts: np.ndarray, x: np.ndarray, gra
             continue
         unbounded = _unbounded_cached(compiled, c, checked)
         if unbounded is not None:
-            fail(f"policy M-step for type {k}: {unbounded}")
+            msg = f"policy M-step for type {k}: {unbounded}"
+            if msg not in warned:
+                fail(msg)
+                warned.add(msg)
         x[k], grad_norm = fit_preference_table(compiled, c, x[k], grad_tol=grad_tol,
                                                max_iter=max_iter)
         if grad_norm > grad_tol:
@@ -549,6 +625,7 @@ def run_em(
     compiled = CompiledRecords.from_dataset(dataset, catalog)
 
     checked: dict[bytes, str | None] = {}
+    warned: set[str] = set()
     best: EmState | None = None
     all_traces: list[tuple[dict, ...]] = []
     for r in range(restarts):
@@ -562,7 +639,7 @@ def run_em(
             gamma_fed = gamma
             eta = mass.sum(axis=0) / compiled.n_rows
             grad_norms = _fit_types(compiled, compiled.pattern_counts(mass), x, grad_tol,
-                                    inner_max_iter, on_nonconvergence, checked)
+                                    inner_max_iter, on_nonconvergence, checked, warned)
             gamma, norm = _e_step(compiled, x, eta)
             mass = compiled.mult[:, None] * gamma
             ll = float(compiled.mult @ norm)

@@ -230,6 +230,11 @@ class Dataset:
         return [by_row[s:e] for s, e in zip([0] + ends, ends)]
 
     @cached_property
+    def _compiled(self) -> dict:
+        """Compiles of this dataset by catalog id (:meth:`emdpo.CompiledRecords.from_dataset`)."""
+        return {}
+
+    @cached_property
     def annotators(self) -> tuple[AnnotatorData, ...]:
         """A view of every annotator row with its records."""
         records = self.records()

@@ -34,6 +34,48 @@ from hetpref.rewards import (
 from hetpref.simulate import Dataset
 
 
+# Former emdpo.py: the pattern-level Newton terms and their Hessian layout.
+def hess_pos(compiled):
+    """Each pattern block's (L, L, P) pair places in the flat Hessian
+    buffer laid out by ``compiled.groups``."""
+    starts, sizes = compiled.catalog.offsets[:-1], np.diff(compiled.catalog.offsets)
+    by_size = np.argsort(sizes, kind="stable")
+    hstart = np.empty_like(sizes)
+    hstart[by_size] = np.cumsum(sizes[by_size] ** 2) - sizes[by_size] ** 2
+    out = []
+    for _, idx in compiled.blocks:
+        own = compiled.prompt_of[idx[0]]
+        loc = idx - starts[own]
+        out.append(hstart[own] + loc[:, None, :] * sizes[own] + loc[None, :, :])
+    return out
+
+
+def newton_terms(compiled, x, weights):
+    """Weighted log-likelihood per prompt, its gradient and negated Hessian.
+
+    ``weights`` holds one multiplicity per pattern (see ``inverse``).
+    The negated Hessian is the sum over patterns of c (diag(p) - p p^T),
+    returned as the flat buffer laid out by ``groups``.
+    """
+    val = np.zeros(len(compiled.catalog.prompts))
+    grad = np.zeros(compiled.size)
+    hess = np.zeros(compiled.hess_size)
+    for (span, idx), pos in zip(compiled.blocks, hess_pos(compiled)):
+        c = weights[span]
+        s = x[idx]
+        p, lse = softmax_lse(s, axis=0)
+        cp = c * p
+        val += np.bincount(compiled.prompt_of[idx[0]], c * (s[0] - lse), minlength=val.size)
+        grad += np.bincount(idx[0], c, minlength=compiled.size)
+        grad -= np.bincount(idx.ravel(), cp.ravel(), minlength=compiled.size)
+        # c p_i (delta_ij - p_j): -c p_i p_j everywhere, then the diagonal,
+        # rows i * (L + 1) of the (L * L, patterns) view, set to c p_i (1 - p_i)
+        pairs = cp[:, None, :] * -p[None, :, :]
+        pairs.reshape(-1, p.shape[1])[::len(idx) + 1] = cp * (1.0 - p)
+        hess += np.bincount(pos.ravel(), pairs.ravel(), minlength=compiled.hess_size)
+    return val, grad, hess
+
+
 def record_counts(compiled, record_weights):
     """One weight per record summed onto its pattern."""
     return np.bincount(compiled.inverse, record_weights, minlength=compiled.n_patterns)

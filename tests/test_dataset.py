@@ -5,6 +5,8 @@ library did before records became integer columns; the columnar code must
 give equal results (``==``), not merely close ones.
 """
 
+import tracemalloc
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +20,15 @@ from hetpref.evaluate import accuracy, binarize_records, mean_margin, split_by_t
 from hetpref.identify import expected_record_loglik
 from hetpref.policy import ScoreEnsemble, ScoreTable
 from hetpref.rewards import Catalog, Population, softmax
-from hetpref.simulate import AnnotatorData, Dataset, PreferenceRecord, read_dataset, write_dataset
+from hetpref.simulate import (
+    AnnotatorData,
+    Dataset,
+    PreferenceRecord,
+    make_mpi_population,
+    read_dataset,
+    simulate_dataset,
+    write_dataset,
+)
 from reference import exact_choice_weights, reward_margin
 
 
@@ -74,11 +84,23 @@ def reference_compile(catalog, records):
     by_size = np.argsort(sizes, kind="stable")
     hstart = np.empty_like(sizes)
     hstart[by_size] = np.cumsum(sizes[by_size] ** 2) - sizes[by_size] ** 2
-    out.hess_pos = []
+    # distinct choice sets, numbered by first occurrence within each set size
+    out.winner, out.set_of, out.set_blocks = [], [], []
     for _, idx in out.blocks:
-        own = prompt_of[idx[0]]
-        loc = idx - starts[own]
-        out.hess_pos.append(hstart[own] + loc[:, None, :] * sizes[own] + loc[None, :, :])
+        begin = out.set_blocks[-1][0].stop if out.set_blocks else 0
+        sets = {}
+        for pattern in idx.T.tolist():
+            out.winner.append(pattern[0])
+            out.set_of.append(begin + sets.setdefault(tuple(sorted(pattern)), len(sets)))
+        members = np.array(list(sets), dtype=np.intp).reshape(-1, len(idx)).T
+        own = prompt_of[members[0]]
+        upper = [[hstart[p] + (a - starts[p]) * sizes[p] + (b - starts[p])
+                  for p, (a, b) in zip(own, pairs)]
+                 for pairs in zip(*(combinations(m, 2) for m in members.T.tolist()))]
+        out.set_blocks.append((slice(begin, begin + len(sets)), members, own,
+                               np.array(upper, dtype=np.intp).reshape(-1, len(sets))))
+    out.winner, out.set_of = np.array(out.winner, np.intp), np.array(out.set_of, np.intp)
+    out.n_sets = out.set_blocks[-1][0].stop if out.set_blocks else 0
     return out
 
 
@@ -178,10 +200,30 @@ def test_compile_equals_record_by_record_compile(world):
     assert [s for s, _ in compiled.blocks] == [s for s, _ in want.blocks]
     for (_, idx), (_, ref) in zip(compiled.blocks, want.blocks, strict=True):
         assert idx.flags.c_contiguous and np.array_equal(idx, ref)
-    for pos, ref in zip(compiled.hess_pos, want.hess_pos, strict=True):
-        assert np.array_equal(pos, ref)
+    assert compiled.n_sets == want.n_sets
+    for name in ("winner", "set_of"):
+        assert np.array_equal(getattr(compiled, name), getattr(want, name)), name
+    for got, ref in zip(compiled.set_blocks, want.set_blocks, strict=True):
+        assert got[0] == ref[0]
+        for a, b in zip(got[1:], ref[1:], strict=True):
+            assert a.flags.c_contiguous and np.array_equal(a, b)
     again = CompiledRecords.from_dataset(dataset, catalog)
     assert np.array_equal(again.inverse, compiled.inverse)
+
+
+def test_compile_allocates_nothing_hessian_sized():
+    """The fit's Hessian buffer holds r * r entries per prompt; a compile
+    must not allocate on that scale, since a world whose check fails before
+    any fit (the default config's 990 responses) would pay for it."""
+    population, catalog = make_mpi_population(n_phrases=990)
+    dataset = simulate_dataset(catalog, population, n=1500, m=1, choice_set_size=2, rng_seed=0)
+    tracemalloc.start()
+    try:
+        compiled = CompiledRecords(catalog, dataset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < compiled.hess_size * 8 / 2
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

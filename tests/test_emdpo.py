@@ -1,5 +1,7 @@
 import inspect
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -361,18 +363,48 @@ class TestRunEm:
     def test_tied_restarts_keep_the_first(self):
         # Four identical annotators (one type) fit with K = 2: both restarts
         # reach the same log-likelihood, and rounding leaves restart 1 higher
-        # by 3e-15 with a different eta (type 0: 0.562 in restart 0, 0.464 in 1).
+        # by 2e-15 with a different eta (type 0: 0.422 in restart 0, 0.580 in 1).
         catalog = Catalog.build({"p0": [(f"r{i}", [float(i)]) for i in range(4)]})
         sets = [("r3", "r2", "r1"), ("r2", "r0", "r1"), ("r0", "r1"), ("r2", "r3")]
         ds = Dataset.from_records(PreferenceRecord(annotator=a, prompt="p0", winner=c[0],
                                                    rejected=c[1:]) for a in range(4) for c in sets)
         with pytest.warns(RuntimeWarning, match="no finite maximizer"):
-            state = run_em(ds, catalog, k=2, max_iters=4, init="random_dirichlet", seed=1,
+            state = run_em(ds, catalog, k=2, max_iters=4, init="random_dirichlet", seed=26,
                            restarts=2, inner_max_iter=25, on_nonconvergence="warn")
         first, second = (trace[-1]["loglik"] for trace in state.restart_traces)
         assert first < second <= first + 1e-12 * abs(first)
         assert state.trace == state.restart_traces[0]
         assert state.loglik == first
+
+    @pytest.mark.parametrize("k, iters", [(2, 5), (3, 4)])
+    def test_existence_warning_once_per_type_and_call(self, k, iters):
+        # r3 never loses to r0 or r1, so every type's data has no finite
+        # maximizer in every iteration; warn mode says so once per type and
+        # call, while the capped fits' gradient-norm warnings stay.
+        catalog = Catalog.build({"p0": [(f"r{i}", [float(i)]) for i in range(4)]})
+        sets = [("r3", "r2", "r1"), ("r2", "r0", "r1"), ("r0", "r1"), ("r2", "r3")]
+        ds = Dataset.from_records(PreferenceRecord(annotator=a, prompt="p0", winner=c[0],
+                                                   rejected=c[1:]) for a in range(4) for c in sets)
+
+        def caught_messages(fit):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = fit()
+            return result, [str(w.message) for w in caught if w.category is RuntimeWarning]
+
+        state, messages = caught_messages(lambda: run_em(
+            ds, catalog, k=k, max_iters=iters, tol=-math.inf, init="random_dirichlet",
+            inner_max_iter=5, on_nonconvergence="warn"))
+        assert len(state.trace) == iters
+        existence = [m for m in messages if "no finite maximizer" in m]
+        assert sorted(m.split(":")[0] for m in existence) == [
+            f"policy M-step for type {j}" for j in range(k)]
+        assert sum("stopped at gradient norm" in m for m in messages) > k
+        for _ in range(2):
+            _, messages = caught_messages(lambda: m_step_policy(
+                ds, catalog, np.full((ds.n, k), 1.0 / k), kappa=0.1, max_iter=5,
+                on_nonconvergence="warn"))
+            assert sum("no finite maximizer" in m for m in messages) == k
 
 
 @pytest.fixture(scope="module")
@@ -430,6 +462,35 @@ class TestOneFitKernel:
         aggregate.minimax_policy_lightweight(ds, catalog, fitted.ensemble, fitted.gamma,
                                              ReferencePolicy.uniform(catalog), iters=5)
         assert calls == [1e-10] * 5
+
+    @pytest.mark.filterwarnings("ignore")
+    def test_one_compile_per_dataset_and_catalog(self, adversarial_fit, monkeypatch):
+        """EM, the lightweight aggregator, mixture_loglik and repeated
+        m_step_policy calls share one compile of a dataset and catalog; an
+        equal dataset or catalog that is another object gets its own."""
+        catalog, ds, _ = adversarial_fit
+        ds = simulate_dataset(catalog, make_adversarial_pair(np.array([2.0, 0.5])), n=60, m=1,
+                              choice_set_size=3, rng_seed=1)
+        builds = []
+        build = CompiledRecords.__init__
+
+        def counting(self, *args):
+            builds.append(args)
+            build(self, *args)
+
+        monkeypatch.setattr(CompiledRecords, "__init__", counting)
+        state = run_em(ds, catalog, k=2, max_iters=2, on_nonconvergence="warn")
+        aggregate.minimax_policy_lightweight(ds, catalog, state.ensemble, state.gamma,
+                                             ReferencePolicy.uniform(catalog), iters=2)
+        mixture_loglik(ds, catalog, state.ensemble)
+        for _ in range(2):
+            m_step_policy(ds, catalog, state.gamma, kappa=0.1, on_nonconvergence="warn")
+        assert len(builds) == 1
+        compiled = CompiledRecords.from_dataset(ds, catalog)
+        twin = Catalog.from_json_dict(catalog.to_json_dict())
+        assert CompiledRecords.from_dataset(ds, twin) is not compiled
+        assert CompiledRecords.from_dataset(replace(ds), catalog) is not compiled
+        assert len(builds) == 3
 
     @pytest.mark.parametrize("k, n_init", [(2, 3), (3, 2)])
     def test_init_tables_must_match_gamma_columns(self, adversarial_fit, k, n_init):

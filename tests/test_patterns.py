@@ -1,4 +1,5 @@
-"""The pattern-compressed likelihood and its Newton terms against per-record formulas."""
+"""The pattern-compressed likelihood and its set-level Newton terms against
+per-record and per-pattern formulas."""
 
 import re
 import sys
@@ -24,7 +25,7 @@ from hetpref.identify import recovery_catalog
 from hetpref.policy import ScoreTable, gauge_fix
 from hetpref.rewards import Catalog, Population, softmax_lse
 from hetpref.simulate import PreferenceRecord, make_adversarial_pair, simulate_dataset
-from reference import fit_record_weights, record_counts
+from reference import fit_record_weights, newton_terms, record_counts
 
 
 def reference_terms(catalog, records, x):
@@ -56,6 +57,13 @@ def dense_hessian(compiled, buffer):
         for block, c in zip(buffer[hslice].reshape(g, r, r), cols):
             out[np.ix_(c, c)] = block
     return out
+
+
+def set_level_terms(compiled, x, counts):
+    """Value per prompt, gradient and negated Hessian buffer from the set totals."""
+    totals, wins = compiled.set_totals(counts)
+    val, grad, probs = compiled.set_terms(x, totals, wins)
+    return val, grad, compiled.neg_hessian(totals, probs)
 
 
 def split_scores(catalog, x):
@@ -104,7 +112,7 @@ def test_compressed_likelihood_matches_per_record_reference(world):
     terms = reference_terms(catalog, records, x)
 
     counts = np.bincount(compiled.inverse, weights, minlength=compiled.n_patterns)
-    val, grad, hess = compiled.newton_terms(x, counts)
+    val, grad, hess = set_level_terms(compiled, x, counts)
     want_val = np.zeros(len(catalog.prompts))
     for w, rec, (lp, _, _) in zip(weights, records, terms):
         want_val[catalog.prompts.index(rec.prompt)] += w * lp
@@ -131,9 +139,12 @@ def test_compressed_likelihood_matches_per_record_reference(world):
 
 @pytest.mark.parametrize("size", [2, 3, 4, 6])
 def test_newton_hessian_equals_identity_product(size):
-    # newton_terms writes the diagonal of c p_i (delta_ij - p_j) into the
-    # products -c p_i p_j; the sum must equal the product with an identity
-    # matrix bit for bit
+    # neg_hessian scatters only the upper pairs C p_i p_j of each set, then
+    # mirrors them and writes each diagonal entry as its row's off-diagonal
+    # sum; that must equal, bit for bit, the off-diagonal entries of
+    # C p_i (delta_ij - p_j), the product with an identity matrix, added up
+    # set by set in the same order, with the diagonal completed the same
+    # way, and the diagonal must equal sum C p_i (1 - p_i) to rounding
     rng = np.random.default_rng(size)
     catalog = Catalog.build({f"p{j}": [(f"r{i}", rng.normal(size=2)) for i in range(7)]
                              for j in range(2)})
@@ -142,14 +153,78 @@ def test_newton_hessian_equals_identity_product(size):
     compiled = CompiledRecords.from_dataset(ds, catalog)
     x = 3.0 * rng.normal(size=compiled.size)
     counts = rng.uniform(0.5, 2.0, size=compiled.n_patterns)
-    want = np.zeros(compiled.hess_size)
-    for (span, idx), pos in zip(compiled.blocks, compiled.hess_pos):
-        assert len(idx) == size
-        p = softmax_lse(x[idx], axis=0)[0]
-        cp = counts[span] * p
-        pairs = cp[:, None, :] * (np.eye(size)[:, :, None] - p[None, :, :])
-        want += np.bincount(pos.ravel(), pairs.ravel(), minlength=compiled.hess_size)
-    assert np.array_equal(compiled.newton_terms(x, counts)[2], want)
+    totals, wins = compiled.set_totals(counts)
+    probs = compiled.set_terms(x, totals, wins)[2]
+    want = np.zeros((compiled.size, compiled.size))
+    diag = np.zeros(compiled.size)
+    for span, members, _, _ in compiled.set_blocks:
+        assert len(members) == size
+        p = softmax_lse(x[members], axis=0)[0]
+        cp = totals[span] * p
+        prod = cp[:, None, :] * (np.eye(size)[:, :, None] - p[None, :, :])
+        i, j = np.triu_indices(size, 1)
+        block = np.zeros_like(want)
+        np.add.at(block, (members[i], members[j]), prod[i, j])
+        want += block
+        np.add.at(diag, members, cp * (1.0 - p))
+    want += want.T
+    for _, cols in compiled.groups:
+        for c in cols:
+            # each row summed as the kernel sums it, with np.add.reduceat
+            rows = -want[np.ix_(c, c)]
+            want[c, c] = np.add.reduceat(rows.ravel(), np.arange(0, rows.size, len(c)))
+    got = dense_hessian(compiled, compiled.neg_hessian(totals, probs))
+    assert np.array_equal(got, want)
+    np.testing.assert_allclose(np.diag(got), diag, rtol=1e-12)
+
+
+@st.composite
+def set_worlds(draw):
+    """Catalogs of 2-6 responses per prompt, sets of 2-4, repeated records
+    (so repeated patterns and winners), several winners of one set, zero
+    counts, scores up to +-30."""
+    sizes = draw(st.lists(st.integers(2, 6), min_size=1, max_size=4))
+    catalog = Catalog.build(
+        {f"p{j}": [(f"r{i}", [float(i), float(j)]) for i in range(r)]
+         for j, r in enumerate(sizes)}
+    )
+
+    def record(j):
+        rids = catalog.responses(f"p{j}")
+        return st.tuples(st.permutations(rids), st.integers(2, min(4, len(rids)))).map(
+            lambda t: PreferenceRecord(annotator=0, prompt=f"p{j}", winner=t[0][0],
+                                       rejected=tuple(t[0][1:t[1]])))
+
+    records = draw(st.lists(
+        st.integers(0, len(sizes) - 1).flatmap(record), min_size=1, max_size=30))
+    rotated = [PreferenceRecord(annotator=0, prompt=r.prompt, winner=r.rejected[0],
+                                rejected=(r.winner,) + r.rejected[1:])
+               for r in draw(st.lists(st.sampled_from(records), max_size=6))]
+    records += rotated + draw(st.lists(st.sampled_from(records), max_size=6))
+    compiled = CompiledRecords.from_records(records, catalog)
+    counts = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.5]),
+                                    min_size=compiled.n_patterns,
+                                    max_size=compiled.n_patterns)))
+    x = np.array(draw(st.lists(st.floats(-30.0, 30.0), min_size=compiled.size,
+                               max_size=compiled.size)))
+    return compiled, counts, x
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(set_worlds())
+def test_set_terms_equal_pattern_terms(world):
+    """Set totals give the pattern-level value, gradient and negated Hessian
+    to a relative 1e-12: of each entry, or of the largest sum that forms it
+    (total count, times the largest score for the value)."""
+    compiled, counts, x = world
+    assert compiled.n_sets <= compiled.n_patterns
+    mass = max(1.0, counts.sum())
+    val, grad, hess = set_level_terms(compiled, x, counts)
+    want_val, want_grad, want_hess = newton_terms(compiled, x, counts)
+    np.testing.assert_allclose(val, want_val, rtol=1e-12,
+                               atol=1e-12 * mass * (1.0 + np.abs(x).max()))
+    np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * mass)
+    np.testing.assert_allclose(hess, want_hess, rtol=1e-12, atol=1e-12 * mass)
 
 
 def with_all_pairs(catalog, records, weights):
@@ -249,12 +324,13 @@ def test_newton_matches_former_solver(world):
     records, weights = with_all_pairs(catalog, records, weights)
     compiled = CompiledRecords.from_records(records, catalog)
     counts = np.bincount(compiled.inverse, weights, minlength=compiled.n_patterns)
-    start = compiled.newton_terms(x, counts)[0]
+    totals, wins = compiled.set_totals(counts)
+    start = compiled.set_terms(x, totals, wins)[0]
     for max_iter in (1, 2, 1000):
         table, norm = fit_record_weights(compiled, weights, kappa=1.0,
                                          init_table=split_scores(catalog, x),
                                          max_iter=max_iter)
-        val = compiled.newton_terms(catalog.flatten(table.scores), counts)[0]
+        val = compiled.set_terms(catalog.flatten(table.scores), totals, wins)[0]
         assert np.all(val >= start - 1e-12 * np.maximum(1.0, np.abs(start)))
     want_x, want_norm = reference_fit(catalog, records, weights, x)
     assert max(norm, want_norm) <= 1e-8
