@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import hashlib
 import json
 import math
 import sys
-from itertools import islice
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -38,8 +39,8 @@ from .errors import (
 )
 
 METHOD_ALIASES = {"ae": "affine", "lw": "lightweight", "original": "direct"}
-# Rows a CSV writer formats before each write, so no file is built whole in memory.
-CSV_CHUNK_ROWS = 1024
+# libyaml's parser where PyYAML has it: SafeLoader's values, other syntax-error wording
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 # Every config field: section -> field -> (default, kind). A kind is one of
 # "int>=0", "int>=1", "int>=2": an integer of at least that value;
@@ -113,9 +114,10 @@ def _unknown(dotted: str, rows: Mapping) -> ConfigError:
 
 
 def load_config(path: str | Path) -> dict:
-    """The defaults overlaid with a YAML file; fields are known, domains and mappings checked."""
+    """The defaults overlaid with a YAML file, parsed by libyaml's ``CSafeLoader`` where
+    PyYAML has it, else ``SafeLoader``; fields are known, domains and mappings checked."""
     try:
-        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        raw = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_YAML_LOADER)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except yaml.YAMLError as exc:
@@ -269,14 +271,24 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write ``rows`` under ``header``, formatting and writing CSV_CHUNK_ROWS rows at a time."""
-    rows = iter(rows)
-    with path.open("w", encoding="utf-8") as f:
-        f.write(",".join(header) + "\n")
-        while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
-            # str(float) is the shortest round-trip form, the same as repr
-            f.write("".join([",".join(map(str, row)) + "\n" for row in chunk]))
+def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    """Write ``rows`` under ``header``, a row by one ``%`` of a ``"%s,...,%s"`` line (``%s``
+    of a float is its repr); a row not as long as the header raises ValueError."""
+    bad = next((i for i, row in enumerate(rows) if len(row) != len(header)), None)
+    if bad is not None:
+        raise ValueError(f"{path}: row {bad} has {len(rows[bad])} cells, header has {len(header)}")
+    line = ",".join(["%s"] * len(header)) + "\n"
+    simulate.write_lines(path, chain([",".join(header) + "\n"],
+                                     map(line.__mod__, map(tuple, rows))))
+
+
+def _write_gamma(path: Path, ids: list[int], gamma: np.ndarray) -> None:
+    """``gamma.csv``: each distinct posterior row (by bits: -0.0 is not 0.0) formatted once."""
+    group, first = simulate.row_groups(np.ascontiguousarray(gamma).view(np.int64))
+    texts = [",".join(map(str, row)) for row in gamma[first].tolist()]
+    header = ",".join(["annotator"] + [f"g_{j}" for j in range(gamma.shape[1])]) + "\n"
+    simulate.write_lines(path, chain([header], map("{},{}\n".format, ids,
+                                                   map(texts.__getitem__, group.tolist()))))
 
 
 def _write_manifest(out: Path, command: str, cfg: Mapping, inputs: dict, outputs: dict) -> None:
@@ -340,8 +352,7 @@ def _write_em_outputs(out: Path, state: emdpo.EmState, catalog: rewards.Catalog,
     policy.write_ensemble(state.ensemble, catalog, ensemble_path)
     k = state.ensemble.k
     gamma_path = out / "gamma.csv"
-    _write_csv(gamma_path, ["annotator"] + [f"g_{j}" for j in range(k)],
-               [[a] + row for a, row in zip(dataset.ids.tolist(), state.gamma.tolist())])
+    _write_gamma(gamma_path, dataset.ids.tolist(), state.gamma)
     trace_path = out / "trace.csv"
     traces = state.restart_traces or (state.trace,)
     _write_csv(
@@ -418,7 +429,8 @@ def _flatten_trace(trace: Sequence[Mapping]) -> tuple[list[str], list[list]]:
 
 
 def _read_gamma(path: Path, annotators: Sequence[int], k: int) -> np.ndarray:
-    """Posteriors from a gamma CSV: one row per annotator in dataset order, on the simplex."""
+    """Posteriors from a gamma CSV: one row per annotator in dataset order, on the simplex.
+    Each distinct row is parsed once; a file that fails is read again line by line."""
     try:
         rows = path.read_text(encoding="utf-8").strip().splitlines()[1:]
     except OSError as exc:
@@ -426,6 +438,17 @@ def _read_gamma(path: Path, annotators: Sequence[int], k: int) -> np.ndarray:
     if len(rows) != len(annotators):
         raise InputError(f"gamma file {path} has {len(rows)} rows, dataset has "
                          f"{len(annotators)} annotators")
+    heads, _, tails = zip(*map(str.partition, rows, repeat(","))) if rows else ((), (), ())
+    texts = dict(zip(dict.fromkeys(tails), range(len(rows))))  # distinct row -> index
+    try:
+        table = [[float(v) for v in text.split(",")] for text in texts]
+    except ValueError:
+        table = [[]]  # fails the row check below
+    if heads == tuple(map(str, annotators)) and all(
+            len(row) == k and min(row) >= 0.0 and abs(sum(row) - 1.0) <= emdpo.ROW_SUM_ATOL
+            for row in table):
+        return np.array(table).reshape(-1, k)[
+            np.fromiter(map(texts.__getitem__, tails), np.intp, len(tails))]
     gamma = np.empty((len(annotators), k))
     for i, (line, annotator) in enumerate(zip(rows, annotators)):
         where = f"gamma file {path}, line {i + 2}"
@@ -738,9 +761,11 @@ def _apply_seed_override(cfg: dict, command: str, seed: int | None) -> None:
         cfg[section][field] = seed
 
 
+_parser = functools.cache(build_parser)  # main's parser, built once per process
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         _apply_seed_override(cfg, args.command, args.seed)

@@ -21,6 +21,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -49,6 +51,9 @@ PERSONALITY_VECTORS = (
 )
 PERSONALITY_WEIGHTS = (0.3, 0.3, 0.4)
 MPI_PROMPT = "instruction"
+CSV_CHUNK_ROWS = 1024  # lines write_lines formats before each write
+_scan_json = json.JSONDecoder().scan_once  # json.loads' scanner, without its end checks
+_FIELDS = itemgetter("prompt", "winner", "rejected")
 
 
 @dataclass(frozen=True)
@@ -79,17 +84,25 @@ def _is_int(value) -> bool:
 
 
 class _Columns:
-    """Ragged choice-set columns, grown one annotator row at a time."""
+    """Ragged choice-set columns, grown one annotator row at a time; the vocabulary
+    ids of each distinct ``(prompt, winner, tuple(rejected))`` record are found once."""
 
     def __init__(self):
-        self.vocab, self.items, self.ends, self.rows = {}, [], [0], []
+        self.vocab, self.items, self.ends, self.rows, self.known = {}, [], [0], [], {}
 
     def add(self, row: int, records: Iterable[tuple[str, str, Sequence[str]]]) -> None:
         """Append ``(prompt, winner, rejected)`` records of annotator ``row``."""
         entry = self.vocab.setdefault
         for prompt, winner, rejected in records:
-            self.items.append(entry((prompt, winner), len(self.vocab)))
-            self.items.extend([entry((prompt, y), len(self.vocab)) for y in rejected])
+            try:
+                ids = self.known.get(key := (prompt, winner, tuple(rejected)))
+            except TypeError:  # not iterable or unhashable: the lookups below raise as before
+                ids = key = None
+            if ids is None:
+                ids = [entry((prompt, winner), len(self.vocab))]
+                ids += [entry((prompt, y), len(self.vocab)) for y in rejected]
+                self.known[key] = ids
+            self.items.extend(ids)
             self.ends.append(len(self.items))
             self.rows.append(row)
 
@@ -105,11 +118,20 @@ class _Columns:
                        rows=rows, offsets=offsets, items=items, vocab=tuple(self.vocab), **meta)
 
 
+def _valid_ids_and_types(ids: list, types: list) -> bool:
+    """Whether ids are distinct Python ints and types null or non-negative ints, in int64."""
+    labels = [t for t in types if t is not None]
+    return (set(map(type, ids + labels)) <= {int} and len(set(ids)) == len(ids)
+            and -2**63 <= min(ids, default=0) and max(ids, default=0) < 2**63
+            and 0 <= min(labels, default=0) and max(labels, default=0) < 2**63)
+
+
 def _first_fault(ids: list, types: list, rows: np.ndarray, offsets: np.ndarray,
                  items: np.ndarray) -> tuple[int, str] | None:
     """The first malformed annotator row and what is wrong with it, or None.
 
-    Faults are ordered by row, then by the order of the checks.
+    Faults are ordered by row, then by the order of the checks. Ids and types
+    are checked row by row only when :func:`_valid_ids_and_types` fails.
     """
     lengths = np.diff(offsets)
     rec = np.repeat(np.arange(lengths.size), lengths)
@@ -126,7 +148,8 @@ def _first_fault(ids: list, types: list, rows: np.ndarray, offsets: np.ndarray,
     row, _, fault = min(((int(bad.min()), c, msg) for c, (bad, msg) in enumerate(checks)
                          if bad.size), default=(len(ids), 0, None))
     seen: dict[int, int] = {}
-    for i, (a, t) in enumerate(zip(ids[:row + 1], types)):
+    suspects = () if _valid_ids_and_types(ids, types) else zip(ids[:row + 1], types)
+    for i, (a, t) in enumerate(suspects):
         if not (_is_int(a) and -2**63 <= a < 2**63):
             return i, f"annotator id must be a 64-bit integer, got {a!r}"
         if seen.setdefault(a, i) != i:
@@ -411,6 +434,14 @@ def expected_dataset(
     return dataset, (probs / (n_sets[prompt, None] * len(catalog.prompts))).ravel()
 
 
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write ``lines`` CSV_CHUNK_ROWS at a time, so no file is built whole in memory."""
+    lines = iter(lines)
+    with Path(path).open("w", encoding="utf-8") as fh:
+        while chunk := list(islice(lines, CSV_CHUNK_ROWS)):
+            fh.write("".join(chunk))
+
+
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
     """JSON-lines: one header line, then one annotator per line.
 
@@ -435,17 +466,16 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
         return encoded[cset]
 
     records = [encode(tuple(items[s:e])) for s, e in zip(ends, ends[1:])]
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
+    write_lines(path, chain([json.dumps(header, sort_keys=True) + "\n"], (
+        f'{{"annotator": {a}, "records": [{", ".join([records[j] for j in recs])}], '
+        f'"true_type": {"null" if t < 0 else t}}}\n'
         for a, t, recs in zip(dataset.ids.tolist(), dataset.true_type.tolist(),
-                              dataset._row_records()):
-            line = ", ".join([records[j] for j in recs])
-            fh.write(f'{{"annotator": {a}, "records": [{line}], '
-                     f'"true_type": {"null" if t < 0 else t}}}\n')
+                              dataset._row_records()))))
 
 
 def read_dataset(path: str | Path) -> Dataset:
-    """Read a dataset; a malformed file raises :class:`InputError` naming the line."""
+    """Read a dataset, a line by one ``scan_once`` call; a line the scan rejects or leaves
+    short of its newline goes to ``json.loads``, so a malformed file's InputError names it."""
     path = Path(path)
     lineno = 1
     columns, ids, types = _Columns(), [], []
@@ -453,11 +483,15 @@ def read_dataset(path: str | Path) -> Dataset:
         with path.open("r", encoding="utf-8") as fh:
             header = json.loads(fh.readline())
             for lineno, raw in enumerate(fh, start=2):
-                doc = json.loads(raw)
+                try:
+                    doc, end = _scan_json(raw, 0)
+                except (StopIteration, ValueError):
+                    doc = end = None
+                if end is None or raw[end:] not in ("", "\n"):
+                    doc = json.loads(raw)
                 ids.append(doc["annotator"])
                 types.append(doc["true_type"])
-                columns.add(lineno - 2, ((r["prompt"], r["winner"], r["rejected"])
-                                         for r in doc["records"]))
+                columns.add(lineno - 2, map(_FIELDS, doc["records"]))
         lineno = 1
         dataset = columns.dataset(
             ids, types, lambda row: f"{path}, line {row + 2}",

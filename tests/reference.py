@@ -3,16 +3,21 @@
 Each definition is former package code: an earlier implementation that
 tests check the current code against, or a helper that only tests call
 (one choice set's probabilities, one table's KL and margins, the E-step
-and eta update of a whole dataset, a zero table).
+and eta update of a whole dataset, a zero table). The record-by-record
+dataset reader and the row-by-row gamma reader are the former CLI readers
+that the text I/O must match, byte for byte and message for message.
 """
 
-from typing import Sequence
+import json
+from pathlib import Path
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from hetpref import emdpo
 from hetpref.aggregate import _FlatEnsemble
 from hetpref.emdpo import ROW_SUM_ATOL, CompiledRecords, _e_step_compiled, fit_preference_table
-from hetpref.errors import HetprefError
+from hetpref.errors import HetprefError, InputError
 from hetpref.policy import (
     ReferencePolicy,
     ScoreEnsemble,
@@ -31,7 +36,7 @@ from hetpref.rewards import (
     softmax,
     softmax_lse,
 )
-from hetpref.simulate import Dataset
+from hetpref.simulate import Dataset, _is_int
 
 
 # Former emdpo.py: the pattern-level Newton terms and their Hessian layout.
@@ -294,3 +299,124 @@ def m_step_eta(gamma: np.ndarray) -> np.ndarray:
     if np.any(gamma < 0) or np.any(np.abs(gamma.sum(axis=1) - 1.0) > ROW_SUM_ATOL):
         raise ValueError("every responsibility row must lie on the simplex")
     return gamma.mean(axis=0)
+
+
+# Former simulate.py: the dataset reader, record by record, and its row checks.
+class _Columns:
+    """Ragged choice-set columns, grown one annotator row at a time."""
+
+    def __init__(self):
+        self.vocab, self.items, self.ends, self.rows = {}, [], [0], []
+
+    def add(self, row: int, records: Iterable[tuple[str, str, Sequence[str]]]) -> None:
+        """Append ``(prompt, winner, rejected)`` records of annotator ``row``."""
+        entry = self.vocab.setdefault
+        for prompt, winner, rejected in records:
+            self.items.append(entry((prompt, winner), len(self.vocab)))
+            self.items.extend([entry((prompt, y), len(self.vocab)) for y in rejected])
+            self.ends.append(len(self.items))
+            self.rows.append(row)
+
+    def dataset(self, ids: list, types: list, where: Callable[[int], str], **meta) -> "Dataset":
+        """The checked dataset; a malformed row raises :class:`InputError` at ``where(row)``."""
+        rows, offsets, items = (np.array(c, dtype=np.intp)
+                                for c in (self.rows, self.ends, self.items))
+        fault = _first_fault(ids, types, rows, offsets, items)
+        if fault is not None:
+            raise InputError(f"{where(fault[0])}: {fault[1]}")
+        return Dataset(ids=np.array(ids, dtype=np.int64),
+                       true_type=np.array([-1 if t is None else t for t in types], dtype=np.int64),
+                       rows=rows, offsets=offsets, items=items, vocab=tuple(self.vocab), **meta)
+
+
+def _first_fault(ids: list, types: list, rows: np.ndarray, offsets: np.ndarray,
+                 items: np.ndarray) -> tuple[int, str] | None:
+    """The first malformed annotator row and what is wrong with it, or None.
+
+    Faults are ordered by row, then by the order of the checks.
+    """
+    lengths = np.diff(offsets)
+    rec = np.repeat(np.arange(lengths.size), lengths)
+    rejected = np.arange(items.size) != offsets[rec]
+    span = int(items.max(initial=0)) + 1
+    pairs = np.sort((rec * span + items)[rejected])
+    checks = [
+        (np.flatnonzero(np.bincount(rows, minlength=len(ids)) == 0),
+         "annotator needs at least one record"),
+        (rows[lengths < 2], "a record needs at least one rejected response"),
+        (rows[rec[rejected & (items == items[offsets[rec]])]], "winner cannot also be rejected"),
+        (rows[pairs[1:][pairs[1:] == pairs[:-1]] // span], "rejected ids must be distinct"),
+    ]
+    row, _, fault = min(((int(bad.min()), c, msg) for c, (bad, msg) in enumerate(checks)
+                         if bad.size), default=(len(ids), 0, None))
+    seen: dict[int, int] = {}
+    for i, (a, t) in enumerate(zip(ids[:row + 1], types)):
+        if not (_is_int(a) and -2**63 <= a < 2**63):
+            return i, f"annotator id must be a 64-bit integer, got {a!r}"
+        if seen.setdefault(a, i) != i:
+            return i, f"annotator id {a} is not unique"
+        if t is not None and not (_is_int(t) and 0 <= t < 2**63):
+            return i, f"true_type must be null or a non-negative integer, got {t!r}"
+    return None if fault is None else (row, fault)
+
+
+def read_dataset(path: str | Path) -> Dataset:
+    """Read a dataset; a malformed file raises :class:`InputError` naming the line."""
+    path = Path(path)
+    lineno = 1
+    columns, ids, types = _Columns(), [], []
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            header = json.loads(fh.readline())
+            for lineno, raw in enumerate(fh, start=2):
+                doc = json.loads(raw)
+                ids.append(doc["annotator"])
+                types.append(doc["true_type"])
+                columns.add(lineno - 2, ((r["prompt"], r["winner"], r["rejected"])
+                                         for r in doc["records"]))
+        lineno = 1
+        dataset = columns.dataset(
+            ids, types, lambda row: f"{path}, line {row + 2}",
+            catalog_hash=header["catalog_hash"],
+            seed=header["seed"],
+            m=header["m"],
+            choice_set_size=header["choice_set_size"],
+        )
+        if dataset.n != header["n"]:
+            raise ValueError(f"header says n={header['n']} but file holds {dataset.n}")
+    except OSError as exc:
+        raise InputError(f"{path}: {type(exc).__name__}: {exc}") from None
+    except InputError:
+        raise
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"{path}, line {lineno}: {type(exc).__name__}: {exc}") from None
+    return dataset
+
+
+# Former cli.py: the gamma.csv reader, row by row.
+def _read_gamma(path: Path, annotators: Sequence[int], k: int) -> np.ndarray:
+    """Posteriors from a gamma CSV: one row per annotator in dataset order, on the simplex."""
+    try:
+        rows = path.read_text(encoding="utf-8").strip().splitlines()[1:]
+    except OSError as exc:
+        raise InputError(f"gamma file {path}: {type(exc).__name__}: {exc}") from None
+    if len(rows) != len(annotators):
+        raise InputError(f"gamma file {path} has {len(rows)} rows, dataset has "
+                         f"{len(annotators)} annotators")
+    gamma = np.empty((len(annotators), k))
+    for i, (line, annotator) in enumerate(zip(rows, annotators)):
+        where = f"gamma file {path}, line {i + 2}"
+        cells = line.split(",")
+        if len(cells) != k + 1:
+            raise InputError(f"{where}: {len(cells) - 1} columns, ensemble has {k}")
+        if cells[0].strip() != str(annotator):
+            raise InputError(f"{where}: annotator {cells[0]!r}, but the dataset's "
+                             f"annotator {i + 1} is {annotator}")
+        try:
+            row = [float(v) for v in cells[1:]]
+        except ValueError as exc:
+            raise InputError(f"{where}: {exc}") from None
+        if not (min(row) >= 0.0 and abs(sum(row) - 1.0) <= emdpo.ROW_SUM_ATOL):
+            raise InputError(f"{where}: {row} does not lie on the simplex")
+        gamma[i] = row
+    return gamma

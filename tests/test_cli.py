@@ -10,7 +10,16 @@ import yaml
 
 import hetpref
 from hetpref.aggregate import solve_regret_game
-from hetpref.cli import _SCHEMA, _check, _checked, default_config, load_config, main
+from hetpref.cli import (
+    _SCHEMA,
+    _YAML_LOADER,
+    _check,
+    _checked,
+    _write_csv,
+    default_config,
+    load_config,
+    main,
+)
 
 BASE_CONFIG = {
     "population": {
@@ -37,7 +46,21 @@ def write_config(tmp_path, overrides=None, name="cfg.yaml"):
         node[parts[-1]] = value
     path = tmp_path / name
     path.write_text(yaml.safe_dump(cfg))
+    assert_yaml_loaders_agree(path.read_text())
     return path
+
+
+def assert_yaml_loaders_agree(text):
+    """load_config's loader gives what PyYAML's pure-Python SafeLoader gives,
+    or both raise YAMLError."""
+    results = []
+    for loader in (yaml.SafeLoader, _YAML_LOADER):
+        try:
+            results.append(yaml.load(text, Loader=loader))
+        except yaml.YAMLError:
+            results.append(yaml.YAMLError)
+    assert results[0] == results[1], (text, results)
+    return results[0]
 
 
 def run_pipeline(cfg_path, out):
@@ -781,6 +804,7 @@ def test_yaml_1_1_float_string_is_named(fitted_run, tmp_path, capsys, command, f
     _, run = fitted_run
     cfg = write_config(tmp_path, {field: "NUMBER", "aggregate.method": "direct"})
     cfg.write_text(cfg.read_text().replace("NUMBER", text))
+    assert_yaml_loaders_agree(cfg.read_text())
     assert load_config(cfg)[field.split(".")[0]][field.split(".")[1]] == text
     inputs = {"emdpo": ["--dataset", str(run / "dataset.jsonl")],
               "aggregate": ["--ensemble", str(run / "ensemble.json")]}[command]
@@ -790,6 +814,39 @@ def test_yaml_1_1_float_string_is_named(fitted_run, tmp_path, capsys, command, f
     assert f"got {text!r} (YAML read it as a string; write {number} for a number)" in err, err
     assert yaml.safe_load(f"v: {number}")["v"] == float(text)
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "", "{}\n", "# only a comment\n", "simulate: {n: 0}\n", "emdpo: {grad_tol: 1e-8}\n",
+    "emdpo: {grad_tol: 1.0e-8, tol: -.5, kappa: .inf}\n", "aggregate: {policy_step: 1.0e6}\n",
+    "aggregate: {policy_step: 1.0e+6, iters: 0x1F, inner_steps: 0o17, step: 1_000.5}\n",
+    "emdpo: {on_nonconvergence: yes, init: ~, seed: 017, k: 1:30}\n",
+    "population:\n  preset: custom\n  catalog: &c {q: [[a, [1, 2]], [b, [3, 4]]]}\n"
+    "  thetas: [[1, 0]]\nevaluate: {eval_n: !!int '7', eval_seed: 2001-12-14}\n",
+    "base: &b {n: 3}\nsimulate: {<<: *b, m: 2}\n",
+    "identify:\n  theta: [2.0,\n    0.0]\n  em: |\n    literal\n    text\n",
+    "simulate: {n: 3\n", "simulate:\n\tn: 3\n", "- [unclosed\n", "a: b: c\n",
+])
+def test_yaml_loaders_agree(text):
+    assert_yaml_loaders_agree(text)
+
+
+def test_yaml_syntax_error_is_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("simulate: {n: 3\n")
+    assert assert_yaml_loaders_agree(cfg.read_text()) is yaml.YAMLError
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config file is not valid YAML"), err
+    assert not (tmp_path / "x").exists()
+
+
+def test_write_csv_names_a_row_not_as_long_as_the_header(tmp_path):
+    path = tmp_path / "t.csv"
+    _write_csv(path, ["a", "b"], [(1, 0.1), [2, -0.0]])
+    assert path.read_text() == "a,b\n1,0.1\n2,-0.0\n"
+    with pytest.raises(ValueError, match=r"t\.csv: row 2 has 3 cells, header has 2"):
+        _write_csv(path, ["a", "b"], [[1, 2], [3, 4], [5, 6, 7], [8]])
 
 
 CUSTOM_POPULATION = {

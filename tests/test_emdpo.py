@@ -360,21 +360,30 @@ class TestRunEm:
                            restarts=4, on_nonconvergence="warn")
         assert multi.loglik >= single.loglik - 1e-12
 
-    def test_tied_restarts_keep_the_first(self):
-        # Four identical annotators (one type) fit with K = 2: both restarts
-        # reach the same log-likelihood, and rounding leaves restart 1 higher
-        # by 2e-15 with a different eta (type 0: 0.422 in restart 0, 0.580 in 1).
-        catalog = Catalog.build({"p0": [(f"r{i}", [float(i)]) for i in range(4)]})
-        sets = [("r3", "r2", "r1"), ("r2", "r0", "r1"), ("r0", "r1"), ("r2", "r3")]
-        ds = Dataset.from_records(PreferenceRecord(annotator=a, prompt="p0", winner=c[0],
-                                                   rejected=c[1:]) for a in range(4) for c in sets)
-        with pytest.warns(RuntimeWarning, match="no finite maximizer"):
-            state = run_em(ds, catalog, k=2, max_iters=4, init="random_dirichlet", seed=26,
-                           restarts=2, inner_max_iter=25, on_nonconvergence="warn")
-        first, second = (trace[-1]["loglik"] for trace in state.restart_traces)
-        assert first < second <= first + 1e-12 * abs(first)
-        assert state.trace == state.restart_traces[0]
-        assert state.loglik == first
+    def test_tied_restarts_keep_the_first(self, monkeypatch):
+        # The from_true_labels init ignores the seed, so both restarts run the
+        # same EM; restart 1's E-step log-likelihoods are then raised by a
+        # relative 1e-13 or 1e-11. A later restart wins only by more than 1e-12.
+        catalog = recovery_catalog([2.0, 0.5])
+        ds = simulate_dataset(catalog, make_adversarial_pair([2.0, 0.5]), n=200, m=2,
+                              choice_set_size=3, rng_seed=5)
+        e_step = emdpo._e_step
+        for raise_by, winner in ((1e-13, 0), (1e-11, 1)):
+            calls = []
+
+            def raised_e_step(compiled, x, eta):
+                gamma, norm = e_step(compiled, x, eta)
+                calls.append(None)
+                return gamma, norm + raise_by * np.abs(norm) * (len(calls) > 3)
+
+            monkeypatch.setattr(emdpo, "_e_step", raised_e_step)
+            state = run_em(ds, catalog, k=2, max_iters=3, tol=-math.inf,
+                           init="from_true_labels", restarts=2)
+            assert len(calls) == 6
+            first, second = (trace[-1]["loglik"] for trace in state.restart_traces)
+            assert second == pytest.approx(first - raise_by * first, rel=1e-14, abs=0)
+            assert state.trace == state.restart_traces[winner]
+            assert state.loglik == (first, second)[winner]
 
     @pytest.mark.parametrize("k, iters", [(2, 5), (3, 4)])
     def test_existence_warning_once_per_type_and_call(self, k, iters):
