@@ -358,7 +358,7 @@ def minimax_policy_lightweight(
     x = np.zeros(compiled.size)
     trace: list[dict] = []
     for t in range(1, iters + 1):
-        x, _ = fit_preference_table(compiled, w @ base, x, grad_tol=1e-10, max_iter=inner_steps)
+        x = fit_preference_table(compiled, w @ base, x, grad_tol=1e-10, max_iter=inner_steps)[0]
         regrets = flat.own - flat.weighted_scores @ np.exp(flat.log_policy(x, kappa))
         log_w = log_w + step * regrets
         w, lse = softmax_lse(log_w)

@@ -9,10 +9,11 @@ set, winner) patterns, so EM carries each profile's posterior mass and a
 and separable by prompt, and its maximizer is finite iff every comparison
 (winner beats a rejected response) lies inside a strongly connected
 component of its prompt's comparison digraph (Ford 1957; Hunter 2004). The
-policy M-step checks that condition first, finding the components with
-Tarjan's algorithm (Tarjan 1972), then runs one solver per type:
-damped Newton on per-prompt Hessian blocks, prompts of equal response
-count solved as one batch. Under the Luce choice model a pattern's softmax
+policy M-step checks that condition for each type first, finding the
+components with Tarjan's algorithm (Tarjan 1972), then fits all types in
+one run of the solver, each type's prompts side by side as problems of
+their own: damped Newton on per-prompt Hessian blocks, prompts of equal
+response count solved as one batch. Under the Luce choice model a pattern's softmax
 depends only on its choice set, so the solver works on distinct sets: each
 fit folds its pattern counts into set totals and winner counts, and builds
 the Hessian only before it takes a step.
@@ -66,15 +67,20 @@ class CompiledRecords:
     column, so its softmax runs along axis 0 and row 0 is the winner's.
 
     The fit works on distinct choice sets (a pattern's indices, sorted).
-    ``winner`` holds each pattern's winner and ``set_of`` its set; per set
-    size, entry ``(span, members, own, upper)`` of ``set_blocks`` holds the
+    Per pattern block, ``set_ranks`` holds each pattern's set among those
+    of its size and each set's first pattern; :meth:`_lay_out` builds the
+    fit's arrays from them. ``winner`` holds each pattern's winner and
+    ``set_of`` its set; per set size, entry ``(span, members, own, upper)``
+    of ``set_blocks`` holds the
     sets numbered in ``span`` as an (L, S) matrix of flat indices, their
     prompts and the (L(L-1)/2, S) places of their upper pairs i < j in the
     Hessian buffer. Each prompt's negated Hessian is an r x r block of that
     flat buffer; entry ``(hslice, cols)`` of ``groups`` is the (G, r, r)
     run of the G prompts with r responses and their flat score indices.
     ``hess_rows`` and ``hess_diag`` hold each block row's first and diagonal
-    places, in buffer order.
+    places, in buffer order, and ``starts`` and ``sizes`` each prompt's first
+    flat index and response count. :meth:`stacked` lays these out for K
+    copies of the catalog, one per type; ``copies`` counts them.
 
     EM runs on weighted *profiles*: annotators with the same ordered sequence
     of pattern ids (the order fixes the rounding of a log-likelihood sum)
@@ -88,7 +94,6 @@ class CompiledRecords:
         self.catalog = catalog
         self.n_rows = dataset.n
         self.n_records = dataset.rows.size
-        self.size = int(catalog.offsets[-1])
         self.record_rows = dataset.rows
         flat = dataset.catalog_index(catalog)
         self.inverse = np.empty(self.n_records, dtype=np.intp)
@@ -103,7 +108,6 @@ class CompiledRecords:
             start = self.blocks[-1][0].stop if self.blocks else 0
             self.inverse[recs] = start + rank[group]
             self.blocks.append((slice(start, start + first.size), sets[np.sort(first)].T.copy()))
-        self.n_patterns = self.blocks[-1][0].stop if self.blocks else 0
         # One row per annotator of its pattern ids in record order, padded with -1.
         by_row = np.argsort(self.record_rows, kind="stable")
         per_row = np.bincount(self.record_rows, minlength=self.n_rows)
@@ -121,7 +125,35 @@ class CompiledRecords:
         self.rep_profiles = self.profile_of[self.record_rows[rep]]
         self.mult = np.bincount(self.profile_of, minlength=self.n_profiles).astype(float)
 
-        starts, sizes = catalog.offsets[:-1], np.diff(catalog.offsets)
+        # Distinct choice sets (a pattern's indices, sorted) of each set size:
+        # each pattern's set, numbered by first occurrence, and each set's
+        # first pattern.
+        self.set_ranks: list[tuple[np.ndarray, np.ndarray]] = []
+        for _, idx in self.blocks:
+            group, first = row_groups(np.sort(idx, axis=0).T)
+            rank = np.empty_like(first)
+            rank[np.argsort(first)] = np.arange(first.size)
+            self.set_ranks.append((rank[group], np.sort(first)))
+        self._lay_out(self, 1)
+        self._stacks: dict[int, CompiledRecords] = {}
+
+    def _lay_out(self, base: "CompiledRecords", copies: int) -> None:
+        """The fit's layout of ``copies`` copies of the catalog side by side.
+
+        :func:`fit_preference_table` then fits copy t's scores (from
+        t * size) to copy t's pattern counts (from t * n_patterns) as a fit
+        of their own: every prompt of every copy is its own problem. Hessian
+        blocks are laid out by response count, then by copy, and sets by set
+        size, then by copy, so each response count is one batched solve and
+        each set size one softmax over all copies.
+        """
+        offsets, size = self.catalog.offsets, int(self.catalog.offsets[-1])
+        n_base = base.blocks[-1][0].stop if base.blocks else 0
+        copy = np.arange(copies)[:, None]
+        shift = size * copy
+        self.copies, self.size, self.n_patterns = copies, size * copies, n_base * copies
+        self.starts = starts = (offsets[:-1] + shift).ravel()
+        self.sizes = sizes = np.tile(np.diff(offsets), copies)
         self.prompt_of = np.repeat(np.arange(len(sizes)), sizes)
         by_size = np.argsort(sizes, kind="stable")
         hstart = np.empty_like(sizes)
@@ -139,25 +171,21 @@ class CompiledRecords:
             diag.append(h0 + r * row + row % r)
         # groups follow each other in the buffer, so these cover it in order
         self.hess_rows, self.hess_diag = np.concatenate(rows), np.concatenate(diag)
-        # Distinct choice sets: a pattern's indices sorted, numbered by first
-        # occurrence within each set size.
         self.winner = np.empty(self.n_patterns, dtype=np.intp)
         self.set_of = np.empty(self.n_patterns, dtype=np.intp)
         self.set_blocks: list[tuple[slice, np.ndarray, np.ndarray, np.ndarray]] = []
-        for span, idx in self.blocks:
-            self.winner[span] = idx[0]
-            members = np.sort(idx, axis=0)
-            group, first = row_groups(members.T)
-            rank = np.empty_like(first)
-            rank[np.argsort(first)] = np.arange(first.size)
+        for (span, idx), (rank, first) in zip(base.blocks, base.set_ranks):
             s0 = self.set_blocks[-1][0].stop if self.set_blocks else 0
-            self.set_of[span] = s0 + rank[group]
-            members = members[:, np.sort(first)].copy()
+            pats = np.arange(span.start, span.stop) + n_base * copy
+            self.winner[pats] = idx[0] + shift
+            self.set_of[pats] = s0 + rank + first.size * copy
+            members = np.sort(idx[:, first], axis=0)[:, None] + shift
+            members = np.ascontiguousarray(members.reshape(len(idx), -1))
             own = self.prompt_of[members[0]]
             loc = members - starts[own]
             i, j = _upper_pairs(len(members))
             upper = hstart[own] + loc[i] * sizes[own] + loc[j]
-            self.set_blocks.append((slice(s0, s0 + first.size), members, own, upper))
+            self.set_blocks.append((slice(s0, s0 + members.shape[1]), members, own, upper))
         self.n_sets = self.set_blocks[-1][0].stop if self.set_blocks else 0
 
     @classmethod
@@ -176,6 +204,17 @@ class CompiledRecords:
         """Records in any order; one row per annotator in order of first appearance."""
         return cls(catalog, Dataset.from_records(records))
 
+    def stacked(self, k: int) -> "CompiledRecords":
+        """The fit's layout of ``k`` copies of the catalog (see :meth:`_lay_out`),
+        built once per k; it has only the attributes the fit reads."""
+        if k == 1:
+            return self
+        if k not in self._stacks:
+            stack = self._stacks[k] = object.__new__(CompiledRecords)
+            stack.catalog = self.catalog
+            stack._lay_out(self, k)
+        return self._stacks[k]
+
     def set_totals(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pattern ``counts`` folded into each choice set's total and each
         response's winner count."""
@@ -190,7 +229,7 @@ class CompiledRecords:
         value is w.x - sum C lse and the gradient w - sum C p: a Luce
         choice's softmax depends on its set, not on the winner.
         """
-        val = np.bincount(self.prompt_of, wins * x, minlength=len(self.catalog.prompts))
+        val = np.bincount(self.prompt_of, wins * x, minlength=len(self.starts))
         grad = wins.copy()
         probs = []
         for span, members, own, _ in self.set_blocks:
@@ -265,8 +304,9 @@ def _bin_sums(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
 
 def fit_preference_table(compiled: CompiledRecords, counts: np.ndarray, x: np.ndarray, *,
                          grad_tol: float = 1e-8, max_iter: int = 1000
-                         ) -> tuple[np.ndarray, float]:
-    """Fit flat scores ``x`` to pattern ``counts``; the new scores and gradient max norm.
+                         ) -> tuple[np.ndarray, float, np.ndarray]:
+    """Fit flat scores ``x`` to pattern ``counts``; the new scores, the gradient
+    max norm and, per copy of a :meth:`CompiledRecords.stacked` compile, its own.
 
     The package's one preference fit; EM's M-step and the lightweight
     aggregator both call it. ``counts`` holds one weight per pattern (see
@@ -282,7 +322,7 @@ def fit_preference_table(compiled: CompiledRecords, counts: np.ndarray, x: np.nd
     if np.shape(counts) != (compiled.n_patterns,) or np.shape(x) != (compiled.size,):
         raise ValueError(f"need {compiled.n_patterns} pattern counts and {compiled.size} scores, "
                          f"got shapes {np.shape(counts)} and {np.shape(x)}")
-    starts, sizes = compiled.catalog.offsets[:-1], np.diff(compiled.catalog.offsets)
+    starts, sizes = compiled.starts, compiled.sizes
     totals, wins = compiled.set_totals(counts)
     val, grad, probs = compiled.set_terms(x, totals, wins)
     stuck = np.zeros(len(sizes), dtype=bool)
@@ -314,7 +354,8 @@ def fit_preference_table(compiled: CompiledRecords, counts: np.ndarray, x: np.nd
             terms = compiled.set_terms(x + step, totals, wins)
         x = x + step
         val, grad, probs = terms
-    return x, float(np.abs(grad).max())
+    norms = np.abs(grad).reshape(compiled.copies, -1).max(axis=1)
+    return x, float(norms.max()), norms
 
 
 def _unbounded_cached(compiled: CompiledRecords, counts: np.ndarray,
@@ -464,9 +505,11 @@ def _fit_types(compiled: CompiledRecords, counts: np.ndarray, x: np.ndarray, gra
     """Fit row k of (K, size) scores ``x`` to ``counts[k]`` in place; the gradient norms.
 
     A type without posterior mass keeps its scores; the others are checked
-    (:func:`_unbounded_cached`), then fit by :func:`fit_preference_table`.
-    In warn mode an existence-check message already in ``warned`` is not
-    repeated. Every row ends gauge-fixed.
+    (:func:`_unbounded_cached`), then fit by one :func:`fit_preference_table`
+    call on :meth:`CompiledRecords.stacked`, where each type's prompts stop
+    as in a fit of their own. In raise mode an unbounded type raises before
+    the fit; in warn mode an existence-check message already in ``warned``
+    is not repeated. Every row ends gauge-fixed.
     """
     if on_nonconvergence not in ("raise", "warn"):
         raise ValueError("on_nonconvergence must be 'raise' or 'warn'")
@@ -476,12 +519,11 @@ def _fit_types(compiled: CompiledRecords, counts: np.ndarray, x: np.ndarray, gra
             raise ConvergenceError(msg)
         warnings.warn(msg, RuntimeWarning)
 
-    norms: list[float] = []
+    live = counts.sum(axis=1) > 0.0
     for k, c in enumerate(counts):
-        if c.sum() <= 0.0:
+        if not live[k]:
             warnings.warn(f"type {k} received zero posterior mass; keeping its table",
                           EmptyClusterWarning)
-            norms.append(0.0)
             continue
         unbounded = _unbounded_cached(compiled, c, checked)
         if unbounded is not None:
@@ -489,14 +531,17 @@ def _fit_types(compiled: CompiledRecords, counts: np.ndarray, x: np.ndarray, gra
             if msg not in warned:
                 fail(msg)
                 warned.add(msg)
-        x[k], grad_norm = fit_preference_table(compiled, c, x[k], grad_tol=grad_tol,
-                                               max_iter=max_iter)
-        if grad_norm > grad_tol:
-            fail(f"policy M-step for type {k} stopped at gradient norm "
-                 f"{grad_norm:.3e} > {grad_tol:.1e}")
-        norms.append(grad_norm)
+    norms = np.zeros(len(counts))
+    if live.any():
+        fit, _, norms[live] = fit_preference_table(
+            compiled.stacked(int(live.sum())), counts[live].ravel(), x[live].ravel(),
+            grad_tol=grad_tol, max_iter=max_iter)
+        x[live] = fit.reshape(-1, compiled.size)
+    for k in np.flatnonzero(norms > grad_tol):
+        fail(f"policy M-step for type {k} stopped at gradient norm "
+             f"{norms[k]:.3e} > {grad_tol:.1e}")
     compiled.gauge_fix(x)
-    return norms
+    return norms.tolist()
 
 
 def mixture_loglik(dataset: Dataset, catalog: Catalog, ensemble: ScoreEnsemble) -> float:

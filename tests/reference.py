@@ -9,6 +9,7 @@ that the text I/O must match, byte for byte and message for message.
 """
 
 import json
+import warnings
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -16,8 +17,15 @@ import numpy as np
 
 from hetpref import emdpo
 from hetpref.aggregate import _FlatEnsemble
-from hetpref.emdpo import ROW_SUM_ATOL, CompiledRecords, _e_step_compiled, fit_preference_table
-from hetpref.errors import HetprefError, InputError
+from hetpref.emdpo import (
+    ROW_SUM_ATOL,
+    CompiledRecords,
+    EmptyClusterWarning,
+    _e_step_compiled,
+    _unbounded_cached,
+    fit_preference_table,
+)
+from hetpref.errors import ConvergenceError, HetprefError, InputError
 from hetpref.policy import (
     ReferencePolicy,
     ScoreEnsemble,
@@ -97,8 +105,8 @@ def fit_record_weights(compiled, record_weights, kappa, init_table=None, grad_to
     counts = np.bincount(compiled.inverse, record_weights, minlength=compiled.n_patterns)
     x = (np.zeros(compiled.size) if init_table is None
          else compiled.catalog.flatten(init_table.scores))
-    x, grad_norm = fit_preference_table(compiled, counts, x, grad_tol=grad_tol,
-                                        max_iter=max_iter)
+    x, grad_norm, _ = fit_preference_table(compiled, counts, x, grad_tol=grad_tol,
+                                           max_iter=max_iter)
     return gauge_fix(ScoreTable(kappa=kappa, scores=compiled.catalog.split(x))), grad_norm
 
 
@@ -146,6 +154,49 @@ def minimax_policy_lightweight_by_records(dataset, catalog, ensemble, gamma, ref
             }
         )
     return table, trace
+
+
+# Former emdpo.py: the M-step's loop of one fit per type. Verbatim but for
+# unpacking the fit's third value, the per-copy gradient norms.
+def fit_types_one_by_one(compiled: CompiledRecords, counts: np.ndarray, x: np.ndarray,
+                         grad_tol: float, max_iter: int, on_nonconvergence: str,
+                         checked: dict[bytes, str | None], warned: set[str]) -> list[float]:
+    """Fit row k of (K, size) scores ``x`` to ``counts[k]`` in place; the gradient norms.
+
+    A type without posterior mass keeps its scores; the others are checked
+    (:func:`_unbounded_cached`), then fit by :func:`fit_preference_table`.
+    In warn mode an existence-check message already in ``warned`` is not
+    repeated. Every row ends gauge-fixed.
+    """
+    if on_nonconvergence not in ("raise", "warn"):
+        raise ValueError("on_nonconvergence must be 'raise' or 'warn'")
+
+    def fail(msg: str) -> None:
+        if on_nonconvergence == "raise":
+            raise ConvergenceError(msg)
+        warnings.warn(msg, RuntimeWarning)
+
+    norms: list[float] = []
+    for k, c in enumerate(counts):
+        if c.sum() <= 0.0:
+            warnings.warn(f"type {k} received zero posterior mass; keeping its table",
+                          EmptyClusterWarning)
+            norms.append(0.0)
+            continue
+        unbounded = _unbounded_cached(compiled, c, checked)
+        if unbounded is not None:
+            msg = f"policy M-step for type {k}: {unbounded}"
+            if msg not in warned:
+                fail(msg)
+                warned.add(msg)
+        x[k], grad_norm, _ = fit_preference_table(compiled, c, x[k], grad_tol=grad_tol,
+                                                  max_iter=max_iter)
+        if grad_norm > grad_tol:
+            fail(f"policy M-step for type {k} stopped at gradient norm "
+                 f"{grad_norm:.3e} > {grad_tol:.1e}")
+        norms.append(grad_norm)
+    compiled.gauge_fix(x)
+    return norms
 
 
 # Former errors.py: no package code raises it.
