@@ -282,6 +282,12 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
                                      map(line.__mod__, map(tuple, rows))))
 
 
+def _trace_iterations(iters: int) -> np.ndarray:
+    """The 1-based iterations ``game_trace.csv`` keeps: t <= 128, powers of two, and ``iters``."""
+    powers = 1 << np.arange(8, iters.bit_length())  # 256 <= 2**e <= iters
+    return np.unique(np.r_[np.arange(1, min(iters, 128) + 1), powers, iters])
+
+
 def _write_gamma(path: Path, ids: list[int], gamma: np.ndarray) -> None:
     """``gamma.csv``: each distinct posterior row (by bits: -0.0 is not 0.0) formatted once."""
     group, first = simulate.row_groups(np.ascontiguousarray(gamma).view(np.int64))
@@ -500,11 +506,13 @@ def cmd_aggregate(cfg: Mapping, ensemble_path: Path, catalog_path: Path, out: Pa
         except MemoryError as exc:  # the iterate buffer holds one row per iteration
             raise ConfigError(f"config field 'aggregate.iters' is too large: {iters} game "
                               f"iterations do not fit in memory ({exc})") from None
-        columns = np.column_stack([sol.w_avg_trace, sol.p_avg_trace, sol.gap_trace])
+        kept = _trace_iterations(iters)
+        columns = np.column_stack([sol.w_avg_trace[kept - 1], sol.p_avg_trace[kept - 1],
+                                   sol.gap_trace[kept - 1]])
         csvs["game_trace.csv"] = (
             ["iteration"] + [f"w_{j}" for j in range(ensemble.k)]
             + [f"p_{j}" for j in range(ensemble.k + 1)] + ["gap"],
-            [[t] + row for t, row in enumerate(columns.tolist(), 1)],
+            [[t] + row for t, row in zip(kept.tolist(), columns.tolist())],
         )
         candidate: Any = sol.w
         solution = {

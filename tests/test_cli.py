@@ -2,11 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hetpref
 from hetpref.aggregate import solve_regret_game
@@ -15,6 +18,7 @@ from hetpref.cli import (
     _YAML_LOADER,
     _check,
     _checked,
+    _trace_iterations,
     _write_csv,
     default_config,
     load_config,
@@ -792,6 +796,58 @@ class TestAggregateValidation:
         assert (run / "game_trace.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
         report = json.loads((run / "aggregate_report.json").read_text())
         assert report["solution"]["gap"] == float(sol.gap_trace[-1])
+
+    def test_game_trace_above_128_keeps_powers_of_two_and_last(self, fitted_run, tmp_path):
+        # past the dense prefix, each kept row is the solver's row for that
+        # iteration, formatted per cell as in a 60-iteration run
+        _, run = fitted_run
+        assert self.aggregate(fitted_run, tmp_path, {"aggregate.iters": 1000}) == 0
+        rows = (run / "regret_matrix.csv").read_text().splitlines()[1:]
+        R = np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
+        sol = solve_regret_game(R, iters=1000, step=0.05)
+        lines = ["iteration,w_0,w_1,p_0,p_1,p_2,gap"]
+        for t in [*range(1, 129), 256, 512, 1000]:
+            cells = ([repr(float(v)) for v in sol.w_avg_trace[t - 1]]
+                     + [repr(float(v)) for v in sol.p_avg_trace[t - 1]]
+                     + [repr(float(sol.gap_trace[t - 1]))])
+            lines.append(",".join([str(t)] + cells))
+        trace = (tmp_path / "x" / "game_trace.csv").read_bytes()
+        assert trace == ("\n".join(lines) + "\n").encode()
+        report = json.loads((tmp_path / "x" / "aggregate_report.json").read_text())
+        assert report["solution"]["gap"] == float(lines[-1].rsplit(",", 1)[1])
+
+    def test_long_game_builds_no_row_per_iteration(self, fitted_run, tmp_path):
+        # the solver holds (iters + 3) x (2K + 1) floats for K = 2, and its
+        # gap trace and averages add at most a fraction of that; a Python
+        # row per iteration would take several times the buffer
+        iters = 200_000
+        buffer = (iters + 3) * (2 * 2 + 1) * 8
+        tracemalloc.start()
+        try:
+            assert self.aggregate(fitted_run, tmp_path, {"aggregate.iters": iters}) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * buffer, (peak, buffer)
+        # the header, t <= 128, 2**8 to 2**17, and t = iters
+        assert len((tmp_path / "x" / "game_trace.csv").read_text().splitlines()) == 1 + 128 + 10 + 1
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(2, 10**6))
+@example(2)
+@example(128)
+@example(129)
+@example(256)
+@example(257)
+def test_trace_iterations_dense_prefix_then_powers_of_two(iters):
+    rows = _trace_iterations(iters)
+    assert rows[0] == 1 and rows[-1] == iters
+    assert np.all(np.diff(rows) > 0)
+    dense = min(128, iters)
+    np.testing.assert_array_equal(rows[:dense], np.arange(1, dense + 1))
+    assert all(t & (t - 1) == 0 for t in rows[dense:-1].tolist())
+    assert len(rows) <= 128 + iters.bit_length()  # 128 + floor(log2 iters) + 1
 
 
 @pytest.mark.parametrize("command, field, text, number", [
