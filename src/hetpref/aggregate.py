@@ -39,7 +39,6 @@ from .policy import (
     ScoreTable,
     _check_mixture_weights,
     _flat_prompt_weights,
-    gauge_fix,
     uniform_prompt_weights,
 )
 from .rewards import Catalog, segment_log_softmax, softmax_lse
@@ -87,7 +86,7 @@ class _FlatEnsemble:
         self.catalog = catalog
         self.weight = _flat_prompt_weights(catalog, prompt_weights)
         self.log_ref = np.log(catalog.flatten(ref.probs))
-        self.scores = np.stack([catalog.flatten(t.scores) for t in ensemble.tables])
+        self.scores = np.stack([t.scores for t in ensemble.tables])
         self.log_pi = self.log_policy(self.scores, ensemble.kappa)
         self.pi = np.exp(self.log_pi)
         self.weighted_scores = self.weight * self.scores
@@ -95,13 +94,15 @@ class _FlatEnsemble:
 
     def log_policy(self, scores: np.ndarray, kappa: float) -> np.ndarray:
         """log pi for flat scores: pi proportional to pi_ref * exp(s / kappa) per prompt."""
+        if scores.shape[-1] != self.log_ref.size:
+            raise ValueError(f"{scores.shape[-1]} scores for {self.log_ref.size} catalog responses")
         return segment_log_softmax(self.log_ref + scores / kappa, self.catalog.offsets)
 
     def distribution(self, policy) -> np.ndarray:
         """Flat response distribution of a free score table or of mixture
         weights over the ensemble."""
         if isinstance(policy, ScoreTable):
-            return np.exp(self.log_policy(self.catalog.flatten(policy.scores), policy.kappa))
+            return np.exp(self.log_policy(policy.scores, policy.kappa))
         if isinstance(policy, (np.ndarray, list, tuple)):
             return _check_mixture_weights(self.ensemble, policy) @ self.pi
         raise TypeError(f"policy must be a ScoreTable or mixture weights over the ensemble, "
@@ -331,7 +332,6 @@ def minimax_policy_lightweight(
     ref: ReferencePolicy,
     iters: int = 20,
     step: float = 0.01,
-    kappa: float | None = None,
     prompt_weights: np.ndarray | None = None,
     inner_steps: int = 40,
 ) -> tuple[ScoreTable, list[dict]]:
@@ -341,10 +341,9 @@ def minimax_policy_lightweight(
     on each pattern) by the current adversary weights, run a bounded number
     of Newton steps of the weighted preference fit (warm-started), evaluate
     every type's exact regret of the current scores, then update the
-    adversary weights multiplicatively by those regrets.
+    adversary weights multiplicatively by those regrets. The table has the
+    ensemble's kappa.
     """
-    if kappa is None:
-        kappa = ensemble.kappa
     pw = uniform_prompt_weights(catalog) if prompt_weights is None else prompt_weights
     gamma = _checked_gamma(gamma, dataset.n, ensemble.k)
 
@@ -359,7 +358,7 @@ def minimax_policy_lightweight(
     trace: list[dict] = []
     for t in range(1, iters + 1):
         x = fit_preference_table(compiled, w @ base, x, grad_tol=1e-10, max_iter=inner_steps)[0]
-        regrets = flat.own - flat.weighted_scores @ np.exp(flat.log_policy(x, kappa))
+        regrets = flat.own - flat.weighted_scores @ np.exp(flat.log_policy(x, ensemble.kappa))
         log_w = log_w + step * regrets
         w, lse = softmax_lse(log_w)
         log_w -= lse
@@ -371,7 +370,7 @@ def minimax_policy_lightweight(
                 "max_regret": float(regrets.max()),
             }
         )
-    return gauge_fix(ScoreTable(kappa=kappa, scores=catalog.split(x))), trace
+    return ScoreTable(kappa=ensemble.kappa, scores=catalog.centered(x)), trace
 
 
 def minimax_policy_direct(
@@ -383,7 +382,6 @@ def minimax_policy_direct(
     policy_step: float = 0.5,
     mwu_step: float = 0.05,
     kappa: float | None = None,
-    init_table: ScoreTable | None = None,
 ) -> tuple[ScoreTable, list[dict]]:
     """Gradient descent on the worst-case-regret objective, exact enumeration.
 
@@ -403,7 +401,7 @@ def minimax_policy_direct(
     used = flat.weight > 0.0
     k = ensemble.k
 
-    s = np.where(used, 0.0 if init_table is None else catalog.flatten(init_table.scores), 0.0)
+    s = np.zeros(used.size)
     w = np.full(k, 1.0 / k)
     log_w = np.log(w)
     trace: list[dict] = []
@@ -452,4 +450,4 @@ def minimax_policy_direct(
                 "w": [float(x) for x in w],
             }
         )
-    return gauge_fix(ScoreTable(kappa=kappa, scores=catalog.split(best_s))), trace
+    return ScoreTable(kappa=kappa, scores=catalog.centered(best_s)), trace

@@ -360,14 +360,13 @@ def _write_em_outputs(out: Path, state: emdpo.EmState, catalog: rewards.Catalog,
     gamma_path = out / "gamma.csv"
     _write_gamma(gamma_path, dataset.ids.tolist(), state.gamma)
     trace_path = out / "trace.csv"
-    traces = state.restart_traces or (state.trace,)
     _write_csv(
         trace_path,
         ["restart", "iteration", "loglik"] + [f"eta_{j}" for j in range(k)]
         + [f"grad_norm_{j}" for j in range(k)],
         [
             [r, row["iteration"], row["loglik"]] + row["eta"] + row["grad_norms"]
-            for r, trace in enumerate(traces)
+            for r, trace in enumerate(state.restart_traces)
             for row in trace
         ],
     )
@@ -482,10 +481,14 @@ def cmd_aggregate(cfg: Mapping, ensemble_path: Path, catalog_path: Path, out: Pa
     if method == "affine" and iters < 2:
         raise ConfigError(f"config field 'aggregate.iters' must be an integer >= 2 for the "
                           f"affine method, got {iters!r}")
-    # lightweight has no automatic step to fall back on
-    if method == "lightweight" and step is None:
-        raise ConfigError("config field 'aggregate.step' must be a finite number > 0 for "
-                          "the lightweight method, got None")
+    # lightweight has no automatic step to fall back on, and needs both inputs before any read
+    if method == "lightweight":
+        if step is None:
+            raise ConfigError("config field 'aggregate.step' must be a finite number > 0 "
+                              "for the lightweight method, got None")
+        for flag, path in (("--dataset", dataset_path), ("--gamma", gamma_path)):
+            if path is None:
+                raise ConfigError(f"aggregate method 'lightweight' requires {flag}")
     catalog = _load_catalog(catalog_path)
     ensemble = policy.read_ensemble(ensemble_path, catalog)
     ref = policy.ReferencePolicy.uniform(catalog)
@@ -527,13 +530,9 @@ def cmd_aggregate(cfg: Mapping, ensemble_path: Path, catalog_path: Path, out: Pa
         candidate = w
         solution = {"method": method, "w": [float(v) for v in w]}
     else:
-        if dataset_path is None and method == "lightweight":
-            raise ConfigError("aggregate method 'lightweight' requires --dataset")
         if method == "lightweight":
             dataset = _read_dataset(dataset_path, catalog)
             inputs["dataset.jsonl"] = _file_sha256(dataset_path)
-            if gamma_path is None:
-                raise ConfigError("aggregate method 'lightweight' requires --gamma")
             gamma = _read_gamma(gamma_path, dataset.ids.tolist(), ensemble.k)
             inputs["gamma.csv"] = _file_sha256(gamma_path)
             table, trace = agg.minimax_policy_lightweight(

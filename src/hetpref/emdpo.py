@@ -277,13 +277,6 @@ class CompiledRecords:
             logp[:, span] = s[:, 0] - softmax_lse(s, axis=1)[1]
         return _bin_sums(self.rep_profiles, logp[:, self.rep_patterns].T, self.n_profiles)
 
-    def gauge_fix(self, x: np.ndarray) -> None:
-        """:func:`policy.gauge_fix` of every row of (K, size) scores ``x``, in place."""
-        for _, cols in self.groups:
-            # C order, so each mean sums as for one table (x[:, cols] puts K innermost)
-            s = np.take(x, cols, axis=1)
-            x[:, cols] = s - s.mean(axis=-1, keepdims=True)
-
 
 @cache
 def _upper_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -439,8 +432,7 @@ def _strong_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 def _e_step_compiled(compiled: CompiledRecords, ensemble: ScoreEnsemble
                      ) -> tuple[np.ndarray, float]:
     """(n_rows, K) posteriors and the observed-data log-likelihood."""
-    x = np.stack([compiled.catalog.flatten(t.scores) for t in ensemble.tables])
-    gamma, norm = _e_step(compiled, x, ensemble.eta)
+    gamma, norm = _e_step(compiled, np.stack([t.scores for t in ensemble.tables]), ensemble.eta)
     return gamma[compiled.profile_of], float(norm[compiled.profile_of].sum())
 
 
@@ -479,10 +471,10 @@ def m_step_policy(
     if init_tables is not None and len(init_tables) != gamma.shape[1]:
         raise ValueError(f"{len(init_tables)} init tables for {gamma.shape[1]} gamma columns")
     x = (np.zeros((gamma.shape[1], compiled.size)) if init_tables is None
-         else np.stack([catalog.flatten(t.scores) for t in init_tables]))
+         else np.stack([t.scores for t in init_tables]))
     counts = compiled.pattern_counts(compiled.profile_mass(gamma))
     _fit_types(compiled, counts, x, grad_tol, max_iter, on_nonconvergence, {}, set())
-    return [ScoreTable(kappa=kappa, scores=catalog.split(row)) for row in x]
+    return [ScoreTable(kappa=kappa, scores=row) for row in x]
 
 
 def _checked_gamma(gamma: np.ndarray, n_rows: int, k: int | None = None) -> np.ndarray:
@@ -509,7 +501,7 @@ def _fit_types(compiled: CompiledRecords, counts: np.ndarray, x: np.ndarray, gra
     call on :meth:`CompiledRecords.stacked`, where each type's prompts stop
     as in a fit of their own. In raise mode an unbounded type raises before
     the fit; in warn mode an existence-check message already in ``warned``
-    is not repeated. Every row ends gauge-fixed.
+    is not repeated. Every row ends gauge-fixed by :meth:`Catalog.centered`.
     """
     if on_nonconvergence not in ("raise", "warn"):
         raise ValueError("on_nonconvergence must be 'raise' or 'warn'")
@@ -540,7 +532,7 @@ def _fit_types(compiled: CompiledRecords, counts: np.ndarray, x: np.ndarray, gra
     for k in np.flatnonzero(norms > grad_tol):
         fail(f"policy M-step for type {k} stopped at gradient norm "
              f"{norms[k]:.3e} > {grad_tol:.1e}")
-    compiled.gauge_fix(x)
+    x[:] = compiled.catalog.centered(x)
     return norms.tolist()
 
 
@@ -695,7 +687,7 @@ def run_em(
             prev_ll = ll
         all_traces.append(tuple(trace))
         if best is None or ll - best.loglik > 1e-12 * abs(best.loglik):
-            tables = tuple(ScoreTable(kappa=kappa, scores=catalog.split(row)) for row in x)
+            tables = tuple(ScoreTable(kappa=kappa, scores=row) for row in x)
             best = EmState(
                 ensemble=ScoreEnsemble(tables=tables, eta=eta), loglik=ll, iteration=it,
                 gamma=gamma0 if gamma_fed is None else gamma_fed[compiled.profile_of],

@@ -44,7 +44,7 @@ def _winner_weights(catalog: Catalog, mixture: Population | ScoreEnsemble,
     """Winner distributions of flat choice sets under a population or a fitted ensemble."""
     if isinstance(mixture, Population):
         return choice_weights(catalog.flat_features[sets] @ mixture.thetas.T, mixture.etas)
-    scores = np.stack([catalog.flatten(t.scores) for t in mixture.tables], axis=1)
+    scores = np.stack([t.scores for t in mixture.tables], axis=1)
     return choice_weights(scores[sets], mixture.eta)
 
 
@@ -119,9 +119,9 @@ def recover_theta_from_binary(design: np.ndarray, logits: np.ndarray) -> np.ndar
     return theta
 
 
-def recovery_catalog(theta: np.ndarray, n_responses: int = 4, reward_spread: float = 3.0,
-                     prompt: str = "q0") -> Catalog:
-    """One-prompt catalog whose rewards under theta are evenly spaced.
+def recovery_catalog(theta: np.ndarray, n_responses: int = 4,
+                     reward_spread: float = 3.0) -> Catalog:
+    """One-prompt catalog (prompt ``q0``) whose rewards under theta are evenly spaced.
 
     Response j gets features collinear with theta scaled so that its
     reward equals j * reward_spread / (n_responses - 1).
@@ -132,7 +132,7 @@ def recovery_catalog(theta: np.ndarray, n_responses: int = 4, reward_spread: flo
         raise ValueError("theta must be nonzero")
     levels = np.linspace(0.0, reward_spread, n_responses)
     items = [(f"r{j}", (c / norm2) * theta) for j, c in enumerate(levels)]
-    return Catalog.build({prompt: items})
+    return Catalog.build({"q0": items})
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,7 @@ class RecoveryReport:
 
 def _all_margins(table: ScoreTable, catalog: Catalog) -> np.ndarray:
     """s(y1) - s(y2) for every response pair, y1 listed first, prompt by prompt."""
-    pairs = catalog.flatten(table.scores)[catalog.choice_sets(2)]
+    pairs = table.scores[catalog.choice_sets(2)]
     return pairs[:, 0] - pairs[:, 1]
 
 

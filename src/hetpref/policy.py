@@ -1,15 +1,16 @@
 """Reward-free tabular policies over a finite catalog.
 
-A :class:`ScoreTable` stores one real score per (prompt, response); the
-score plays the role of the implicit reward ``kappa * log(pi / pi_ref)``.
-Preference probabilities are softmaxes of scores restricted to a
-comparison set, and the corresponding policy is recovered exactly as
+A :class:`ScoreTable` stores one real score per (prompt, response), as one
+flat vector in :attr:`Catalog.offsets` order; the score plays the role of
+the implicit reward ``kappa * log(pi / pi_ref)``. Preference probabilities
+are softmaxes of scores restricted to a comparison set, and the
+corresponding policy is recovered exactly as
 ``pi \\propto pi_ref * exp(score / kappa)``.
 
 Scores carry a per-prompt additive gauge freedom: shifting all responses
 of a prompt by a constant changes neither preference probabilities nor
 policies. The canonical representative used for serialization and
-comparisons has per-prompt mean zero.
+comparisons has per-prompt mean zero (:meth:`Catalog.centered`).
 """
 
 from __future__ import annotations
@@ -43,19 +44,19 @@ GAUGE_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class ReferencePolicy:
-    """Baseline per-prompt response distributions (strictly positive)."""
+    """Baseline per-prompt response distributions (strictly positive), as read-only copies."""
 
     probs: dict[str, np.ndarray]
 
     def __post_init__(self):
+        probs = {prompt: np.array(p, dtype=float) for prompt, p in self.probs.items()}
+        object.__setattr__(self, "probs", probs)
         for prompt, p in self.probs.items():
-            p = np.asarray(p, dtype=float)
             if np.any(p <= 0.0):
                 raise ValueError(f"reference policy must be strictly positive ({prompt!r})")
             if abs(p.sum() - 1.0) > SIMPLEX_ATOL:
                 raise ValueError(f"reference policy for {prompt!r} does not sum to 1")
             p.setflags(write=False)
-            self.probs[prompt] = p
 
     @classmethod
     def uniform(cls, catalog: Catalog) -> "ReferencePolicy":
@@ -69,33 +70,26 @@ class ReferencePolicy:
 
 @dataclass(frozen=True)
 class ScoreTable:
-    """Scores per (prompt, response), aligned with the catalog's response order."""
+    """One score per (prompt, response), as a read-only copy in :attr:`Catalog.offsets` order."""
 
     kappa: float
-    scores: dict[str, np.ndarray]
+    scores: np.ndarray
 
     def __post_init__(self):
         if self.kappa <= 0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
-        for prompt, s in self.scores.items():
-            s = np.asarray(s, dtype=float)
-            if not np.all(np.isfinite(s)):
-                raise ValueError(f"non-finite score under prompt {prompt!r}")
-            s.setflags(write=False)
-            self.scores[prompt] = s
+        scores = np.array(self.scores, dtype=float)
+        if scores.ndim != 1:
+            raise ValueError(f"scores must be one flat vector, got shape {scores.shape}")
+        if not np.all(np.isfinite(scores)):
+            raise ValueError("non-finite score")
+        scores.setflags(write=False)
+        object.__setattr__(self, "scores", scores)
 
 
-
-def gauge_fix(table: ScoreTable) -> ScoreTable:
+def gauge_fix(table: ScoreTable, catalog: Catalog) -> ScoreTable:
     """Canonical representative: per-prompt mean score zero."""
-    return ScoreTable(
-        kappa=table.kappa,
-        scores={p: s - s.mean() for p, s in table.scores.items()},
-    )
-
-
-def is_gauge_fixed(table: ScoreTable, atol: float = GAUGE_ATOL) -> bool:
-    return all(abs(float(s.mean())) <= atol for s in table.scores.values())
+    return ScoreTable(kappa=table.kappa, scores=catalog.centered(table.scores))
 
 
 @dataclass(frozen=True)
@@ -126,11 +120,12 @@ class ScoreEnsemble:
         return self.tables[0].kappa
 
 
-def policy_probs(table: ScoreTable, ref: ReferencePolicy, prompt: str) -> np.ndarray:
+def policy_probs(table: ScoreTable, ref: ReferencePolicy, catalog: Catalog,
+                 prompt: str) -> np.ndarray:
     """pi(y|x) proportional to pi_ref(y|x) * exp(s(x,y)/kappa), normalized."""
-    s = table.scores[prompt]
-    logits = np.log(ref.probs[prompt]) + s / table.kappa
-    return softmax(logits)
+    log_ref = np.log(ref.probs[prompt])
+    start = catalog.offsets[catalog.prompts.index(prompt)]
+    return softmax(log_ref + table.scores[start:start + log_ref.size] / table.kappa)
 
 
 def optimal_table_for_type(catalog: Catalog, theta: np.ndarray, kappa: float) -> ScoreTable:
@@ -143,11 +138,7 @@ def optimal_table_for_type(catalog: Catalog, theta: np.ndarray, kappa: float) ->
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (catalog.d,):
         raise ValueError(f"theta has shape {theta.shape}, expected ({catalog.d},)")
-    scores = {}
-    for p in catalog.prompts:
-        r = catalog.features(p) @ theta
-        scores[p] = r - r.mean()
-    return ScoreTable(kappa=kappa, scores=scores)
+    return ScoreTable(kappa=kappa, scores=catalog.centered(catalog.flat_features @ theta))
 
 
 def uniform_prompt_weights(catalog: Catalog) -> np.ndarray:
@@ -175,8 +166,10 @@ def _check_mixture_weights(ensemble: ScoreEnsemble, weights) -> np.ndarray:
 
 def ensemble_to_json_dict(ensemble: ScoreEnsemble, catalog: Catalog) -> dict:
     """Canonical JSON form; gauge is enforced on write."""
-    tables = [{p: dict(zip(catalog.responses(p), t.scores[p].tolist())) for p in catalog.prompts}
-              for t in map(gauge_fix, ensemble.tables)]
+    bounds = catalog.offsets.tolist()
+    spans = list(zip(catalog.prompts, bounds, bounds[1:]))
+    tables = [{p: dict(zip(catalog.responses(p), s[lo:hi])) for p, lo, hi in spans}
+              for s in catalog.centered(np.stack([t.scores for t in ensemble.tables])).tolist()]
     return {"kappa": float(ensemble.kappa), "eta": ensemble.eta.tolist(), "tables": tables}
 
 
@@ -185,18 +178,21 @@ def ensemble_from_json_dict(doc: Mapping, catalog: Catalog) -> ScoreEnsemble:
     tables = []
     for i, tdoc in enumerate(doc["tables"]):
         unknown = [repr(p) for p in sorted(set(tdoc).difference(catalog.prompts))]
-        scores = {}
+        values = []
         for p in catalog.prompts:
             per = tdoc[p]
             unknown += [f"{r!r} under {p!r}"
                         for r in sorted(set(per).difference(catalog.responses(p)))]
-            scores[p] = np.array([per[r] for r in catalog.responses(p)], dtype=float)
+            values += [per[r] for r in catalog.responses(p)]
+        scores = np.array(values, dtype=float)
         if unknown:
             raise ValueError(f"table {i} names ids not in the catalog: {', '.join(unknown)}")
-        table = ScoreTable(kappa=kappa, scores=scores)
-        if not is_gauge_fixed(table):
+        if not np.isfinite(scores).all():
+            j = np.searchsorted(catalog.offsets, np.argmin(np.isfinite(scores)), "right") - 1
+            raise ValueError(f"non-finite score under prompt {catalog.prompts[j]!r}")
+        if np.abs(scores - catalog.centered(scores)).max() > GAUGE_ATOL:
             raise ValueError("serialized table violates the canonical gauge")
-        tables.append(table)
+        tables.append(ScoreTable(kappa=kappa, scores=scores))
     return ScoreEnsemble(tables=tuple(tables), eta=np.asarray(doc["eta"], dtype=float))
 
 

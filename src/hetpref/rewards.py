@@ -10,7 +10,8 @@ over the prompt blocks of a flat array laid out by :attr:`Catalog.offsets`.
 Every exact winner distribution is :func:`choice_weights`, the mixture
 kernel over :func:`softmax`: per-type scores of a batch of choice sets
 (gathered from :attr:`Catalog.flat_features` by :meth:`Catalog.choice_sets`
-indices, then multiplied) in, one distribution per set out.
+indices, then multiplied) in, one distribution per set out. Every gauge
+fix of flat scores is :meth:`Catalog.centered`.
 """
 
 from __future__ import annotations
@@ -189,9 +190,22 @@ class Catalog:
         """Per-prompt arrays (aligned with :meth:`responses`) joined in the flat order."""
         return np.concatenate([np.asarray(per_prompt[p], dtype=float) for p in self.prompts])
 
-    def split(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        """Inverse of :meth:`flatten`: one view of ``flat`` per prompt."""
-        return dict(zip(self.prompts, np.split(flat, self.offsets[1:-1])))
+    @cached_property
+    def _by_count(self) -> list[np.ndarray]:
+        """(G, r) flat indices of the G prompts with r responses, for each count r."""
+        starts, sizes = self.offsets[:-1], np.diff(self.offsets)
+        return [starts[sizes == r][:, None] + np.arange(r) for r in np.unique(sizes)]
+
+    def centered(self, x: np.ndarray) -> np.ndarray:
+        """Flat scores ``x`` (1-D or (K, size)) minus each prompt's mean: the canonical
+        gauge. Prompts of equal response count are centered as one batch, with
+        means summed as each prompt's ``s.mean()``, so the two agree bit for bit."""
+        x = np.asarray(x, dtype=float)
+        out = np.empty_like(x)
+        for cols in self._by_count:
+            s = np.take(x, cols, axis=-1)  # C order (x[..., cols] puts K innermost)
+            out[..., cols] = s - s.mean(axis=-1, keepdims=True)
+        return out
 
     def to_json_dict(self) -> dict:
         return {

@@ -103,11 +103,10 @@ def fit_record_weights(compiled, record_weights, kappa, init_table=None, grad_to
     if record_weights.shape != (compiled.n_records,):
         raise ValueError("one weight per record required")
     counts = np.bincount(compiled.inverse, record_weights, minlength=compiled.n_patterns)
-    x = (np.zeros(compiled.size) if init_table is None
-         else compiled.catalog.flatten(init_table.scores))
+    x = np.zeros(compiled.size) if init_table is None else init_table.scores
     x, grad_norm, _ = fit_preference_table(compiled, counts, x, grad_tol=grad_tol,
                                            max_iter=max_iter)
-    return gauge_fix(ScoreTable(kappa=kappa, scores=compiled.catalog.split(x))), grad_norm
+    return gauge_fix(ScoreTable(kappa=kappa, scores=x), compiled.catalog), grad_norm
 
 
 def minimax_policy_lightweight_by_records(dataset, catalog, ensemble, gamma, ref, iters=20,
@@ -195,7 +194,7 @@ def fit_types_one_by_one(compiled: CompiledRecords, counts: np.ndarray, x: np.nd
             fail(f"policy M-step for type {k} stopped at gradient norm "
                  f"{grad_norm:.3e} > {grad_tol:.1e}")
         norms.append(grad_norm)
-    compiled.gauge_fix(x)
+    x[:] = compiled.catalog.centered(x)
     return norms
 
 
@@ -265,12 +264,26 @@ def mixture_choice_prob(
     return choice_prob(catalog, population, prompt, choice_set, chosen)
 
 
+# Former rewards.py: Catalog.split, the inverse of Catalog.flatten.
+def split_flat(catalog: Catalog, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """One view of the flat array ``flat`` per prompt."""
+    return dict(zip(catalog.prompts, np.split(flat, catalog.offsets[1:-1])))
+
+
+def prompt_scores(table: ScoreTable, catalog: Catalog, prompt: str) -> np.ndarray:
+    """The scores of one prompt's responses, a view of the flat table."""
+    return split_flat(catalog, table.scores)[prompt]
+
+
+# Former policy.py: gauge_fix on per-prompt arrays, one mean per prompt.
+def gauge_fix_per_prompt(catalog: Catalog, flat: np.ndarray) -> np.ndarray:
+    """Flat scores minus each prompt's ``s.mean()``, prompt by prompt."""
+    return np.concatenate([s - s.mean() for s in split_flat(catalog, flat).values()])
+
+
 # Former policy.py; zero_table was the classmethod ScoreTable.zeros.
 def zero_table(catalog: Catalog, kappa: float) -> ScoreTable:
-    return ScoreTable(
-        kappa=kappa,
-        scores={p: np.zeros(len(catalog.responses(p))) for p in catalog.prompts},
-    )
+    return ScoreTable(kappa=kappa, scores=np.zeros(catalog.offsets[-1]))
 
 
 def multi_item_pref_prob(
@@ -284,14 +297,14 @@ def multi_item_pref_prob(
     cset = (winner, *rejected)
     check_choice_set(cset)
     idx = [catalog.response_index(prompt, y) for y in cset]
-    return float(softmax(table.scores[prompt][idx])[0])
+    return float(softmax(prompt_scores(table, catalog, prompt)[idx])[0])
 
 
 def reward_margin(
     table: ScoreTable, catalog: Catalog, prompt: str, winner: str, loser: str
 ) -> float:
     """Implicit-reward margin s(x, winner) - s(x, loser)."""
-    s = table.scores[prompt]
+    s = prompt_scores(table, catalog, prompt)
     return float(
         s[catalog.response_index(prompt, winner)] - s[catalog.response_index(prompt, loser)]
     )
@@ -306,9 +319,7 @@ def kl_to_ref(
     """kappa-scaled KL of the table's policy from the reference, exact enumeration."""
     w = _flat_prompt_weights(catalog, prompt_weights)
     log_ref = np.log(catalog.flatten(ref.probs))
-    log_pi = segment_log_softmax(
-        log_ref + catalog.flatten(table.scores) / table.kappa, catalog.offsets
-    )
+    log_pi = segment_log_softmax(log_ref + table.scores / table.kappa, catalog.offsets)
     return table.kappa * float(np.sum(w * np.exp(log_pi) * (log_pi - log_ref)))
 
 
@@ -316,10 +327,11 @@ def mixture_policy_probs(
     ensemble: ScoreEnsemble,
     weights: np.ndarray,
     ref: ReferencePolicy,
+    catalog: Catalog,
     prompt: str,
 ) -> np.ndarray:
     """Convex combination of the member policies' distributions."""
-    members = np.stack([policy_probs(t, ref, prompt) for t in ensemble.tables])
+    members = np.stack([policy_probs(t, ref, catalog, prompt) for t in ensemble.tables])
     return _check_mixture_weights(ensemble, weights) @ members
 
 
@@ -333,7 +345,7 @@ def policy_distributions(
     """Materialize per-prompt response distributions of a free score table
     or of mixture weights over the ensemble."""
     flat = _FlatEnsemble(ensemble, ref, catalog, uniform_prompt_weights(catalog))
-    return catalog.split(flat.distribution(policy))
+    return split_flat(catalog, flat.distribution(policy))
 
 
 # Former emdpo.py: E-step and eta update on a dataset.

@@ -321,8 +321,8 @@ def test_criterion_9_invariant_suite():
     gauge_err = 0.0
     for _ in range(cases):
         s = rng.normal(size=5) * 3
-        table = ScoreTable(kappa=0.5, scores={"p": s})
-        shifted = ScoreTable(kappa=0.5, scores={"p": s + float(rng.normal() * 50)})
+        table = ScoreTable(kappa=0.5, scores=s)
+        shifted = ScoreTable(kappa=0.5, scores=s + float(rng.normal() * 50))
         gauge_err = max(
             gauge_err,
             abs(
@@ -335,14 +335,15 @@ def test_criterion_9_invariant_suite():
             ),
             float(
                 np.abs(
-                    policy_probs(table, ref, "p") - policy_probs(shifted, ref, "p")
+                    policy_probs(table, ref, catalog, "p")
+                    - policy_probs(shifted, ref, catalog, "p")
                 ).max()
             ),
         )
 
     # permutation equivariance of mixtures and metrics
     tables = tuple(
-        gauge_fix(ScoreTable(kappa=0.5, scores={"p": rng.normal(size=5)})) for _ in range(3)
+        gauge_fix(ScoreTable(kappa=0.5, scores=rng.normal(size=5)), catalog) for _ in range(3)
     )
     ens = ScoreEnsemble(tables=tables, eta=np.full(3, 1 / 3))
     pw = uniform_prompt_weights(catalog)
@@ -351,8 +352,8 @@ def test_criterion_9_invariant_suite():
         w = rng.dirichlet(np.ones(3))
         perm = rng.permutation(3)
         ens_p = ScoreEnsemble(tables=tuple(tables[i] for i in perm), eta=np.full(3, 1 / 3))
-        a = mixture_policy_probs(ens, w, ref, "p")
-        b = mixture_policy_probs(ens_p, w[perm], ref, "p")
+        a = mixture_policy_probs(ens, w, ref, catalog, "p")
+        b = mixture_policy_probs(ens_p, w[perm], ref, catalog, "p")
         perm_err = max(perm_err, float(np.abs(a - b).max()))
         perm_err = max(
             perm_err,

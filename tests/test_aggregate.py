@@ -33,7 +33,7 @@ from hetpref.policy import (
 )
 from hetpref.rewards import Catalog, Population
 from hetpref.simulate import simulate_dataset
-from reference import kl_to_ref, policy_distributions, record_counts, zero_table
+from reference import kl_to_ref, policy_distributions, prompt_scores, record_counts, zero_table
 
 
 def lp_game_value(R):
@@ -83,13 +83,20 @@ class TestRegretOfPolicy:
         # E_opt[s] = (0.75 - 0.25) * ln3/2, E_ref[s] = 0 -> regret = ln3/4
         cat = Catalog.build({"p": [("a", [1.0]), ("b", [0.0])]})
         s = np.array([math.log(3) / 2, -math.log(3) / 2])
-        table = ScoreTable(kappa=1.0, scores={"p": s})
+        table = ScoreTable(kappa=1.0, scores=s)
         ens = ScoreEnsemble(tables=(table,), eta=np.array([1.0]))
         ref = ReferencePolicy.uniform(cat)
         # a zero-score table is the reference policy
         r = regret_of_policy(zero_table(cat, 1.0), ens, ref, cat, np.array([1.0]), 0)
         assert r == pytest.approx(math.log(3) / 4, abs=1e-12)
         assert r == pytest.approx(0.2747, abs=1e-4)
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_rejects_a_table_of_another_size(self, world, size):
+        catalog, ensemble, ref, pw = world
+        with pytest.raises(ValueError, match=f"^{size} scores for "):
+            regret_of_policy(ScoreTable(kappa=0.1, scores=np.ones(size)), ensemble, ref,
+                             catalog, pw, 0)
 
     def test_rejects_other_policy_kinds(self, world):
         # a reference policy is a zero-score table; explicit distributions are not taken
@@ -311,8 +318,7 @@ class TestMinimaxLightweight:
         )
         assert all(row["w"] == [1.0] for row in trace)
         vanilla = run_vanilla_dpo(ds, catalog, kappa=0.1)
-        for p in catalog.prompts:
-            np.testing.assert_allclose(table.scores[p], vanilla.scores[p], atol=1e-5)
+        np.testing.assert_allclose(table.scores, vanilla.scores, atol=1e-5)
 
     def test_symmetric_problem_balances_weights(self):
         # gamma and ensemble must come from the same fit; the loop then
@@ -426,17 +432,18 @@ class TestUniformMixture:
 # The flat enumeration pass against per-prompt reference formulas.
 
 
-def ref_policy_probs(table, ref, prompt):
-    logits = np.log(ref.probs[prompt]) + table.scores[prompt] / table.kappa
+def ref_policy_probs(table, ref, catalog, prompt):
+    logits = np.log(ref.probs[prompt]) + prompt_scores(table, catalog, prompt) / table.kappa
     e = np.exp(logits - logits.max())
     return e / e.sum()
 
 
 def ref_distributions(policy, ensemble, ref, catalog):
     if isinstance(policy, ScoreTable):
-        return {p: ref_policy_probs(policy, ref, p) for p in catalog.prompts}
+        return {p: ref_policy_probs(policy, ref, catalog, p) for p in catalog.prompts}
     return {
-        p: sum(wk * ref_policy_probs(t, ref, p) for wk, t in zip(policy, ensemble.tables))
+        p: sum(wk * ref_policy_probs(t, ref, catalog, p)
+               for wk, t in zip(policy, ensemble.tables))
         for p in catalog.prompts
     }
 
@@ -448,8 +455,8 @@ def ref_regret(policy, ensemble, ref, catalog, pw, k):
     for wx, p in zip(pw, catalog.prompts):
         if wx == 0.0:
             continue
-        s_k = table_k.scores[p]
-        total += wx * float(ref_policy_probs(table_k, ref, p) @ s_k - dists[p] @ s_k)
+        s_k = prompt_scores(table_k, catalog, p)
+        total += wx * float(ref_policy_probs(table_k, ref, catalog, p) @ s_k - dists[p] @ s_k)
     return total
 
 
@@ -461,9 +468,10 @@ def ref_discrepancy(ensemble, ref, catalog, pw):
             for wx, p in zip(pw, catalog.prompts):
                 if wx == 0.0:
                     continue
-                log_ratio = np.log(ref_policy_probs(ensemble.tables[z], ref, p) / ref.probs[p])
-                out[z + 1, zp] += wx * float(ref_policy_probs(ensemble.tables[zp], ref, p)
-                                             @ log_ratio)
+                log_ratio = np.log(ref_policy_probs(ensemble.tables[z], ref, catalog, p)
+                                   / ref.probs[p])
+                out[z + 1, zp] += wx * float(
+                    ref_policy_probs(ensemble.tables[zp], ref, catalog, p) @ log_ratio)
     return out
 
 
@@ -472,7 +480,7 @@ def ref_kl(table, ref, catalog, pw):
     for wx, p in zip(pw, catalog.prompts):
         if wx == 0.0:
             continue
-        pi = ref_policy_probs(table, ref, p)
+        pi = ref_policy_probs(table, ref, catalog, p)
         total += wx * float(np.sum(pi * table.kappa * (np.log(pi) - np.log(ref.probs[p]))))
     return total
 
@@ -483,11 +491,13 @@ def ref_direct_trace(ensemble, ref, catalog, pw, iters, policy_step, mwu_step):
     k = ensemble.k
     prompts = [p for wx, p in zip(pw, catalog.prompts) if wx > 0.0]
     wxs = [wx for wx in pw if wx > 0.0]
-    s_tables = [np.stack([t.scores[p] for t in ensemble.tables]) for p in prompts]
+    s_tables = [np.stack([prompt_scores(t, catalog, p) for t in ensemble.tables])
+                for p in prompts]
     own_means = np.zeros(k)
     for wx, p, s_k in zip(wxs, prompts, s_tables):
         for j in range(k):
-            own_means[j] += wx * float(ref_policy_probs(ensemble.tables[j], ref, p) @ s_k[j])
+            own_means[j] += wx * float(ref_policy_probs(ensemble.tables[j], ref, catalog, p)
+                                       @ s_k[j])
     log_ref = [np.log(ref.probs[p]) for p in prompts]
     s = [np.zeros(len(catalog.responses(p))) for p in prompts]
     log_w = np.log(np.full(k, 1.0 / k))
@@ -539,15 +549,13 @@ def flat_worlds(draw):
     kappa = float(rng.choice([0.1, 0.5, 1.0]))
     ensemble = ScoreEnsemble(
         tables=tuple(
-            ScoreTable(kappa=kappa, scores={p: rng.normal(scale=0.5, size=r)
-                                            for p, r in zip(catalog.prompts, sizes)})
+            ScoreTable(kappa=kappa, scores=rng.normal(scale=0.5, size=sum(sizes)))
             for _ in range(k)
         ),
         eta=np.full(k, 1.0 / k),
     )
     candidates = [
-        ScoreTable(kappa=kappa, scores={p: rng.normal(size=r)
-                                        for p, r in zip(catalog.prompts, sizes)}),
+        ScoreTable(kappa=kappa, scores=rng.normal(size=sum(sizes))),
         rng.dirichlet(np.ones(k)),
     ]
     return catalog, ensemble, ref, pw, candidates

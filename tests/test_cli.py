@@ -689,6 +689,18 @@ class TestMalformedJson:
         code = self.read_ensemble(fitted_run, tmp_path, command, path)
         self.check(capsys, code, "ensemble.json", "table 0 names ids not in the catalog", needle)
 
+    @pytest.mark.parametrize("command", ["aggregate", "evaluate"])
+    def test_ensemble_nan_score_names_its_prompt(self, fitted_run, tmp_path, capsys, command):
+        doc = json.loads((fitted_run[1] / "ensemble.json").read_text())
+        prompt = sorted(doc["tables"][0])[-1]
+        scores = doc["tables"][0][prompt]
+        scores[sorted(scores)[0]] = float("nan")
+        path = self.write(tmp_path, "ensemble.json", json.dumps(doc))
+        assert "NaN" in path.read_text()
+        code = self.read_ensemble(fitted_run, tmp_path, command, path)
+        self.check(capsys, code, "ensemble.json", f"non-finite score under prompt {prompt!r}")
+        assert not (tmp_path / "x").exists()
+
 
 class TestSeedValidation:
     """A negative or non-integer seed is a config error naming the field."""
@@ -1077,6 +1089,22 @@ class TestConfigBeforeInputs:
         out = tmp_path / "x"
         code = main(fitted_command(command, cfg, tmp_path / "missing", out))
         assert_config_error(capsys, code, field, out)
+
+
+def test_lightweight_names_a_missing_gamma_before_reading_the_dataset(fitted_run, tmp_path,
+                                                                      capsys):
+    # a dataset drawn for another catalog fails its hash check (exit 3) once read
+    other_cfg = write_config(tmp_path, {"population.reward_spread": 2.0}, name="other.yaml")
+    other = tmp_path / "other"
+    assert main(["simulate", "--config", str(other_cfg), "--out", str(other)]) == 0
+    cfg = write_config(tmp_path, {"aggregate.method": "lightweight"})
+    out = tmp_path / "x"
+    code = main(fitted_command("aggregate", cfg, fitted_run[1], out)
+                + ["--dataset", str(other / "dataset.jsonl")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "aggregate method 'lightweight' requires --gamma" in err, err
+    assert not out.exists()
 
 
 class TestSweepValidation:

@@ -29,7 +29,7 @@ from hetpref.simulate import (
     simulate_dataset,
     write_dataset,
 )
-from reference import exact_choice_weights, reward_margin
+from reference import exact_choice_weights, prompt_scores, reward_margin
 
 
 def reference_compile(catalog, records):
@@ -134,7 +134,7 @@ def reference_mixture_model(catalog, mixture):
         scores = {p: catalog.features(p) @ mixture.thetas.T for p in catalog.prompts}
         eta = mixture.etas
     else:
-        scores = {p: np.stack([t.scores[p] for t in mixture.tables], axis=1)
+        scores = {p: np.stack([prompt_scores(t, catalog, p) for t in mixture.tables], axis=1)
                   for p in catalog.prompts}
         eta = mixture.eta
 
@@ -262,7 +262,7 @@ def test_gathers_equal_record_loops(world, seed):
                           reference_mean_winner_features(dataset, catalog))
     rng = np.random.default_rng(seed)
     size = int(catalog.offsets[-1])
-    tables = [ScoreTable(kappa=0.1, scores=catalog.split(rng.normal(size=size) * 3))
+    tables = [ScoreTable(kappa=0.1, scores=rng.normal(size=size) * 3)
               for _ in range(2)]
     pairs = binarize_records(dataset)
     margins = reference_margins(tables[0], catalog, pairs)

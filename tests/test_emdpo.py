@@ -93,7 +93,7 @@ class TestEStep:
         # one binary record; margins ln 3 and 0 -> posterior (0.6, 0.4)
         cat = Catalog.build({"q": [("w", [1.0]), ("l", [0.0])]})
         ds = dataset_from_records(cat, [[("q", "w", ["l"])]])
-        t1 = ScoreTable(kappa=1.0, scores={"q": np.array([math.log(3) / 2, -math.log(3) / 2])})
+        t1 = ScoreTable(kappa=1.0, scores=np.array([math.log(3) / 2, -math.log(3) / 2]))
         t2 = zero_table(cat, kappa=1.0)
         ens = ScoreEnsemble(tables=(t1, t2), eta=np.array([0.5, 0.5]))
         gamma = e_step(ds, cat, ens)
@@ -142,8 +142,7 @@ class TestMStepPolicy:
                 pytest.warns(RuntimeWarning, match="type 0: no finite maximizer"):
             tables = m_step_policy(ds, catalog, gamma, kappa=0.1, init_tables=init,
                                    on_nonconvergence="warn")
-        for p in catalog.prompts:
-            np.testing.assert_allclose(tables[1].scores[p], init[1].scores[p], atol=1e-12)
+        np.testing.assert_allclose(tables[1].scores, init[1].scores, atol=1e-12)
 
     def test_population_level_consistency(self):
         # infinite-data weighted records from one type recover its margins
@@ -177,8 +176,7 @@ class TestMStepPolicy:
         t1 = m_step_policy(ds, catalog, gamma, kappa=0.1)
         t2 = m_step_policy(ds, catalog, 2.0 * gamma, kappa=0.1)
         for a, b in zip(t1, t2):
-            for p in catalog.prompts:
-                np.testing.assert_allclose(a.scores[p], b.scores[p], atol=1e-8)
+            np.testing.assert_allclose(a.scores, b.scores, atol=1e-8)
 
 
 class TestMixtureLoglik:
@@ -341,13 +339,8 @@ class TestRunEm:
         ens_a = run_with(gamma0)
         ens_b = run_with(gamma0[:, ::-1])
         np.testing.assert_allclose(ens_a.eta, ens_b.eta[::-1], atol=1e-8)
-        for p in catalog.prompts:
-            np.testing.assert_allclose(
-                ens_a.tables[0].scores[p], ens_b.tables[1].scores[p], atol=1e-6
-            )
-            np.testing.assert_allclose(
-                ens_a.tables[1].scores[p], ens_b.tables[0].scores[p], atol=1e-6
-            )
+        np.testing.assert_allclose(ens_a.tables[0].scores, ens_b.tables[1].scores, atol=1e-6)
+        np.testing.assert_allclose(ens_a.tables[1].scores, ens_b.tables[0].scores, atol=1e-6)
 
     def test_restarts_pick_best(self, mixed_world):
         catalog, population = mixed_world

@@ -172,10 +172,7 @@ class TestVanillaDpo:
         catalog, _t, _p, dataset = eval_world
         table = run_vanilla_dpo(dataset, catalog, kappa=0.1)
         state = run_em(dataset, catalog, k=1, kappa=0.1, max_iters=1)
-        for p in catalog.prompts:
-            np.testing.assert_allclose(
-                table.scores[p], state.ensemble.tables[0].scores[p], atol=1e-10
-            )
+        np.testing.assert_allclose(table.scores, state.ensemble.tables[0].scores, atol=1e-10)
 
     def test_homogeneous_consistency_population_level(self, eval_world):
         # infinite-data route: fitted margins match the generating rewards
@@ -213,8 +210,7 @@ class TestClusterDpo:
         ens = run_cluster_dpo(dataset, catalog, k=1, kappa=0.1, seed=0)
         vanilla = run_vanilla_dpo(dataset, catalog, kappa=0.1)
         np.testing.assert_allclose(ens.eta, [1.0])
-        for p in catalog.prompts:
-            np.testing.assert_allclose(ens.tables[0].scores[p], vanilla.scores[p], atol=1e-8)
+        np.testing.assert_allclose(ens.tables[0].scores, vanilla.scores, atol=1e-8)
 
     def test_separated_clusters_match_per_type_fits(self):
         # diametric types with strong margins: every annotator's mean winner
@@ -243,8 +239,7 @@ class TestClusterDpo:
         got = sorted(clustered.tables, key=key_margin)
         want = sorted(oracle.ensemble.tables, key=key_margin)
         for tg, tw in zip(got, want):
-            for p in catalog.prompts:
-                np.testing.assert_allclose(tg.scores[p], tw.scores[p], atol=1e-3)
+            np.testing.assert_allclose(tg.scores, tw.scores, atol=1e-3)
 
     def test_eta_are_cluster_fractions(self, eval_world):
         catalog, _t, _p, dataset = eval_world

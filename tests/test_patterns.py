@@ -66,12 +66,6 @@ def set_level_terms(compiled, x, counts):
     return val, grad, compiled.neg_hessian(totals, probs)
 
 
-def split_scores(catalog, x):
-    sizes = [len(catalog.responses(p)) for p in catalog.prompts]
-    parts = np.split(x, np.cumsum(sizes)[:-1])
-    return ScoreTable(kappa=1.0, scores=dict(zip(catalog.prompts, parts)))
-
-
 @st.composite
 def worlds(draw):
     """Multi-prompt catalog, records with binary and ternary sets, duplicates."""
@@ -253,8 +247,7 @@ def test_duplicated_record_equals_doubled_weight(world, data):
         CompiledRecords.from_records(records, catalog), doubled, kappa=1.0
     )
     assert max(norm_dup, norm_dbl) <= 1e-8
-    for p in catalog.prompts:
-        np.testing.assert_allclose(table_dup.scores[p], table_dbl.scores[p], atol=1e-7)
+    np.testing.assert_allclose(table_dup.scores, table_dbl.scores, atol=1e-7)
 
 
 @pytest.mark.parametrize("choice_set_size", [3, 2])
@@ -328,15 +321,14 @@ def test_newton_matches_former_solver(world):
     start = compiled.set_terms(x, totals, wins)[0]
     for max_iter in (1, 2, 1000):
         table, norm = fit_record_weights(compiled, weights, kappa=1.0,
-                                         init_table=split_scores(catalog, x),
+                                         init_table=ScoreTable(kappa=1.0, scores=x),
                                          max_iter=max_iter)
-        val = compiled.set_terms(catalog.flatten(table.scores), totals, wins)[0]
+        val = compiled.set_terms(table.scores, totals, wins)[0]
         assert np.all(val >= start - 1e-12 * np.maximum(1.0, np.abs(start)))
     want_x, want_norm = reference_fit(catalog, records, weights, x)
     assert max(norm, want_norm) <= 1e-8
-    want = gauge_fix(split_scores(catalog, want_x))
-    for p in catalog.prompts:
-        np.testing.assert_allclose(table.scores[p], want.scores[p], atol=1e-6)
+    want = gauge_fix(ScoreTable(kappa=1.0, scores=want_x), catalog)
+    np.testing.assert_allclose(table.scores, want.scores, atol=1e-6)
 
 
 def ford_violations(catalog, records, weights):

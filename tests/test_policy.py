@@ -21,6 +21,7 @@ from reference import (
     kl_to_ref,
     mixture_policy_probs,
     multi_item_pref_prob,
+    prompt_scores,
     reward_margin,
     zero_table,
 )
@@ -38,15 +39,34 @@ def two_prompt_catalog():
 
 
 def random_table(catalog, rng, kappa=1.0, scale=1.0):
-    return gauge_fix(
-        ScoreTable(
-            kappa=kappa,
-            scores={
-                p: rng.normal(size=len(catalog.responses(p))) * scale
-                for p in catalog.prompts
-            },
-        )
-    )
+    scores = rng.normal(size=catalog.offsets[-1]) * scale
+    return gauge_fix(ScoreTable(kappa=kappa, scores=scores), catalog)
+
+
+class TestConstruction:
+    def test_score_table_copies_its_input(self):
+        scores = np.array([1.0, -1.0, 0.5])
+        table = ScoreTable(kappa=1.0, scores=scores)
+        scores[0] = 7.0
+        assert scores.flags.writeable
+        np.testing.assert_array_equal(table.scores, [1.0, -1.0, 0.5])
+        assert not table.scores.flags.writeable
+
+    @pytest.mark.parametrize("scores", [np.zeros((2, 3)), np.array([0.0, np.nan]),
+                                        np.array([np.inf, 0.0])])
+    def test_score_table_rejects_non_flat_or_non_finite(self, scores):
+        with pytest.raises(ValueError):
+            ScoreTable(kappa=1.0, scores=scores)
+
+    def test_reference_policy_copies_its_input(self):
+        probs = {"p": np.array([0.25, 0.75]), "q": np.array([0.5, 0.5])}
+        ref = ReferencePolicy(probs=probs)
+        probs["p"][0] = 0.9
+        probs["q"] = np.array([0.1, 0.9])
+        assert probs["p"].flags.writeable
+        np.testing.assert_array_equal(ref.probs["p"], [0.25, 0.75])
+        np.testing.assert_array_equal(ref.probs["q"], [0.5, 0.5])
+        assert not ref.probs["p"].flags.writeable
 
 
 class TestPolicyProbs:
@@ -55,37 +75,37 @@ class TestPolicyProbs:
         rng = np.random.default_rng(2)
         raw = rng.uniform(0.1, 1.0, size=4)
         ref = ReferencePolicy(probs={"p0": raw / raw.sum(), "p1": np.full(3, 1 / 3)})
-        np.testing.assert_allclose(policy_probs(table, ref, "p0"), ref.probs["p0"], atol=1e-15)
+        np.testing.assert_allclose(policy_probs(table, ref, two_prompt_catalog, "p0"),
+                                   ref.probs["p0"], atol=1e-15)
 
     def test_analytic_two_response(self):
         cat = Catalog.build({"p": [("a", [1.0]), ("b", [0.0])]})
-        table = ScoreTable(kappa=1.0, scores={"p": np.array([math.log(2), 0.0])})
+        table = ScoreTable(kappa=1.0, scores=np.array([math.log(2), 0.0]))
         ref = ReferencePolicy.uniform(cat)
-        np.testing.assert_allclose(policy_probs(table, ref, "p"), [2 / 3, 1 / 3], atol=1e-12)
+        np.testing.assert_allclose(policy_probs(table, ref, cat, "p"), [2 / 3, 1 / 3], atol=1e-12)
 
     def test_log_ratio_round_trip(self, two_prompt_catalog):
         rng = np.random.default_rng(3)
         table = random_table(two_prompt_catalog, rng, kappa=0.3)
         ref = ReferencePolicy.uniform(two_prompt_catalog)
         for p in two_prompt_catalog.prompts:
-            pi = policy_probs(table, ref, p)
+            pi = policy_probs(table, ref, two_prompt_catalog, p)
             implied = table.kappa * (np.log(pi) - np.log(ref.probs[p]))
             # recovers the scores up to a per-prompt constant
-            diff = implied - table.scores[p]
+            diff = implied - prompt_scores(table, two_prompt_catalog, p)
             assert diff.max() - diff.min() <= 1e-10
 
 
 class TestOptimalTable:
     def test_zero_theta(self, two_prompt_catalog):
         table = optimal_table_for_type(two_prompt_catalog, np.zeros(3), kappa=0.5)
-        for p in two_prompt_catalog.prompts:
-            np.testing.assert_array_equal(table.scores[p], 0.0)
+        np.testing.assert_array_equal(table.scores, 0.0)
 
     def test_two_response_sigmoid(self):
         cat = Catalog.build({"p": [("a", [1.0]), ("b", [0.0])]})
         table = optimal_table_for_type(cat, np.array([1.0]), kappa=1.0)
         ref = ReferencePolicy.uniform(cat)
-        pi = policy_probs(table, ref, "p")
+        pi = policy_probs(table, ref, cat, "p")
         assert pi[0] == pytest.approx(0.7311, abs=1e-4)
         assert pi[1] == pytest.approx(0.2689, abs=1e-4)
 
@@ -104,7 +124,7 @@ class TestOptimalTable:
             )
 
         table = optimal_table_for_type(cat, theta, kappa)
-        star = objective(policy_probs(table, ref, "p"))
+        star = objective(policy_probs(table, ref, cat, "p"))
         for _ in range(1000):
             raw = rng.uniform(0.01, 1.0, size=5)
             assert star >= objective(raw / raw.sum()) - 1e-12
@@ -116,7 +136,7 @@ class TestOptimalTable:
         table = optimal_table_for_type(two_prompt_catalog, theta, kappa)
         ref = ReferencePolicy.uniform(two_prompt_catalog)
         for p in two_prompt_catalog.prompts:
-            pi = policy_probs(table, ref, p)
+            pi = policy_probs(table, ref, two_prompt_catalog, p)
             r = two_prompt_catalog.features(p) @ theta
             residual = kappa * (np.log(pi) - np.log(ref.probs[p])) - r
             assert residual.max() - residual.min() <= 1e-9
@@ -192,7 +212,7 @@ class TestKl:
         cat = Catalog.build({"p": [("a", [1.0]), ("b", [0.0])]})
         ref = ReferencePolicy.uniform(cat)
         s = np.array([math.log(3), 0.0])
-        table = ScoreTable(kappa=1.0, scores={"p": s})
+        table = ScoreTable(kappa=1.0, scores=s)
         expected = 0.75 * math.log(1.5) + 0.25 * math.log(0.5)
         got = kl_to_ref(table, ref, cat, np.array([1.0]))
         assert got == pytest.approx(expected, abs=1e-12)
@@ -203,7 +223,7 @@ class TestKl:
         # to zero, and KL(pi || uniform) = log 3
         cat = Catalog.build({"p": [("a", [1.0]), ("b", [0.0]), ("c", [-1.0])]})
         ref = ReferencePolicy.uniform(cat)
-        table = ScoreTable(kappa=0.1, scores={"p": np.array([100.0, 0.0, -100.0])})
+        table = ScoreTable(kappa=0.1, scores=np.array([100.0, 0.0, -100.0]))
         got = kl_to_ref(table, ref, cat, np.array([1.0]))
         assert got == pytest.approx(0.1 * math.log(3), abs=1e-12)
 
@@ -215,8 +235,8 @@ class TestMixturePolicy:
         ens = ScoreEnsemble(tables=(table,), eta=np.array([1.0]))
         ref = ReferencePolicy.uniform(two_prompt_catalog)
         np.testing.assert_allclose(
-            mixture_policy_probs(ens, np.array([1.0]), ref, "p0"),
-            policy_probs(table, ref, "p0"),
+            mixture_policy_probs(ens, np.array([1.0]), ref, two_prompt_catalog, "p0"),
+            policy_probs(table, ref, two_prompt_catalog, "p0"),
         )
 
     def test_identical_tables(self, two_prompt_catalog):
@@ -225,8 +245,8 @@ class TestMixturePolicy:
         ens = ScoreEnsemble(tables=(table, table, table), eta=np.full(3, 1 / 3))
         ref = ReferencePolicy.uniform(two_prompt_catalog)
         np.testing.assert_allclose(
-            mixture_policy_probs(ens, np.full(3, 1 / 3), ref, "p0"),
-            policy_probs(table, ref, "p0"),
+            mixture_policy_probs(ens, np.full(3, 1 / 3), ref, two_prompt_catalog, "p0"),
+            policy_probs(table, ref, two_prompt_catalog, "p0"),
             atol=1e-15,
         )
 
@@ -235,10 +255,10 @@ class TestMixturePolicy:
         tables = tuple(random_table(two_prompt_catalog, rng) for _ in range(3))
         ens = ScoreEnsemble(tables=tables, eta=np.full(3, 1 / 3))
         ref = ReferencePolicy.uniform(two_prompt_catalog)
-        members = np.stack([policy_probs(t, ref, "p0") for t in tables])
+        members = np.stack([policy_probs(t, ref, two_prompt_catalog, "p0") for t in tables])
         for _ in range(50):
             w = rng.dirichlet(np.ones(3))
-            mix = mixture_policy_probs(ens, w, ref, "p0")
+            mix = mixture_policy_probs(ens, w, ref, two_prompt_catalog, "p0")
             assert np.all(mix >= members.min(axis=0) - 1e-12)
             assert np.all(mix <= members.max(axis=0) + 1e-12)
 
@@ -249,10 +269,10 @@ class TestGaugeInvariance:
         ref = ReferencePolicy.uniform(two_prompt_catalog)
         for _ in range(100):
             table = random_table(two_prompt_catalog, rng, kappa=0.5)
-            shifts = {p: float(rng.normal() * 10) for p in two_prompt_catalog.prompts}
+            shifts = rng.normal(size=len(two_prompt_catalog.prompts)) * 10
             shifted = ScoreTable(
                 kappa=table.kappa,
-                scores={p: table.scores[p] + shifts[p] for p in two_prompt_catalog.prompts},
+                scores=table.scores + np.repeat(shifts, np.diff(two_prompt_catalog.offsets)),
             )
             a = multi_item_pref_prob(table, two_prompt_catalog, "p0", "r0", ["r1", "r2"])
             b = multi_item_pref_prob(shifted, two_prompt_catalog, "p0", "r0", ["r1", "r2"])
@@ -260,12 +280,11 @@ class TestGaugeInvariance:
             ma = reward_margin(table, two_prompt_catalog, "p0", "r0", "r1")
             mb = reward_margin(shifted, two_prompt_catalog, "p0", "r0", "r1")
             assert abs(ma - mb) <= 1e-10
-            np.testing.assert_allclose(
-                policy_probs(table, ref, "p0"), policy_probs(shifted, ref, "p0"), atol=1e-10
-            )
-            recanon = gauge_fix(shifted)
-            for p in two_prompt_catalog.prompts:
-                np.testing.assert_allclose(recanon.scores[p], table.scores[p], atol=1e-10)
+            np.testing.assert_allclose(policy_probs(table, ref, two_prompt_catalog, "p0"),
+                                       policy_probs(shifted, ref, two_prompt_catalog, "p0"),
+                                       atol=1e-10)
+            recanon = gauge_fix(shifted, two_prompt_catalog)
+            np.testing.assert_allclose(recanon.scores, table.scores, atol=1e-10)
 
 
 class TestEnsembleSerialization:
@@ -278,21 +297,24 @@ class TestEnsembleSerialization:
         assert back.kappa == ens.kappa
         np.testing.assert_allclose(back.eta, ens.eta)
         for t1, t2 in zip(back.tables, ens.tables):
-            for p in two_prompt_catalog.prompts:
-                np.testing.assert_allclose(t1.scores[p], t2.scores[p], atol=1e-12)
+            np.testing.assert_allclose(t1.scores, t2.scores, atol=1e-12)
 
     def test_write_enforces_gauge_read_validates(self, two_prompt_catalog):
-        shifted = ScoreTable(
-            kappa=0.1,
-            scores={
-                "p0": np.array([5.0, 6.0, 7.0, 8.0]),
-                "p1": np.array([1.0, 1.0, 1.0]),
-            },
-        )
+        shifted = ScoreTable(kappa=0.1, scores=np.array([5.0, 6.0, 7.0, 8.0, 1.0, 1.0, 1.0]))
         ens = ScoreEnsemble(tables=(shifted,), eta=np.array([1.0]))
         doc = ensemble_to_json_dict(ens, two_prompt_catalog)
         vals = np.array(list(doc["tables"][0]["p0"].values()))
         assert abs(vals.mean()) <= 1e-9
         doc["tables"][0]["p0"]["r0"] += 1.0
         with pytest.raises(ValueError):
+            ensemble_from_json_dict(doc, two_prompt_catalog)
+
+    @pytest.mark.parametrize("prompt, response", [("p0", "r3"), ("p1", "s0"), ("p1", "s2")])
+    def test_read_names_the_prompt_of_a_non_finite_score(self, two_prompt_catalog, prompt,
+                                                         response):
+        table = random_table(two_prompt_catalog, np.random.default_rng(15), kappa=0.1)
+        doc = ensemble_to_json_dict(ScoreEnsemble(tables=(table,), eta=np.array([1.0])),
+                                    two_prompt_catalog)
+        doc["tables"][0][prompt][response] = math.inf
+        with pytest.raises(ValueError, match=f"non-finite score under prompt '{prompt}'"):
             ensemble_from_json_dict(doc, two_prompt_catalog)

@@ -26,6 +26,7 @@ from hetpref.rewards import Catalog, softmax_lse
 from hetpref.simulate import Dataset, PreferenceRecord
 from reference import (
     fit_record_weights,
+    gauge_fix_per_prompt,
     minimax_policy_lightweight_by_records,
     record_counts,
     zero_table,
@@ -37,7 +38,7 @@ def reference_logliks(compiled, tables):
     out = np.empty((compiled.n_rows, len(tables)))
     logp = np.empty(compiled.n_patterns)
     for k, table in enumerate(tables):
-        x = compiled.catalog.flatten(table.scores)
+        x = table.scores
         for span, idx in compiled.blocks:
             s = x[idx]
             logp[span] = s[0] - softmax_lse(s, axis=0)[1]
@@ -123,8 +124,8 @@ def test_profile_e_step_equals_per_annotator(world, k, data):
     assert compiled.n_profiles <= compiled.n_rows
     size = int(catalog.offsets[-1])
     tables = tuple(
-        ScoreTable(kappa=0.1, scores=catalog.split(np.array(data.draw(st.lists(
-            st.floats(-8.0, 8.0), min_size=size, max_size=size)))))
+        ScoreTable(kappa=0.1, scores=np.array(data.draw(st.lists(
+            st.floats(-8.0, 8.0), min_size=size, max_size=size))))
         for _ in range(k))
     eta = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)))
     eta = eta / eta.sum() if eta.sum() > 0 else np.full(k, 1.0 / k)
@@ -135,7 +136,7 @@ def test_profile_e_step_equals_per_annotator(world, k, data):
     assert gamma.shape == want_gamma.shape
     assert np.array_equal(gamma, want_gamma)
     assert loglik == want_loglik
-    x = np.stack([catalog.flatten(t.scores) for t in tables])
+    x = np.stack([t.scores for t in tables])
     assert np.array_equal(compiled.profile_logliks(x)[compiled.profile_of],
                           reference_logliks(compiled, tables))
 
@@ -148,7 +149,7 @@ def reference_m_step(compiled, gamma, kappa, tables, grad_tol, max_iter):
         weights = gamma[compiled.record_rows, k]
         if weights.sum() <= 0.0:
             out.append(gauge_fix(init if init is not None
-                                 else zero_table(compiled.catalog, kappa)))
+                                 else zero_table(compiled.catalog, kappa), compiled.catalog))
             norms.append(0.0)
             continue
         table, norm = fit_record_weights(compiled, weights, kappa, init_table=init,
@@ -221,11 +222,9 @@ def test_run_em_equals_per_annotator_reference(world, k, init, seed):
     pinned too, at rtol 1e-12 (absolute floor 1e-12 for values at zero).
     """
     got, (tables, _eta, gamma, _ll) = compare_em(world, k, init, seed)
-    catalog = world[0]
     np.testing.assert_allclose(got.gamma, gamma, rtol=1e-12, atol=1e-12)
     for table, ref in zip(got.ensemble.tables, tables, strict=True):
-        np.testing.assert_allclose(catalog.flatten(table.scores), catalog.flatten(ref.scores),
-                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(table.scores, ref.scores, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore")
@@ -274,8 +273,8 @@ def test_lightweight_equals_record_weight_reference(world, k, data):
     1e-9 (rtol and atol). Every fit here has a finite maximizer."""
     catalog, dataset, _ = world
     size = int(catalog.offsets[-1])
-    tables = tuple(ScoreTable(kappa=0.1, scores=catalog.split(np.array(data.draw(st.lists(
-        st.floats(-4.0, 4.0), min_size=size, max_size=size))))) for _ in range(k))
+    tables = tuple(ScoreTable(kappa=0.1, scores=np.array(data.draw(st.lists(
+        st.floats(-4.0, 4.0), min_size=size, max_size=size)))) for _ in range(k))
     ensemble = ScoreEnsemble(tables=tables, eta=np.full(k, 1.0 / k))
     args = (dataset, catalog, ensemble, draw_gamma(data, dataset.n, k),
             ReferencePolicy.uniform(catalog))
@@ -283,8 +282,7 @@ def test_lightweight_equals_record_weight_reference(world, k, data):
                   inner_steps=data.draw(st.sampled_from([1, 3, 40])))
     table, trace = minimax_policy_lightweight(*args, **kwargs)
     want_table, want_trace = minimax_policy_lightweight_by_records(*args, **kwargs)
-    np.testing.assert_allclose(catalog.flatten(table.scores), catalog.flatten(want_table.scores),
-                               rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(table.scores, want_table.scores, rtol=1e-9, atol=1e-9)
     assert [row["iteration"] for row in trace] == [row["iteration"] for row in want_trace]
     for key in ("regrets", "w", "max_regret"):
         np.testing.assert_allclose([row[key] for row in trace], [row[key] for row in want_trace],
@@ -294,15 +292,23 @@ def test_lightweight_equals_record_weight_reference(world, k, data):
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(em_worlds(), st.integers(1, 4), st.data())
 def test_grouped_gauge_fix_equals_gauge_fix(world, k, data):
-    catalog, dataset, _ = world
-    compiled = CompiledRecords.from_dataset(dataset, catalog)
-    x = np.array(data.draw(st.lists(st.floats(-50.0, 50.0), min_size=k * compiled.size,
-                                    max_size=k * compiled.size))).reshape(k, compiled.size)
-    got = x.copy()
-    compiled.gauge_fix(got)
-    for row, fixed in zip(x, got):
-        want = gauge_fix(ScoreTable(kappa=0.1, scores=catalog.split(row.copy())))
-        assert np.array_equal(fixed, catalog.flatten(want.scores))
+    """Catalog.centered, on (K, size) and on 1-D scores, and gauge_fix equal
+    one ``s - s.mean()`` per prompt bit for bit."""
+    catalog, _, _ = world
+    size = int(catalog.offsets[-1])
+    x = np.array(data.draw(st.lists(st.floats(-50.0, 50.0), min_size=k * size,
+                                    max_size=k * size))).reshape(k, size)
+    assert_centered_per_prompt(catalog, x)
+
+
+def assert_centered_per_prompt(catalog, x):
+    """Every gauge fix of the rows of (K, size) scores ``x`` equals the per-prompt one."""
+    got = catalog.centered(x)
+    for row, fixed in zip(x, got, strict=True):
+        want = gauge_fix_per_prompt(catalog, row)
+        assert np.array_equal(fixed, want)
+        assert np.array_equal(catalog.centered(row), want)
+        assert np.array_equal(gauge_fix(ScoreTable(kappa=0.1, scores=row), catalog).scores, want)
 
 
 def test_flat_scores_equal_per_table_on_long_prompts():
@@ -318,13 +324,10 @@ def test_flat_scores_equal_per_table_on_long_prompts():
                PreferenceRecord(annotator=2, prompt="p1", winner=rids[3], rejected=rids[20:31])]
     compiled = CompiledRecords.from_records(records, catalog)
     x = rng.normal(scale=30.0, size=(3, compiled.size))
-    tables = [ScoreTable(kappa=0.1, scores=catalog.split(row.copy())) for row in x]
+    tables = [ScoreTable(kappa=0.1, scores=row) for row in x]
     assert np.array_equal(compiled.profile_logliks(x)[compiled.profile_of],
                           reference_logliks(compiled, tables))
-    got = x.copy()
-    compiled.gauge_fix(got)
-    for fixed, table in zip(got, tables):
-        assert np.array_equal(fixed, catalog.flatten(gauge_fix(table).scores))
+    assert_centered_per_prompt(catalog, x)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

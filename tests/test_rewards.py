@@ -265,7 +265,7 @@ class TestKernelContract:
         np.testing.assert_allclose(each, mix, rtol=0, atol=1e-12)
         assert abs(sum(each) - 1.0) <= 1e-12
 
-        table = ScoreTable(kappa=kappa, scores={"p": scores})
+        table = ScoreTable(kappa=kappa, scores=scores)
         each = [multi_item_pref_prob(table, catalog, "p", y, [z for z in cset if z != y])
                 for y in cset]
         np.testing.assert_allclose(each, ref_top1(scores[idx]), rtol=0, atol=1e-12)
@@ -278,15 +278,15 @@ class TestKernelContract:
         n = len(scores)
         ref_probs = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
         ref = ReferencePolicy({"p": ref_probs / ref_probs.sum()})
-        tables = [ScoreTable(kappa=kappa, scores={"p": scores * t.theta[0]})
+        tables = [ScoreTable(kappa=kappa, scores=scores * t.theta[0])
                   for t in population.types]
-        members = [ref_top1(np.log(ref.probs["p"]) + t.scores["p"] / kappa) for t in tables]
+        members = [ref_top1(np.log(ref.probs["p"]) + t.scores / kappa) for t in tables]
         for table, want in zip(tables, members):
-            got = policy_probs(table, ref, "p")
+            got = policy_probs(table, ref, catalog, "p")
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
             assert abs(got.sum() - 1.0) <= 1e-12
         ensemble = ScoreEnsemble(tables=tuple(tables), eta=population.etas)
-        got = mixture_policy_probs(ensemble, population.etas, ref, "p")
+        got = mixture_policy_probs(ensemble, population.etas, ref, catalog, "p")
         want = sum(w * m for w, m in zip(population.etas, members))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert abs(got.sum() - 1.0) <= 1e-12
