@@ -94,9 +94,8 @@ class _FlatEnsemble:
 
     def log_policy(self, scores: np.ndarray, kappa: float) -> np.ndarray:
         """log pi for flat scores: pi proportional to pi_ref * exp(s / kappa) per prompt."""
-        if scores.shape[-1] != self.log_ref.size:
-            raise ValueError(f"{scores.shape[-1]} scores for {self.log_ref.size} catalog responses")
-        return segment_log_softmax(self.log_ref + scores / kappa, self.catalog.offsets)
+        return segment_log_softmax(self.log_ref + self.catalog.check_scores(scores) / kappa,
+                                   self.catalog.offsets)
 
     def distribution(self, policy) -> np.ndarray:
         """Flat response distribution of a free score table or of mixture

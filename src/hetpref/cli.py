@@ -297,9 +297,26 @@ def _write_gamma(path: Path, ids: list[int], gamma: np.ndarray) -> None:
                                                    map(texts.__getitem__, group.tolist()))))
 
 
-def _write_manifest(out: Path, command: str, cfg: Mapping, inputs: dict, outputs: dict) -> None:
-    _write_json(out / f"manifest_{command}.json",
-                {"command": command, "config": cfg, "inputs": inputs, "outputs": outputs})
+def _save(out: Path, command: str, cfg: Mapping, inputs: Mapping, files: Mapping[str, Any],
+          **recorded) -> None:
+    """Make ``out``, write each of ``files`` into it, then ``manifest_<command>.json`` with
+    every file's SHA-256 and the ``recorded`` values as its outputs. A file is a writer
+    called with its path, a (header, rows) pair for a ``.csv`` name, or an object in JSON.
+    Commands call this once, last, so a command that fails leaves no ``out``."""
+    out.mkdir(parents=True, exist_ok=True)
+    outputs = {}
+    for name, content in files.items():
+        path = out / name
+        if callable(content):
+            content(path)
+        elif name.endswith(".csv"):
+            _write_csv(path, *content)
+        else:
+            _write_json(path, content)
+        outputs[name] = _file_sha256(path)
+    _write_json(out / f"manifest_{command}.json", {"command": command, "config": cfg,
+                                                   "inputs": inputs,
+                                                   "outputs": outputs | recorded})
 
 
 def _load_catalog(path: Path) -> rewards.Catalog:
@@ -335,46 +352,10 @@ def cmd_simulate(cfg: Mapping, out: Path) -> None:
     dataset = simulate.simulate_dataset(catalog, population, n=sim["n"], m=sim["m"],
                                         choice_set_size=sim["choice_set_size"],
                                         rng_seed=sim["seed"])
-    out.mkdir(parents=True, exist_ok=True)
-    catalog_path = out / "catalog.json"
-    dataset_path = out / "dataset.jsonl"
-    _write_json(catalog_path, catalog.to_json_dict())
-    simulate.write_dataset(dataset, dataset_path)
-    _write_manifest(
-        out, "simulate", cfg,
-        inputs={},
-        outputs={
-            "catalog.json": _file_sha256(catalog_path),
-            "dataset.jsonl": _file_sha256(dataset_path),
-            "catalog_hash": catalog.content_hash(),
-            "seed": sim["seed"],
-        },
-    )
-
-
-def _write_em_outputs(out: Path, state: emdpo.EmState, catalog: rewards.Catalog,
-                      dataset: simulate.Dataset) -> dict:
-    ensemble_path = out / "ensemble.json"
-    policy.write_ensemble(state.ensemble, catalog, ensemble_path)
-    k = state.ensemble.k
-    gamma_path = out / "gamma.csv"
-    _write_gamma(gamma_path, dataset.ids.tolist(), state.gamma)
-    trace_path = out / "trace.csv"
-    _write_csv(
-        trace_path,
-        ["restart", "iteration", "loglik"] + [f"eta_{j}" for j in range(k)]
-        + [f"grad_norm_{j}" for j in range(k)],
-        [
-            [r, row["iteration"], row["loglik"]] + row["eta"] + row["grad_norms"]
-            for r, trace in enumerate(state.restart_traces)
-            for row in trace
-        ],
-    )
-    return {
-        "ensemble.json": _file_sha256(ensemble_path),
-        "gamma.csv": _file_sha256(gamma_path),
-        "trace.csv": _file_sha256(trace_path),
-    }
+    _save(out, "simulate", cfg, {},
+          {"catalog.json": catalog.to_json_dict(),
+           "dataset.jsonl": functools.partial(simulate.write_dataset, dataset)},
+          catalog_hash=catalog.content_hash(), seed=sim["seed"])
 
 
 def cmd_emdpo(cfg: Mapping, dataset_path: Path, catalog_path: Path, out: Path) -> None:
@@ -382,18 +363,19 @@ def cmd_emdpo(cfg: Mapping, dataset_path: Path, catalog_path: Path, out: Path) -
     catalog = _load_catalog(catalog_path)
     dataset = _read_dataset(dataset_path, catalog)
     state = emdpo.run_em(dataset, catalog, em.pop("k"), **em)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = _write_em_outputs(out, state, catalog, dataset)
-    outputs["loglik"] = state.loglik
-    _write_manifest(
-        out, "emdpo", cfg,
-        inputs={
-            "dataset.jsonl": _file_sha256(dataset_path),
-            "catalog.json": _file_sha256(catalog_path),
-            "catalog_hash": catalog.content_hash(),
-        },
-        outputs=outputs,
-    )
+    k = state.ensemble.k
+    trace = (["restart", "iteration", "loglik"] + [f"eta_{j}" for j in range(k)]
+             + [f"grad_norm_{j}" for j in range(k)],
+             [[r, row["iteration"], row["loglik"]] + row["eta"] + row["grad_norms"]
+              for r, rows in enumerate(state.restart_traces) for row in rows])
+    _save(out, "emdpo", cfg,
+          {"dataset.jsonl": _file_sha256(dataset_path),
+           "catalog.json": _file_sha256(catalog_path),
+           "catalog_hash": catalog.content_hash()},
+          {"ensemble.json": functools.partial(policy.write_ensemble, state.ensemble, catalog),
+           "gamma.csv": lambda path: _write_gamma(path, dataset.ids.tolist(), state.gamma),
+           "trace.csv": trace},
+          loglik=state.loglik)
 
 
 def cmd_sweep_k(cfg: Mapping, dataset_path: Path, catalog_path: Path, out: Path) -> None:
@@ -408,14 +390,11 @@ def cmd_sweep_k(cfg: Mapping, dataset_path: Path, catalog_path: Path, out: Path)
         margins = [evaluate.max_mean_reward_margin(state.ensemble, catalog, g)
                    for _t, g in sorted(groups.items())]
         rows.append([k, state.loglik] + margins)
-    out.mkdir(parents=True, exist_ok=True)
-    sweep_path = out / "sweep.csv"
-    _write_csv(sweep_path,
-               ["k", "loglik"] + [f"max_mean_margin_group_{t}" for t in sorted(groups)], rows)
-    _write_manifest(out, "sweep-k", cfg,
-                    inputs={"dataset.jsonl": _file_sha256(dataset_path),
-                            "catalog.json": _file_sha256(catalog_path)},
-                    outputs={"sweep.csv": _file_sha256(sweep_path)})
+    header = ["k", "loglik"] + [f"max_mean_margin_group_{t}" for t in sorted(groups)]
+    _save(out, "sweep-k", cfg,
+          {"dataset.jsonl": _file_sha256(dataset_path),
+           "catalog.json": _file_sha256(catalog_path)},
+          {"sweep.csv": (header, rows)})
 
 
 def _flatten_trace(trace: Sequence[Mapping]) -> tuple[list[str], list[list]]:
@@ -495,11 +474,9 @@ def cmd_aggregate(cfg: Mapping, ensemble_path: Path, catalog_path: Path, out: Pa
     pw = policy.uniform_prompt_weights(catalog)
     inputs = {"ensemble.json": _file_sha256(ensemble_path),
               "catalog.json": _file_sha256(catalog_path)}
-    outputs: dict = {}
 
     R = agg.regret_matrix(agg.discrepancy_matrix(ensemble, ref, catalog, pw))
-    csvs: dict[str, tuple[list, list]] = {}  # file name -> (header, rows)
-    table = None  # the aggregated policy of the table-valued methods
+    files: dict[str, Any] = {}  # file name -> what _save writes there
 
     if method == "affine":
         try:
@@ -512,7 +489,7 @@ def cmd_aggregate(cfg: Mapping, ensemble_path: Path, catalog_path: Path, out: Pa
         kept = _trace_iterations(iters)
         columns = np.column_stack([sol.w_avg_trace[kept - 1], sol.p_avg_trace[kept - 1],
                                    sol.gap_trace[kept - 1]])
-        csvs["game_trace.csv"] = (
+        files["game_trace.csv"] = (
             ["iteration"] + [f"w_{j}" for j in range(ensemble.k)]
             + [f"p_{j}" for j in range(ensemble.k + 1)] + ["gap"],
             [[t] + row for t, row in zip(kept.tolist(), columns.tolist())],
@@ -550,36 +527,26 @@ def cmd_aggregate(cfg: Mapping, ensemble_path: Path, catalog_path: Path, out: Pa
             except StepSizeError as exc:
                 raise ConfigError(f"config field 'aggregate.policy_step' is too large, "
                                   f"the direct descent diverged: {exc}") from None
-        csvs["aggregate_trace.csv"] = _flatten_trace(trace)
+        single = policy.ScoreEnsemble(tables=(table,), eta=np.array([1.0]))
+        files["aggregated_policy.json"] = functools.partial(policy.write_ensemble, single,
+                                                            catalog)
+        files["aggregate_trace.csv"] = _flatten_trace(trace)
         candidate = table
         solution = {"method": method}
 
-    # --out is made only once the method has succeeded: a failed run leaves nothing
-    out.mkdir(parents=True, exist_ok=True)
-    if table is not None:
-        policy_path = out / "aggregated_policy.json"
-        single = policy.ScoreEnsemble(tables=(table,), eta=np.array([1.0]))
-        policy.write_ensemble(single, catalog, policy_path)
-        outputs["aggregated_policy.json"] = _file_sha256(policy_path)
-    csvs["regret_matrix.csv"] = (
+    files["regret_matrix.csv"] = (
         ["row"] + [f"member_{j}" for j in range(ensemble.k)],
         [[("null" if i == 0 else f"type_{i - 1}")] + R[i].tolist()
          for i in range(ensemble.k + 1)],
     )
-    for name, (header, rows) in csvs.items():
-        _write_csv(out / name, header, rows)
-        outputs[name] = _file_sha256(out / name)
     regrets = agg.regrets_of_policy(candidate, ensemble, ref, catalog, pw)
-    report = {
+    files["aggregate_report.json"] = {
         "method": method,
         "per_group_regrets": [float(r) for r in regrets],
         "max_regret": float(regrets.max()),
         "solution": solution,
     }
-    report_path = out / "aggregate_report.json"
-    _write_json(report_path, report)
-    outputs["aggregate_report.json"] = _file_sha256(report_path)
-    _write_manifest(out, "aggregate", cfg, inputs=inputs, outputs=outputs)
+    _save(out, "aggregate", cfg, inputs, files)
 
 
 def cmd_identify(cfg: Mapping, out: Path) -> None:
@@ -589,80 +556,44 @@ def cmd_identify(cfg: Mapping, out: Path) -> None:
     n_responses, spread = icfg["n_responses"], icfg["reward_spread"]
     catalog = identify.recovery_catalog(theta, n_responses, spread)
     population = simulate.make_adversarial_pair(theta)
-
-    flatness = identify.verify_binary_flatness(catalog, theta)
-
-    binary_ds = simulate.simulate_dataset(
-        catalog, population, n=200, m=1, choice_set_size=2, rng_seed=seed
-    )
+    report: dict[str, Any] = {
+        "binary_flatness_max_deviation": identify.verify_binary_flatness(catalog, theta)}
     candidates = [
         population,
         simulate.make_adversarial_pair(2.0 * theta),
         rewards.Population.from_weights([np.zeros_like(theta)], [1.0]),
     ]
-    binary_spread = identify.binary_likelihood_flatness(
-        binary_ds, catalog, population, candidates
-    )
-    ternary_ds = simulate.simulate_dataset(
-        catalog, population, n=200, m=1, choice_set_size=3, rng_seed=seed
-    )
-    ternary_spread = identify.binary_likelihood_flatness(
-        ternary_ds, catalog, population, candidates
-    )
+    sizes = {3: "ternary", 2: "binary"}  # choice-set size -> its name in the outputs
+    for size, name in sizes.items():
+        data = simulate.simulate_dataset(catalog, population, n=200, m=1,
+                                         choice_set_size=size, rng_seed=seed)
+        report[f"{name}_likelihood_spread"] = identify.binary_likelihood_flatness(
+            data, catalog, population, candidates)
 
     rng = np.random.default_rng(seed)
     d = len(theta)
     design = rng.normal(size=(3 * d, d))
     logits = design @ theta
     theta_hat = identify.recover_theta_from_binary(design, logits)
-    recovery_error = float(np.abs(theta_hat - theta).max())
+    report["theta_recovery_max_error"] = float(np.abs(theta_hat - theta).max())
 
-    rows = []
-    reports = []
+    rows, report["experiments"] = [], []
     for n in icfg["n_values"]:
-        rep3 = identify.ternary_recovery_experiment(
-            theta, n=n, seed=seed, em_config=em_config,
-            choice_set_size=3, n_responses=n_responses, reward_spread=spread,
-        )
-        rep2 = identify.ternary_recovery_experiment(
-            theta, n=n, seed=seed, em_config=em_config,
-            choice_set_size=2, n_responses=n_responses, reward_spread=spread,
-        )
-        rows.append([
-            n,
-            rep3.margin_correlation,
-            max(rep3.eta_error),
-            rep3.expected_loglik_fit - rep3.expected_loglik_null,
-            rep2.expected_loglik_fit - rep2.expected_loglik_null,
-        ])
-        reports.append({"ternary": rep3.to_json_dict(), "binary": rep2.to_json_dict()})
+        reps = {name: identify.ternary_recovery_experiment(
+                    theta, n=n, seed=seed, em_config=em_config, choice_set_size=size,
+                    n_responses=n_responses, reward_spread=spread)
+                for size, name in sizes.items()}
+        gaps = {name: rep.expected_loglik_fit - rep.expected_loglik_null
+                for name, rep in reps.items()}
+        rows.append([n, reps["ternary"].margin_correlation, max(reps["ternary"].eta_error),
+                     gaps["ternary"], gaps["binary"]])
+        report["experiments"].append({name: rep.to_json_dict() for name, rep in reps.items()})
 
-    out.mkdir(parents=True, exist_ok=True)
-    curve_path = out / "recovery_curve.csv"
-    _write_csv(
-        curve_path,
-        ["n", "ternary_margin_correlation", "ternary_max_eta_error",
-         "ternary_loglik_gap_vs_null", "binary_loglik_gap_vs_null"],
-        rows,
-    )
-    report_path = out / "identify_report.json"
-    _write_json(
-        report_path,
-        {
-            "binary_flatness_max_deviation": flatness,
-            "binary_likelihood_spread": binary_spread,
-            "ternary_likelihood_spread": ternary_spread,
-            "theta_recovery_max_error": recovery_error,
-            "experiments": reports,
-        },
-    )
-    _write_manifest(
-        out, "identify", cfg, inputs={},
-        outputs={
-            "identify_report.json": _file_sha256(report_path),
-            "recovery_curve.csv": _file_sha256(curve_path),
-        },
-    )
+    _save(out, "identify", cfg, {},
+          {"recovery_curve.csv": (["n", "ternary_margin_correlation", "ternary_max_eta_error",
+                                   "ternary_loglik_gap_vs_null", "binary_loglik_gap_vs_null"],
+                                  rows),
+           "identify_report.json": report})
 
 
 def cmd_evaluate(cfg: Mapping, catalog_path: Path, ensembles: Sequence[tuple[str, Path]],
@@ -683,36 +614,22 @@ def cmd_evaluate(cfg: Mapping, catalog_path: Path, ensembles: Sequence[tuple[str
     groups = evaluate.split_by_true_type(eval_ds)
     group_ids = sorted(groups)
 
-    margin_rows = []
-    acc_rows = []
+    margin_rows, acc_rows = [], []
     inputs = {"catalog.json": _file_sha256(catalog_path)}
     for label, path in ensembles:
         ensemble = policy.read_ensemble(path, catalog)
         inputs[f"ensemble:{label}"] = _file_sha256(path)
-        margins = [
-            evaluate.max_mean_reward_margin(ensemble, catalog, groups[t])
-            for t in group_ids
-        ]
-        margin_rows.append([label] + margins)
-        accs = []
+        margins, accs = ["max_mean_margin", label], ["accuracy", label]
         for t in group_ids:
-            best = max(
-                ensemble.tables,
-                key=lambda tab: evaluate.mean_margin(tab, catalog, groups[t]),
-            )
-            accs.append(evaluate.accuracy(best, catalog, groups[t]))
-        acc_rows.append([label] + accs)
+            means = [evaluate.mean_margin(tab, catalog, groups[t]) for tab in ensemble.tables]
+            best = max(range(len(means)), key=means.__getitem__)  # the first maximum
+            margins.append(means[best])
+            accs.append(evaluate.accuracy(ensemble.tables[best], catalog, groups[t]))
+        margin_rows.append(margins)
+        acc_rows.append(accs)
 
-    out.mkdir(parents=True, exist_ok=True)
-    metrics_path = out / "metrics.csv"
     header = ["block", "method"] + [f"group_{t}" for t in group_ids]
-    rows = [["max_mean_margin"] + r for r in margin_rows]
-    rows += [["accuracy"] + r for r in acc_rows]
-    _write_csv(metrics_path, header, rows)
-    _write_manifest(
-        out, "evaluate", cfg, inputs=inputs,
-        outputs={"metrics.csv": _file_sha256(metrics_path)},
-    )
+    _save(out, "evaluate", cfg, inputs, {"metrics.csv": (header, margin_rows + acc_rows)})
 
 
 def build_parser() -> argparse.ArgumentParser:

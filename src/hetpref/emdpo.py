@@ -538,6 +538,8 @@ def _fit_types(compiled: CompiledRecords, counts: np.ndarray, x: np.ndarray, gra
 
 def mixture_loglik(dataset: Dataset, catalog: Catalog, ensemble: ScoreEnsemble) -> float:
     """Observed-data log-likelihood of the mixture, log-space stable."""
+    for table in ensemble.tables:
+        catalog.check_scores(table.scores)
     return _e_step_compiled(CompiledRecords.from_dataset(dataset, catalog), ensemble)[1]
 
 

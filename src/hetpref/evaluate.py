@@ -33,7 +33,7 @@ def _margins(table: ScoreTable, catalog: Catalog, dataset: Dataset) -> np.ndarra
     """Implicit-reward margin of each binary record's winner over its loser."""
     if np.any(np.diff(dataset.offsets) != 2):
         raise ValueError("margin/accuracy metrics need binary records")
-    x = table.scores[dataset.catalog_index(catalog)[dataset.items]]
+    x = catalog.check_scores(table.scores)[dataset.catalog_index(catalog)[dataset.items]]
     return x[0::2] - x[1::2]
 
 

@@ -39,6 +39,8 @@ __all__ = [
     "ensemble_from_json_dict",
 ]
 
+# a read table's prompt means may be off zero by this much, times the prompt's largest
+# |score| (at least 1): centering rounds in the scores' own scale
 GAUGE_ATOL = 1e-9
 
 
@@ -125,7 +127,8 @@ def policy_probs(table: ScoreTable, ref: ReferencePolicy, catalog: Catalog,
     """pi(y|x) proportional to pi_ref(y|x) * exp(s(x,y)/kappa), normalized."""
     log_ref = np.log(ref.probs[prompt])
     start = catalog.offsets[catalog.prompts.index(prompt)]
-    return softmax(log_ref + table.scores[start:start + log_ref.size] / table.kappa)
+    scores = catalog.check_scores(table.scores)[start:start + log_ref.size]
+    return softmax(log_ref + scores / table.kappa)
 
 
 def optimal_table_for_type(catalog: Catalog, theta: np.ndarray, kappa: float) -> ScoreTable:
@@ -190,7 +193,10 @@ def ensemble_from_json_dict(doc: Mapping, catalog: Catalog) -> ScoreEnsemble:
         if not np.isfinite(scores).all():
             j = np.searchsorted(catalog.offsets, np.argmin(np.isfinite(scores)), "right") - 1
             raise ValueError(f"non-finite score under prompt {catalog.prompts[j]!r}")
-        if np.abs(scores - catalog.centered(scores)).max() > GAUGE_ATOL:
+        starts = catalog.offsets[:-1]
+        off = np.maximum.reduceat(np.abs(scores - catalog.centered(scores)), starts)
+        scale = np.maximum(np.maximum.reduceat(np.abs(scores), starts), 1.0)
+        if np.any(off > GAUGE_ATOL * scale):
             raise ValueError("serialized table violates the canonical gauge")
         tables.append(ScoreTable(kappa=kappa, scores=scores))
     return ScoreEnsemble(tables=tuple(tables), eta=np.asarray(doc["eta"], dtype=float))

@@ -186,6 +186,13 @@ class Catalog:
         return np.fromiter(chain.from_iterable(chain.from_iterable(per_prompt)),
                            dtype=np.intp).reshape(-1, size)
 
+    def check_scores(self, x: np.ndarray) -> np.ndarray:
+        """``x`` if its last axis holds one score per (prompt, response); else a
+        ValueError naming both lengths."""
+        if x.shape[-1] != self.offsets[-1]:
+            raise ValueError(f"{x.shape[-1]} scores for {self.offsets[-1]} catalog responses")
+        return x
+
     def flatten(self, per_prompt: Mapping[str, np.ndarray]) -> np.ndarray:
         """Per-prompt arrays (aligned with :meth:`responses`) joined in the flat order."""
         return np.concatenate([np.asarray(per_prompt[p], dtype=float) for p in self.prompts])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -176,6 +177,35 @@ class TestPipeline:
         assert em["inputs"]["dataset.jsonl"] == sim["outputs"]["dataset.jsonl"]
         assert em["inputs"]["catalog.json"] == sim["outputs"]["catalog.json"]
         assert ag["inputs"]["ensemble.json"] == em["outputs"]["ensemble.json"]
+
+    def test_manifest_names_every_file_with_its_hash(self, tmp_path):
+        # each command in its own --out: the manifest's outputs are the other files there,
+        # each with its SHA-256, plus the values a command records
+        cfg = write_config(tmp_path, {"sweep.k_values": [1, 2], "identify.n_values": [60],
+                                      "identify.em": {"max_iters": 3}})
+        sim, fit = tmp_path / "simulate", tmp_path / "emdpo"
+        data = ["--dataset", str(sim / "dataset.jsonl"), "--catalog", str(sim / "catalog.json")]
+        runs = [("simulate", "simulate", cfg, []), ("emdpo", "emdpo", cfg, data),
+                ("sweep-k", "sweep-k", cfg, data)]
+        for method in ("affine", "lightweight", "direct", "uniform"):
+            method_cfg = write_config(tmp_path, {"aggregate.method": method}, name=f"{method}.yaml")
+            runs.append((method, "aggregate", method_cfg,
+                         data + ["--ensemble", str(fit / "ensemble.json"),
+                                 "--gamma", str(fit / "gamma.csv")]))
+        runs += [("identify", "identify", cfg, []),
+                 ("evaluate", "evaluate", cfg, ["--catalog", str(sim / "catalog.json"),
+                                                "--ensemble", f"fit={fit / 'ensemble.json'}"])]
+        recorded = {"simulate": {"catalog_hash", "seed"}, "emdpo": {"loglik"}}
+        for name, command, config, args in runs:
+            out = tmp_path / name
+            assert main([command, "--config", str(config), "--out", str(out)] + args) == 0
+            manifest = f"manifest_{command}.json"
+            outputs = json.loads((out / manifest).read_text())["outputs"]
+            files = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                     for path in out.iterdir() if path.name != manifest}
+            values = recorded.get(command, set())
+            assert values <= set(outputs), name
+            assert {k: v for k, v in outputs.items() if k not in values} == files, name
 
 
 class TestRestartTraces:
@@ -699,6 +729,18 @@ class TestMalformedJson:
         assert "NaN" in path.read_text()
         code = self.read_ensemble(fitted_run, tmp_path, command, path)
         self.check(capsys, code, "ensemble.json", f"non-finite score under prompt {prompt!r}")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["aggregate", "evaluate"])
+    def test_ensemble_off_the_gauge(self, fitted_run, tmp_path, capsys, command):
+        # every score of one prompt shifted by one: the prompt's mean is 1, not 0
+        doc = json.loads((fitted_run[1] / "ensemble.json").read_text())
+        scores = doc["tables"][0][sorted(doc["tables"][0])[0]]
+        for response in scores:
+            scores[response] += 1.0
+        path = self.write(tmp_path, "ensemble.json", json.dumps(doc))
+        code = self.read_ensemble(fitted_run, tmp_path, command, path)
+        self.check(capsys, code, "ensemble.json", "serialized table violates the canonical gauge")
         assert not (tmp_path / "x").exists()
 
 

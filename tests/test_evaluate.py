@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hetpref.emdpo import CompiledRecords, run_em
+from hetpref.emdpo import CompiledRecords, mixture_loglik, run_em
 from hetpref.evaluate import (
     accuracy,
     max_mean_reward_margin,
@@ -14,7 +14,9 @@ from hetpref.evaluate import (
 from hetpref.policy import (
     ReferencePolicy,
     ScoreEnsemble,
+    ScoreTable,
     optimal_table_for_type,
+    policy_probs,
     uniform_prompt_weights,
 )
 from hetpref.rewards import Catalog, Population
@@ -102,6 +104,27 @@ class TestMargins:
         table = optimal_table_for_type(catalog, theta, 0.1)
         with pytest.raises(ValueError):
             mean_margin(table, catalog, ds3)
+
+
+@pytest.mark.parametrize("size", [3, 7])
+@pytest.mark.parametrize("metric", [
+    lambda table, ensemble, catalog, data: mean_margin(table, catalog, data),
+    lambda table, ensemble, catalog, data: accuracy(table, catalog, data),
+    lambda table, ensemble, catalog, data: max_mean_reward_margin(ensemble, catalog, data),
+    lambda table, ensemble, catalog, data: mixture_loglik(data, catalog, ensemble),
+    lambda table, ensemble, catalog, data: policy_probs(
+        table, ReferencePolicy.uniform(catalog), catalog, "p"),
+], ids=["mean_margin", "accuracy", "max_mean_reward_margin", "mixture_loglik", "policy_probs"])
+def test_table_not_as_long_as_the_catalog(metric, size):
+    # a table carries no catalog: a longer one was read by its first entries, a shorter
+    # one raised a bare IndexError
+    catalog = Catalog.build({"p": [(f"r{i}", [float(i), 1.0]) for i in range(4)]})
+    population = Population.from_weights([[1.0, 0.0]], [1.0])
+    data = simulate_dataset(catalog, population, n=20, m=1, choice_set_size=2, rng_seed=0)
+    table = ScoreTable(kappa=0.1, scores=np.linspace(-1.0, 1.0, size))
+    ensemble = ScoreEnsemble(tables=(table,), eta=np.array([1.0]))
+    with pytest.raises(ValueError, match=f"^{size} scores for 4 catalog responses$"):
+        metric(table, ensemble, catalog, data)
 
 
 class TestAccuracy:

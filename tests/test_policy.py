@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -308,6 +309,22 @@ class TestEnsembleSerialization:
         doc["tables"][0]["p0"]["r0"] += 1.0
         with pytest.raises(ValueError):
             ensemble_from_json_dict(doc, two_prompt_catalog)
+
+    def test_large_scores_round_trip(self):
+        # centering rounds in the scores' own scale: at 1e8 a prompt's mean is off zero by
+        # up to about 1e-8, which an absolute bound of 1e-9 rejected
+        catalog = Catalog.build({"p": [(f"r{i}", [float(i)]) for i in range(7)]})
+        rng = np.random.default_rng(16)
+        tables = tuple(random_table(catalog, rng, scale=1e8) for _ in range(50))
+        ens = ScoreEnsemble(tables=tables, eta=np.full(50, 0.02))
+        doc = json.loads(json.dumps(ensemble_to_json_dict(ens, catalog)))
+        back = ensemble_from_json_dict(doc, catalog)
+        np.testing.assert_array_equal(np.stack([t.scores for t in back.tables]),
+                                      catalog.centered(np.stack([t.scores for t in tables])))
+        for response in doc["tables"][0]["p"]:  # off by 1 in 1e8 is still off the gauge
+            doc["tables"][0]["p"][response] += 1.0
+        with pytest.raises(ValueError, match="violates the canonical gauge"):
+            ensemble_from_json_dict(doc, catalog)
 
     @pytest.mark.parametrize("prompt, response", [("p0", "r3"), ("p1", "s0"), ("p1", "s2")])
     def test_read_names_the_prompt_of_a_non_finite_score(self, two_prompt_catalog, prompt,
